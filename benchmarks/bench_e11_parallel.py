@@ -31,7 +31,6 @@ import hashlib
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e11_parallel.py`
@@ -39,6 +38,7 @@ if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e11_parallel.py`
 
 from repro.core.pipeline import Pipeline  # noqa: E402
 from repro.engine import (  # noqa: E402
+    WorkerPool,
     branch_works,
     parallel_enumerate,
     prearm,
@@ -107,16 +107,14 @@ def run_harness(n: int, workers: int, require_speedup: bool) -> int:
 
     # Warmed process pool: the service regime.  Worker rebuild time is
     # reported separately — it is preprocessing, paid once per worker.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with WorkerPool(workers) as pool:
         started = time.perf_counter()
         warm_pool(pool, pipeline, workers)
         warm_elapsed = time.perf_counter() - started
         print(f"process pool warm-up ({workers} workers): {warm_elapsed:.2f}s")
         started = time.perf_counter()
         processed = list(
-            parallel_enumerate(
-                pipeline, workers=workers, mode="process", executor=pool
-            )
+            parallel_enumerate(pipeline, workers=workers, mode="process", pool=pool)
         )
         process_elapsed = time.perf_counter() - started
         check("process", processed, process_elapsed)
@@ -199,13 +197,13 @@ if pytest is not None:
 
     @pytest.mark.benchmark(group="E11-parallel")
     def bench_process_pool_warm(benchmark, triple_pipeline):
-        with ProcessPoolExecutor(max_workers=4) as pool:
+        with WorkerPool(4) as pool:
             warm_pool(pool, triple_pipeline, 4)
             result = benchmark(
                 lambda: sum(
                     1
                     for _ in parallel_enumerate(
-                        triple_pipeline, workers=4, mode="process", executor=pool
+                        triple_pipeline, workers=4, mode="process", pool=pool
                     )
                 )
             )

@@ -152,7 +152,6 @@ def check_streaming_first_page(structure, workers, report, failures):
                     workers=workers,
                     mode="process",
                     pool=pool,
-                    transport="columnar",
                     transfer_stats=stats,
                     chunk_rows=64,
                     mailbox_bytes=4096,  # tiny ring: forced backpressure

@@ -26,9 +26,18 @@ Both modes emit ``BENCH_storing.json``; ``--smoke`` is the CI gate.
 
 import random
 
+import os
+import sys
+
 import pytest
 
-from repro.storage.trie import DictBackend, StoringTrie
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e8_storing.py`
+    sys.path.insert(0, REPO_SRC)
+
+from repro.storage.trie import DictBackend, StoringTrie  # noqa: E402
 
 N = 1 << 14
 KEY_COUNT = 5_000
@@ -88,18 +97,10 @@ def bench_lookup_dict_reference(benchmark):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import os  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-
-REPO_SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-)
-if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e8_storing.py`
-    sys.path.insert(0, REPO_SRC)
 
 from repro.fo.parser import parse  # noqa: E402
 from repro.fo.semantics import naive_answers  # noqa: E402
@@ -154,7 +155,12 @@ def measure_recovery(structure, commit_count: int, base_dir: str):
         want_fingerprint = db.structure_fingerprint
         want_version = db.version
         want_answers = oracle(db.structure, EXAMPLE)
-    wal_bytes = os.path.getsize(os.path.join(path, "wal.jsonl"))
+    # The WAL rotates into wal.NNNNN.jsonl segments.
+    wal_bytes = sum(
+        os.path.getsize(os.path.join(path, name))
+        for name in os.listdir(path)
+        if name.startswith("wal.") and name.endswith(".jsonl")
+    )
 
     started = time.perf_counter()
     with Database.open(path) as db:

@@ -341,9 +341,7 @@ def e9_model_checking(sizes):
 
 def e11_parallel(sizes, workers=4) -> None:
     """E11: branch-parallel enumeration with a deterministic merge."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.engine import parallel_enumerate, prearm, warm_pool
+    from repro.engine import WorkerPool, parallel_enumerate, prearm, warm_pool
 
     print(f"## E11 — parallel batch engine vs serial ({workers} workers)\n")
     rows = []
@@ -359,12 +357,12 @@ def e11_parallel(sizes, workers=4) -> None:
                 parallel_enumerate(pipeline, workers=workers, mode="thread")
             )
         )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with WorkerPool(workers) as pool:
             warm_pool(pool, pipeline, workers)
             process_t, processed = timed(
                 lambda pool=pool: list(
                     parallel_enumerate(
-                        pipeline, workers=workers, mode="process", executor=pool
+                        pipeline, workers=workers, mode="process", pool=pool
                     )
                 )
             )
@@ -389,8 +387,10 @@ def e11_parallel(sizes, workers=4) -> None:
 
 
 def e12_transport(sizes, workers=4) -> None:
-    """E12: columnar answer transport vs pickled tuple lists."""
-    from repro.engine import WorkerPool, prearm, run_branches, warm_pool
+    """E12: columnar answer transport vs pickling the same chunks."""
+    from repro.engine import (
+        WorkerPool, parallel_enumerate, prearm, run_branches, warm_pool,
+    )
     from repro.engine.transport import TransferStats
 
     import pickle
@@ -408,21 +408,13 @@ def e12_transport(sizes, workers=4) -> None:
                 lambda: list(
                     run_branches(
                         pipeline, workers=workers, mode="process", pool=pool,
-                        transport="columnar", transfer_stats=stats,
+                        transfer_stats=stats,
                     )
                 )
             )
-            columnar = [answer for chunk in chunks for answer in chunk]
-            pickle_t, shards = timed(
-                lambda: list(
-                    run_branches(
-                        pipeline, workers=workers, mode="process", pool=pool,
-                        transport="pickle",
-                    )
-                )
-            )
-            pickled = [answer for shard in shards for answer in shard]
-        pickle_bytes = sum(len(pickle.dumps(shard)) for shard in shards)
+        columnar = [answer for chunk in chunks for answer in chunk]
+        serial = list(parallel_enumerate(pipeline, mode="serial"))
+        pickle_bytes = sum(len(pickle.dumps(chunk)) for chunk in chunks)
         ratio = pickle_bytes / stats.bytes_received if stats.bytes_received else 0.0
         rows.append(
             (
@@ -432,13 +424,12 @@ def e12_transport(sizes, workers=4) -> None:
                 pickle_bytes,
                 f"{ratio:.1f}x",
                 f"{columnar_t:.3f}",
-                f"{pickle_t:.3f}",
-                columnar == pickled,
+                columnar == serial,
             )
         )
     table(
-        ["n", "answers", "columnar (B)", "pickle (B)", "reduction",
-         "columnar (s)", "pickle (s)", "identical"],
+        ["n", "answers", "columnar (B)", "pickled chunks (B)", "reduction",
+         "columnar (s)", "identical"],
         rows,
     )
     print("(the codec interns elements to dense ids, packs per-column "

@@ -15,18 +15,22 @@ Run:  python examples/delay_experiment.py [n]
 import sys
 import time
 
-from repro import parse, prepare
+from repro import Database, parse
 from repro.core.baselines import ListJoinBaseline
+from repro.core.enumeration import enumerate_answers
 from repro.storage.cost_model import CostMeter
 from repro.structures import random_colored_graph
 
 
 def run_pipeline(db, query):
-    prepared = prepare(db, query)
+    with Database(db) as session:
+        pipeline = session.query(query).pipeline
     meter = CostMeter()
     started = time.perf_counter()
     answers = 0
-    for _ in prepared.enumerate(meter=meter):
+    # Metered serial enumeration: the primitive the session's serial
+    # backend drives, instrumented with RAM-step marks.
+    for _ in enumerate_answers(pipeline, meter=meter):
         meter.mark()
         answers += 1
     elapsed = time.perf_counter() - started

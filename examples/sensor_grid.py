@@ -17,7 +17,7 @@ Run:  python examples/sensor_grid.py [rows] [cols]
 
 import sys
 
-from repro import parse, prepare
+from repro import Database, parse
 from repro.core.model_checking import model_check
 from repro.structures import grid_graph
 
@@ -46,23 +46,25 @@ def trouble_spots(db) -> None:
     print("\n--- sensors at risk (quantified query) ---")
     # Powered sensors all of whose neighbors are faulty.
     query = parse("Powered(x) & forall z. (E(x,z) -> Faulty(z))")
-    prepared = prepare(db, query)
-    print(f"  powered sensors surrounded by faults: {prepared.count()}")
-    for (sensor,) in list(prepared.enumerate())[:5]:
-        print(f"    at grid position {sensor}")
+    with Database(db) as session:
+        prepared = session.query(query)
+        print(f"  powered sensors surrounded by faults: {prepared.count()}")
+        for (sensor,) in prepared.answers(limit=5):
+            print(f"    at grid position {sensor}")
 
 
 def redundancy_pairs(db) -> None:
     print("\n--- redundancy pairs (distance query) ---")
     # Powered pairs within 2 hops: close enough for hand-off.
     query = parse("Powered(x) & Powered(y) & x != y & dist(x,y) <= 2")
-    prepared = prepare(db, query)
-    print(f"  hand-off pairs within 2 hops: {prepared.count()}")
-
     # Faulty sensors with no powered sensor within 2 hops: dead zones.
     dead_zone = parse("Faulty(x) & forall z in N2(x). ~Powered(z)")
-    prepared = prepare(db, dead_zone)
-    print(f"  dead-zone sensors (no power within 2 hops): {prepared.count()}")
+    with Database(db) as session:
+        print(f"  hand-off pairs within 2 hops: {session.count(query)}")
+        print(
+            "  dead-zone sensors (no power within 2 hops): "
+            f"{session.count(dead_zone)}"
+        )
 
 
 def main() -> None:

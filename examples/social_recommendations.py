@@ -20,8 +20,9 @@ Run:  python examples/social_recommendations.py [members]
 import sys
 import time
 
-from repro import parse, prepare
+from repro import Database, parse
 from repro.core.ccq import evaluate_ccq
+from repro.core.enumeration import enumerate_answers
 from repro.storage.cost_model import CostMeter
 from repro.structures import random_colored_graph
 
@@ -39,17 +40,19 @@ def build_network(members: int):
 
 def recommendation_stream(db) -> None:
     query = parse("Active(x) & Newcomer(y) & x != y & ~E(x,y)")
-    started = time.perf_counter()
-    prepared = prepare(db, query)
-    preprocessing = time.perf_counter() - started
-
-    total = prepared.count()
+    with Database(db) as session:
+        started = time.perf_counter()
+        prepared = session.query(query)
+        preprocessing = time.perf_counter() - started
+        total = prepared.count()
     print(f"candidate pairs (not friends yet): {total:,}")
     print(f"preprocessing took {preprocessing:.3f}s — answers stream from here")
 
     meter = CostMeter()
     shown = 0
-    for active, newcomer in prepared.enumerate(meter=meter):
+    # Metered serial enumeration (the session's serial backend, with
+    # RAM-step marks between answers).
+    for active, newcomer in enumerate_answers(prepared.pipeline, meter=meter):
         meter.mark()
         if shown < 5:
             print(f"  recommend member {newcomer} to member {active}")
@@ -73,10 +76,11 @@ def introducers(db) -> None:
 
 def isolated_newcomers(db) -> None:
     query = parse("Newcomer(x) & forall z. (E(x,z) -> ~Active(z))")
-    prepared = prepare(db, query)
-    lonely = prepared.count()
+    with Database(db) as session:
+        prepared = session.query(query)
+        lonely = prepared.count()
+        some = [x for (x,) in prepared.answers(limit=5)]
     print(f"newcomers with no active friend: {lonely:,}")
-    some = [x for (x,) in prepared.enumerate()][:5]
     if some:
         print(f"  e.g. members {some}")
 

@@ -17,9 +17,6 @@ Quickstart::
         list(query.answers())             # Theorem 2.7, constant delay
         session.insert_fact("E", 0, 2)    # plans maintained in place
         query.count()                     # reflects the update
-
-The legacy front-ends (``prepare``, ``DynamicQuery``, ``QueryBatch``,
-``AsyncQueryBatch``) remain as deprecated shims over the session layer.
 """
 
 from repro.errors import (
@@ -44,7 +41,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Answers",
-    "AsyncQueryBatch",
     "CancelledResultError",
     "Changeset",
     "CommitResult",
@@ -57,11 +53,9 @@ __all__ = [
     "ParseError",
     "Q",
     "Query",
-    "QueryBatch",
     "QueryError",
     "QueryPlan",
     "ReproError",
-    "ResultCancelledError",
     "SelectQuery",
     "Signature",
     "SignatureError",
@@ -76,25 +70,8 @@ __all__ = [
     "model_check",
     "parse",
     "parse_select",
-    "prepare",
     "__version__",
 ]
-
-
-def prepare(structure, query, eps=0.5, **kwargs):
-    """Preprocess ``query`` on ``structure`` for counting / testing /
-    constant-delay enumeration.  See :class:`repro.core.api.PreparedQuery`.
-
-    .. deprecated:: Use :class:`repro.Database` — ``Database(structure)``
-        then ``db.query(...)``.
-
-    Imported lazily to keep ``import repro`` light.
-    """
-    from repro.core.api import prepare as _prepare
-
-    # _stacklevel=3: attribute the deprecation warning to the caller of
-    # this wrapper, not to the forwarding line below.
-    return _prepare(structure, query, eps=eps, _stacklevel=3, **kwargs)
 
 
 def model_check(sentence, structure, **kwargs):
@@ -105,7 +82,8 @@ def model_check(sentence, structure, **kwargs):
 
 
 # Heavy (or deprecated) surface, resolved lazily so ``import repro``
-# stays light and deprecation warnings fire at use, not import.
+# stays light and the ``DynamicQuery`` deprecation fires at use, not
+# import.
 _LAZY_EXPORTS = {
     "Answers": ("repro.session", "Answers"),
     "Changeset": ("repro.session", "Changeset"),
@@ -116,9 +94,6 @@ _LAZY_EXPORTS = {
     "Snapshot": ("repro.session", "Snapshot"),
     "Transaction": ("repro.session", "Transaction"),
     "DynamicQuery": ("repro.core.dynamic", "DynamicQuery"),
-    "QueryBatch": ("repro.engine", "QueryBatch"),
-    "AsyncQueryBatch": ("repro.engine", "AsyncQueryBatch"),
-    "ResultCancelledError": ("repro.errors", "ResultCancelledError"),
 }
 
 

@@ -222,7 +222,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             args.query,
             backend=args.backend,
             chunk_rows=getattr(args, "chunk_rows", None),
-            transport=getattr(args, "transport", None),
         )
         preprocessing = time.perf_counter() - started
         print(
@@ -600,13 +599,36 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if verdict else 1
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.core.api import preprocessing_report
+def _preprocessing_report(pipeline) -> str:
+    """A human-readable account of one pipeline's preprocessing (paired
+    with the session's structured :class:`repro.session.QueryPlan`)."""
+    stats = pipeline.stats()
+    lines = [
+        f"query arity: {stats['arity']} "
+        f"({', '.join(v.name for v in pipeline.variables)})",
+        f"localized radius r = {stats['radius']} "
+        f"(cluster linking distance {stats['link_radius']})",
+        f"derived unary predicates: {stats['derived_predicates']}",
+        f"partitions considered: {stats['partitions']}",
+        f"enumeration branches (P, t): {stats['branches']}",
+        f"colored graph: {stats['graph_nodes']} nodes, "
+        f"max degree {stats['graph_max_degree']}",
+        f"structure: n = {stats['structure_size']}, "
+        f"degree d = {stats['structure_degree']}",
+    ]
+    derived = pipeline.localized.derived_formulas
+    if derived:
+        lines.append("derived predicates:")
+        for name, formula in derived.items():
+            lines.append(f"  {name} := {formula}")
+    return "\n".join(lines)
 
+
+def cmd_explain(args: argparse.Namespace) -> int:
     db = parse_workload(args.workload)
     with Database(db, eps=args.eps) as session:
         query = session.query(args.query)
-        print(preprocessing_report(query.pipeline))
+        print(_preprocessing_report(query.pipeline))
         print(query.explain().describe())
     return 0
 
@@ -708,13 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="chunk_rows",
         type=int,
         default=None,
-        help="answers per process-transport chunk (default: cost model)",
-    )
-    query_parser.add_argument(
-        "--transport",
-        choices=["columnar", "pickle"],
-        default=None,
-        help="process-mode answer transport (default: columnar)",
+        help="answers per chunk (default: cost model)",
     )
     query_parser.add_argument(
         "--shards",

@@ -3,7 +3,6 @@ counting (Theorem 2.5), testing (Theorem 2.6), constant-delay enumeration
 (Theorem 2.7), model checking (Theorem 2.4), connected conjunctive queries
 (Lemma 3.2), and the naive baselines."""
 
-from repro.core.api import PreparedQuery, prepare
 from repro.core.baselines import ListJoinBaseline, product_count, product_enumerate
 from repro.core.ccq import count_ccq, evaluate_ccq, parse_ccq
 from repro.core.counting import count_answers
@@ -24,7 +23,6 @@ __all__ = [
     "DynamicQuery",
     "ListJoinBaseline",
     "Pipeline",
-    "PreparedQuery",
     "SkipList",
     "arm_enumerators",
     "count_answers",
@@ -33,7 +31,6 @@ __all__ = [
     "evaluate_ccq",
     "model_check",
     "parse_ccq",
-    "prepare",
     "product_count",
     "product_enumerate",
     "test_answer",

@@ -200,9 +200,9 @@ class Pipeline:
             if not build_graph:
                 return
             # ``graph_factory`` is the engine's preprocessing-sharing hook:
-            # a batch can hand out clones of one cached graph instead of
-            # re-enumerating cluster tuples per query (see
-            # repro.engine.batch.QueryBatch).
+            # a session can hand out clones of one cached graph instead
+            # of re-enumerating cluster tuples per query (see
+            # repro.session.Database).
             factory = graph_factory or build_colored_graph
             self.graph = factory(
                 structure,

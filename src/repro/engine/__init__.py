@@ -6,20 +6,19 @@ Layers on top of the paper's pipeline (:mod:`repro.core`):
   counting* of one pipeline across a thread or process pool, with a
   deterministic merge that reproduces the serial answer order
   byte-for-byte (and, for :func:`parallel_count`, the exact serial
-  count);
+  count); every mode yields one stream of bounded answer chunks;
 * :mod:`repro.engine.pool` — :class:`WorkerPool`, the long-lived,
   lazily-started, crash-restarting worker pool each
-  :class:`repro.session.Database` owns;
+  :class:`repro.session.Database` owns (and the only place executors
+  are constructed);
+* :mod:`repro.engine.transport` / :mod:`repro.engine.mailbox` — the
+  columnar codec process-mode answers cross the process boundary in,
+  and the shared-memory ring that streams them;
 * :mod:`repro.engine.cache` — LRU pipeline cache keyed by
   ``(structure fingerprint, normalized formula, order, eps)``, with
-  targeted re-keying for dynamically maintained plans;
-* :mod:`repro.engine.batch` — :class:`QueryBatch` / :class:`ResultHandle`,
-  the deprecated batch facade (thin shims over the session layer);
-* :mod:`repro.engine.aio` — :class:`AsyncQueryBatch`, the deprecated
-  asyncio facade (the unified :class:`repro.session.Answers` handle is
-  awaitable directly).
+  targeted re-keying for dynamically maintained plans.
 
-Preferred front-end::
+The front-end is the session layer::
 
     from repro.session import Database
 
@@ -30,21 +29,15 @@ Preferred front-end::
         for answer in answers:
             ...
 
-Exports resolve lazily: the deprecated facades warn at use, not at
-``import repro.engine``, and the module plays no part in import cycles
-with the session layer it now sits under.
+Exports resolve lazily, so the module plays no part in import cycles
+with the session layer it sits under.
 """
 
 _EXPORTS = {
-    "AsyncQueryBatch": ("repro.engine.aio", "AsyncQueryBatch"),
-    "AsyncResultHandle": ("repro.engine.aio", "AsyncResultHandle"),
     "BranchTask": ("repro.engine.executor", "BranchTask"),
     "ColumnarCodec": ("repro.engine.transport", "ColumnarCodec"),
-    "DEFAULT_PAGE_SIZE": ("repro.engine.batch", "DEFAULT_PAGE_SIZE"),
     "InternTable": ("repro.engine.transport", "InternTable"),
     "PipelineCache": ("repro.engine.cache", "PipelineCache"),
-    "QueryBatch": ("repro.engine.batch", "QueryBatch"),
-    "ResultHandle": ("repro.engine.batch", "ResultHandle"),
     "TransferStats": ("repro.engine.transport", "TransferStats"),
     "WorkerPool": ("repro.engine.pool", "WorkerPool"),
     "branch_works": ("repro.engine.executor", "branch_works"),

@@ -34,10 +34,6 @@ from repro.structures.structure import Structure
 
 CacheKey = Tuple[str, str, Optional[Tuple[str, ...]], float]
 
-# Backwards-compatible alias: the one query-coercion helper now lives in
-# ``repro.fo`` so every entry point shares it.
-coerce_query = coerce_formula
-
 
 def coerce_order(
     order: Optional[Sequence[Union[Var, str]]]
@@ -151,7 +147,7 @@ class PipelineCache:
         graph_factory=None,
     ) -> Tuple[Pipeline, CacheKey]:
         """Return the cached pipeline for the key, building on a miss."""
-        formula = coerce_query(query)
+        formula = coerce_formula(query)
         variable_order = coerce_order(order)
         if structure_fingerprint is None:
             structure_fingerprint = fingerprint(structure)

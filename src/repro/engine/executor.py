@@ -17,15 +17,20 @@ Pool selection follows the cost-model heuristic
 * ``process`` — large structures; each worker rebuilds the pipeline once
   from a picklable spec (memoized per process) and enumeration scales
   past the GIL.
+
+Every mode produces one stream of answer chunks of at most
+:func:`resolve_chunk_rows` rows; every submission goes through a
+:class:`~repro.engine.pool.WorkerPool` (the caller's, or one scoped to
+the call).
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Hashable, Iterator, List, Optional, Tuple
+from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.counting import count_answers, count_branch_at, trivial_count
 from repro.core.enumeration import (
@@ -45,13 +50,12 @@ from repro.engine.transport import (
     ColumnarCodec,
     TransferStats,
     encode_answers,
-    resolve_transport,
+    split_chunks,
     width_for,
 )
 from repro.errors import EngineError
 from repro.storage.cost_model import (
     COLUMNAR_BYTES_PER_VALUE,
-    PICKLE_BYTES_PER_VALUE,
     choose_execution_mode,
     default_chunk_rows,
     estimate_branch_work,
@@ -73,19 +77,17 @@ class BranchTask:
     (:meth:`repro.core.pipeline.Pipeline.rebuild_spec`) and ``spec_key``
     a hashable identity for it, so worker processes reconstruct the
     pipeline once and serve every shard of the same query from the
-    per-process memo.  ``spec`` is ``None`` when the pool's initializer
-    already shipped it (ephemeral pools) — then only the key travels
-    per task.  ``start``/``stop`` bound the branch's outermost
+    per-process memo.  ``start``/``stop`` bound the branch's outermost
     iteration (``(0, None)`` = the whole branch).
     """
 
-    spec: Optional[tuple]
+    spec: tuple
     spec_key: tuple
     branch_index: int
     skip_mode: str
     start: int = 0
     stop: Optional[int] = None
-    # Columnar-transport chunk bound (resolved parent-side; read only by
+    # Chunk bound (resolved parent-side; read only by
     # run_branch_task_encoded).
     chunk_rows: Optional[int] = None
     # Projection pushdown (the qlang SELECT-list fusion): answer columns
@@ -100,12 +102,6 @@ class BranchTask:
     mailbox: Optional[Tuple[str, int]] = None
 
     @property
-    def outer_slice(self) -> Optional[Tuple[int, Optional[int]]]:
-        if self.start == 0 and self.stop is None:
-            return None
-        return (self.start, self.stop)
-
-    @property
     def label(self) -> str:
         """Stable work-unit name for per-source transfer accounting."""
         stop = "" if self.stop is None else self.stop
@@ -113,47 +109,25 @@ class BranchTask:
 
 
 # Per-worker-process pipeline memo, keyed by BranchTask.spec_key.  Lives
-# at module level so ProcessPoolExecutor workers keep it across tasks;
-# bounded so a long-lived pool serving many structures/queries cannot
-# grow without limit (each entry pins a full colored graph).
+# at module level so pool worker processes keep it across tasks; bounded
+# so a long-lived pool serving many structures/queries cannot grow
+# without limit (each entry pins a full colored graph).
 _WORKER_MEMO_CAPACITY = 8
 _WORKER_PIPELINES: "dict" = {}
 
 
-def _memoize_worker_pipeline(spec_key: tuple, spec: tuple) -> Pipeline:
-    pipeline = _WORKER_PIPELINES.get(spec_key)
+def _worker_pipeline(task: BranchTask) -> Pipeline:
+    pipeline = _WORKER_PIPELINES.pop(task.spec_key, None)
     if pipeline is None:
-        structure, query, variables, eps, budget, intern = spec
+        structure, query, variables, eps, budget, intern = task.spec
         pipeline = Pipeline(
             structure, query, order=variables, eps=eps, budget=budget,
             intern=intern,
         )
         while len(_WORKER_PIPELINES) >= _WORKER_MEMO_CAPACITY:
             _WORKER_PIPELINES.pop(next(iter(_WORKER_PIPELINES)))
-        _WORKER_PIPELINES[spec_key] = pipeline
-    else:
-        # Keep insertion order ~LRU: re-append on every hit.
-        _WORKER_PIPELINES.pop(spec_key)
-        _WORKER_PIPELINES[spec_key] = pipeline
-    return pipeline
-
-
-def _init_worker(spec: tuple, spec_key: tuple) -> None:
-    """Pool initializer: build the pipeline once per worker up front, so
-    per-task payloads carry only the key (the structure is shipped once
-    per worker instead of once per shard)."""
-    _memoize_worker_pipeline(spec_key, spec)
-
-
-def _worker_pipeline(task: BranchTask) -> Pipeline:
-    if task.spec is not None:
-        return _memoize_worker_pipeline(task.spec_key, task.spec)
-    pipeline = _WORKER_PIPELINES.get(task.spec_key)
-    if pipeline is None:
-        raise EngineError(
-            "worker has no pipeline for this task and the task carries no "
-            "spec; was the pool initialized/warmed for a different query?"
-        )
+    # (Re-)append: insertion order stays ~LRU.
+    _WORKER_PIPELINES[task.spec_key] = pipeline
     return pipeline
 
 
@@ -164,50 +138,39 @@ def _project_rows(rows, project: Optional[Tuple[int, ...]]):
     return (tuple(row[i] for i in project) for row in rows)
 
 
-def run_branch_task(task: BranchTask) -> List[Answer]:
-    """Entry point executed inside a worker process (pickle transport)."""
-    pipeline = _worker_pipeline(task)
-    return list(
-        _project_rows(
-            enumerate_branch(
-                pipeline,
-                task.branch_index,
-                skip_mode=task.skip_mode,
-                outer_slice=task.outer_slice,
-            ),
-            task.project,
-        )
+def _unit_rows(pipeline: Pipeline, unit, skip_mode: str, project):
+    """One work unit's answers, projected (lazily)."""
+    branch_index, start, stop = unit
+    outer_slice = None if start == 0 and stop is None else (start, stop)
+    return _project_rows(
+        enumerate_branch(
+            pipeline, branch_index, skip_mode=skip_mode, outer_slice=outer_slice
+        ),
+        project,
     )
 
 
 def run_branch_task_encoded(task: BranchTask):
-    """Entry point executed inside a worker process (columnar transport).
+    """Entry point executed inside a worker process.
 
-    Instead of one picklable list of answer tuples, the shard comes back
-    as bounded columnar buffers (``task.chunk_rows`` rows each) over the
-    pipeline's intern table — the parent decodes them lazily, so its
-    first page never waits on the whole shard's serialization.
+    The shard comes back as bounded columnar buffers (``task.chunk_rows``
+    rows each) over the pipeline's intern table — the parent decodes
+    (or forwards) them one at a time, so its first page never waits on
+    the whole shard's serialization.
 
     With ``task.mailbox`` set, each buffer is appended to the shared
     -memory ring *as enumeration produces it* (true streaming transfer:
     the parent reads the first chunk while this worker is still
     enumerating) and the return value is a completion summary dict
     (``{"chunks", "rows", "finished"}``).  If the ring cannot be
-    attached, the chunk list comes back on the future exactly as in the
-    legacy path — the parent detects the fallback by the result type.
+    attached, the chunk list comes back on the future instead — the
+    parent detects that by the result type.
     """
     pipeline = _worker_pipeline(task)
     codec = ColumnarCodec(pipeline.intern_table)
-    chunk_rows = task.chunk_rows or default_chunk_rows(
-        pipeline.arity, pipeline.intern_table.id_width()
-    )
-    rows = _project_rows(
-        enumerate_branch(
-            pipeline,
-            task.branch_index,
-            skip_mode=task.skip_mode,
-            outer_slice=task.outer_slice,
-        ),
+    chunk_rows = task.chunk_rows
+    rows = _unit_rows(
+        pipeline, (task.branch_index, task.start, task.stop), task.skip_mode,
         task.project,
     )
     if task.mailbox is None:
@@ -216,25 +179,17 @@ def run_branch_task_encoded(task: BranchTask):
     try:
         ring = ChunkMailbox(name=name, capacity=capacity)
     except Exception:
-        # No shared memory from this worker's side: degrade to the
-        # legacy whole-list future (the parent sees a list and decodes
-        # it after completion; `done` never gets set on the ring).
+        # No shared memory from this worker's side: the chunk list rides
+        # the future (the parent decodes it after completion; `done`
+        # never gets set on the ring).
         return encode_answers(rows, codec, chunk_rows)
     chunks = 0
     produced = 0
     try:
-        buffer: List[Answer] = []
-        for answer in rows:
-            buffer.append(answer)
-            if len(buffer) >= chunk_rows:
-                ring.put(codec.encode(buffer))
-                chunks += 1
-                produced += len(buffer)
-                buffer = []
-        if buffer:
-            ring.put(codec.encode(buffer))
+        for chunk in split_chunks(rows, chunk_rows):
+            ring.put(codec.encode(chunk))
             chunks += 1
-            produced += len(buffer)
+            produced += len(chunk)
         ring.finish()
     except MailboxAbandoned:
         # Parent cancelled the query; what streamed already is enough.
@@ -267,22 +222,19 @@ def warm_task(task: BranchTask) -> bool:
 
 
 def warm_pool(
-    pool,
+    pool: WorkerPool,
     pipeline: Pipeline,
     workers: int,
     spec_key: Optional[tuple] = None,
     skip_mode: str = "lazy",
 ) -> None:
     """Pre-build the pipeline on (up to) every worker of a process pool."""
-    if isinstance(pool, WorkerPool):
-        pool = pool.executor_for("process")
     if pipeline.trivial is not None:
         return
     if spec_key is None:
         spec_key = _default_spec_key(pipeline)
-    spec = pipeline.rebuild_spec()
-    task = BranchTask(spec, spec_key, 0, skip_mode)
-    futures = [pool.submit(warm_task, task) for _ in range(workers)]
+    task = BranchTask(pipeline.rebuild_spec(), spec_key, 0, skip_mode)
+    futures = [pool.submit("process", warm_task, task) for _ in range(workers)]
     for future in futures:
         future.result()
 
@@ -313,15 +265,12 @@ def count_works(pipeline: Pipeline) -> List[int]:
     ]
 
 
-def transfer_works(
-    pipeline: Pipeline, transport=None, lanes: Optional[int] = None
-) -> List[int]:
+def transfer_works(pipeline: Pipeline, lanes: Optional[int] = None) -> List[int]:
     """Estimated per-branch cost of shipping answers to the parent.
 
-    Only process mode pays it; the estimate follows the plan's transport
-    — the columnar codec moves a bounded few bytes per value, pickled
-    tuple lists roughly three times that — so the cost model can decline
-    process mode exactly when serialization would eat the speedup.
+    Only process mode pays it; the columnar codec moves a bounded few
+    bytes per value, so the cost model can decline process mode exactly
+    when serialization would eat the speedup.
 
     ``lanes`` models the streaming overlap: with the shared-memory chunk
     mailbox, a branch split across ``lanes`` work units ships while the
@@ -337,18 +286,9 @@ def transfer_works(
     # the intern table just to estimate (serial/thread plans never
     # build it).
     id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
-    bytes_per_value = (
-        PICKLE_BYTES_PER_VALUE
-        if resolve_transport(transport) == "pickle"
-        else min(COLUMNAR_BYTES_PER_VALUE, id_width)
-    )
+    bytes_per_value = min(COLUMNAR_BYTES_PER_VALUE, id_width)
     shard_sizes = None
-    if (
-        lanes is not None
-        and lanes > 1
-        and resolve_transport(transport) == "columnar"
-        and mailbox_available()
-    ):
+    if lanes is not None and lanes > 1 and mailbox_available():
         # The executor slices heavy branches into roughly equal work
         # units; equal shares are the right overlap model here.
         shard_sizes = [1] * lanes
@@ -364,7 +304,7 @@ def transfer_works(
 
 
 def resolve_chunk_rows(pipeline: Pipeline, chunk_rows: Optional[int]) -> int:
-    """The effective transport chunk bound (cost-model default)."""
+    """The effective chunk bound (cost-model default)."""
     if chunk_rows is not None:
         if chunk_rows < 1:
             raise EngineError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -398,7 +338,6 @@ def decide_mode(
     pipeline: Pipeline,
     workers: Optional[int] = None,
     mode: Optional[str] = None,
-    transport=None,
 ) -> Tuple[str, int]:
     """Resolve ``(mode, workers)`` for a pipeline, applying the heuristic.
 
@@ -406,10 +345,7 @@ def decide_mode(
     workload whose estimated serialization cost dominates its compute
     stays on threads (zero-copy) even past the process threshold.
     """
-    def transfer(p: Pipeline, lanes: Optional[int]) -> List[int]:
-        return transfer_works(p, transport, lanes=lanes)
-
-    return _resolve_mode(pipeline, workers, mode, branch_works, transfer)
+    return _resolve_mode(pipeline, workers, mode, branch_works, transfer_works)
 
 
 def decide_count_mode(
@@ -479,6 +415,13 @@ def plan_work_units(pipeline: Pipeline, workers: int) -> List[WorkUnit]:
     return units
 
 
+def _pool_scope(pool: Optional[WorkerPool], workers: int):
+    """The caller's pool as-is, or a pool that lives for one call."""
+    if pool is not None:
+        return contextlib.nullcontext(pool)
+    return WorkerPool(workers)
+
+
 def _budgeted(
     chunks: Iterator[List[Answer]], budget: int
 ) -> Iterator[List[Answer]]:
@@ -506,42 +449,11 @@ def _budgeted(
 
 
 def _yield_futures(futures) -> Iterator[List[Answer]]:
-    """Drain futures in submission (= branch) order; cancel on abandon."""
+    """Drain futures of chunk lists in submission (= branch) order;
+    cancel on abandon."""
     try:
         for future in futures:
-            yield future.result()
-    except GeneratorExit:
-        for future in futures:
-            future.cancel()
-        raise
-
-
-def _yield_encoded(
-    futures,
-    codec: ColumnarCodec,
-    transfer_stats: Optional[TransferStats] = None,
-    pool: Optional[WorkerPool] = None,
-    labels: Optional[List[str]] = None,
-) -> Iterator[List[Answer]]:
-    """Decode columnar shard results lazily, in submission order.
-
-    Each future resolves to a list of bounded byte buffers; buffers are
-    decoded one at a time as the consumer pulls, so a first page costs
-    one chunk's decode, not a shard's unpickling.  ``labels`` attributes
-    chunks to their work units in ``transfer_stats``.
-    """
-    try:
-        for index, future in enumerate(futures):
-            label = labels[index] if labels is not None else None
-            for buf in future.result():
-                chunk = codec.decode(buf)
-                if transfer_stats is not None:
-                    transfer_stats.record(len(buf), len(chunk), source=label)
-                if pool is not None:
-                    pool.record_transfer(len(buf))
-                yield chunk
-            if transfer_stats is not None and label is not None:
-                transfer_stats.note_done(label)
+            yield from future.result()
     except GeneratorExit:
         for future in futures:
             future.cancel()
@@ -556,11 +468,11 @@ _DRAIN_POLL_MAX = 0.005
 
 def _yield_encoded_mailboxed(
     entries,
-    codec: ColumnarCodec,
-    transfer_stats: Optional[TransferStats] = None,
-    pool: Optional[WorkerPool] = None,
-) -> Iterator[List[Answer]]:
-    """Drain mailbox-equipped work units in submission order.
+    codec: Optional[ColumnarCodec],
+    transfer_stats: Optional[TransferStats],
+    pool: WorkerPool,
+):
+    """Drain process-mode work units in submission order.
 
     ``entries`` is a list of ``(future, mailbox_or_None, label)``.  Each
     unit's ring is polled while its worker enumerates, so the first
@@ -568,29 +480,27 @@ def _yield_encoded_mailboxed(
     worker's future resolves; order stays deterministic because units
     are drained in submission (= branch, slice) order.  Units whose
     ring could not be created (or whose worker could not attach — it
-    then returns the legacy chunk list) fall back to the future path.
-    On abandonment every ring is flagged so blocked producers stop.
+    then returns its chunk list) are read off the future instead.
+
+    With a ``codec`` every buffer is decoded into a row list; without
+    one the encoded buffers are forwarded as they are (``rows=0`` in
+    ``transfer_stats``).  On abandonment or error every unstarted unit
+    is cancelled; the caller abandons the rings.
     """
 
-    def account(buf: bytes, label: str) -> List[Answer]:
-        chunk = codec.decode(buf)
+    def account(buf: bytes, label: str):
+        chunk = buf if codec is None else codec.decode(buf)
         if transfer_stats is not None:
-            transfer_stats.record(len(buf), len(chunk), source=label)
-        if pool is not None:
-            pool.record_transfer(len(buf))
+            rows = 0 if codec is None else len(chunk)
+            transfer_stats.record(len(buf), rows, source=label)
+        pool.record_transfer(len(buf))
         return chunk
 
     try:
         for future, ring, label in entries:
-            if ring is None:
-                for buf in future.result():
-                    yield account(buf, label)
-                if transfer_stats is not None:
-                    transfer_stats.note_done(label)
-                continue
             finished_at: Optional[float] = None
             delay = _DRAIN_POLL_MIN
-            while True:
+            while ring is not None:
                 buf = ring.poll()
                 if buf is not None:
                     delay = _DRAIN_POLL_MIN
@@ -605,14 +515,9 @@ def _yield_encoded_mailboxed(
                     break
                 if future.done():
                     result = future.result()  # raises worker errors
-                    if isinstance(result, list):
-                        # Worker could not attach the ring: legacy path.
-                        for buf in result:
-                            yield account(buf, label)
-                        break
-                    # Summary without the done flag visible yet: loop —
-                    # the flag write precedes the future's resolution.
                     if isinstance(result, dict):
+                        # Summary without the done flag visible yet: loop —
+                        # the flag write precedes the future's resolution.
                         finished_at = result.get("finished")
                         if ring.done or ring.poll() is None:
                             # Defensive: never hang on a unit whose ring
@@ -621,22 +526,86 @@ def _yield_encoded_mailboxed(
                                 yield account(buf, label)
                             break
                         continue
+                    # The worker could not attach the ring: its chunks
+                    # are on the future.
+                    ring = None
                     break
                 time.sleep(delay)
                 delay = min(delay * 2, _DRAIN_POLL_MAX)
+            if ring is None:
+                for buf in future.result():
+                    yield account(buf, label)
             if transfer_stats is not None:
                 transfer_stats.note_done(label, at=finished_at)
-    except GeneratorExit:
-        for future, ring, _ in entries:
+    except BaseException:
+        for future, _, _ in entries:
             future.cancel()
-            if ring is not None:
-                ring.abandon()
         raise
-    finally:
-        for _, ring, _ in entries:
-            if ring is not None:
-                ring.abandon()
-                ring.close(unlink=True)
+
+
+def _process_chunks(
+    pipeline: Pipeline,
+    workers: int,
+    skip_mode: str,
+    spec_key: Optional[tuple],
+    pool: Optional[WorkerPool],
+    chunk_rows: int,
+    project_columns: Optional[Tuple[int, ...]],
+    transfer_stats: Optional[TransferStats],
+    mailbox_bytes: Optional[int],
+    decode: bool,
+):
+    """Process mode: ship the picklable spec, let each worker rebuild the
+    pipeline (memoized per process under ``spec_key``) and encode its
+    unit's answers; yield decoded row chunks (``decode``) or the encoded
+    buffers themselves, in unit order."""
+    if spec_key is None:
+        spec_key = _default_spec_key(pipeline)
+    # Force the intern table BEFORE cutting the spec: the table then
+    # ships inside every task and the decode side is this exact object
+    # (counting never builds it).
+    codec = ColumnarCodec(pipeline.intern_table)
+    spec = pipeline.rebuild_spec()
+    units = plan_work_units(pipeline, workers)
+    # Streaming transfer: one ring per work unit (a unit whose ring
+    # cannot be created rides its future).
+    rings: List[Optional[ChunkMailbox]] = [None] * len(units)
+    if mailbox_available():
+        id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
+        capacity = mailbox_bytes or mailbox_capacity(
+            chunk_rows * max(pipeline.arity, 1) * id_width + 64
+        )
+        for index in range(len(units)):
+            try:
+                rings[index] = ChunkMailbox(create=True, capacity=capacity)
+            except Exception:
+                rings[index] = None
+    tasks = [
+        BranchTask(
+            spec, spec_key, branch_index, skip_mode, start, stop,
+            chunk_rows, project_columns,
+            None if ring is None else (ring.name, ring.capacity),
+        )
+        for (branch_index, start, stop), ring in zip(units, rings)
+    ]
+    with _pool_scope(pool, workers) as active:
+        # The rings are abandoned before a call-scoped pool joins its
+        # workers, however the drain ends: a worker blocked on a full
+        # ring only returns once its ring is abandoned.
+        try:
+            futures = [
+                active.submit("process", run_branch_task_encoded, task)
+                for task in tasks
+            ]
+            entries = list(zip(futures, rings, [task.label for task in tasks]))
+            yield from _yield_encoded_mailboxed(
+                entries, codec if decode else None, transfer_stats, active
+            )
+        finally:
+            for ring in rings:
+                if ring is not None:
+                    ring.abandon()
+                    ring.close(unlink=True)
 
 
 def run_branches(
@@ -645,10 +614,8 @@ def run_branches(
     mode: Optional[str] = None,
     skip_mode: str = "lazy",
     spec_key: Optional[tuple] = None,
-    executor=None,
     pool: Optional[WorkerPool] = None,
     chunk_rows: Optional[int] = None,
-    transport: Optional[str] = None,
     transfer_stats: Optional[TransferStats] = None,
     row_budget: Optional[int] = None,
     project_columns: Optional[Tuple[int, ...]] = None,
@@ -658,211 +625,102 @@ def run_branches(
 
     The deterministic merge: regardless of which worker finishes first,
     branch ``i``'s chunks are yielded before branch ``i + 1``'s, so
-    flattening reproduces the serial answer order exactly.  Serial and
-    thread modes yield one in-process list per branch/shard (zero-copy);
-    process mode yields decoded columnar chunks of at most ``chunk_rows``
-    answers each (``transport="pickle"`` restores the legacy whole-list
-    transfer, e.g. for differential testing).
+    flattening reproduces the serial answer order exactly.  In every
+    mode a chunk holds at most ``chunk_rows`` answers (cost-model
+    default; with a ``row_budget``, at most that many too) — an upper
+    bound, since a work unit's last chunk may be short, so chunk
+    boundaries (not contents) can differ between modes.  Serial mode
+    enumerates lazily, one chunk per pull; thread mode ships in-process
+    lists; process mode ships columnar chunks that are decoded here.
 
-    ``pool`` is the batch-owned :class:`~repro.engine.pool.WorkerPool`:
+    ``pool`` is the session-owned :class:`~repro.engine.pool.WorkerPool`:
     long-lived, lazily started, restarted after worker crashes; its
     per-process pipeline memos amortize rebuilds across every query of
-    the same structure.  ``executor`` is the legacy escape hatch — a
-    caller-supplied ``concurrent.futures`` executor that takes precedence
-    over ``pool``.  With neither, a fresh pool is created and torn down
+    the same structure.  Without one, a pool is created and torn down
     per call.  ``transfer_stats`` receives per-chunk byte/row accounting
-    for the columnar path (observability; the bench uses it).
+    for the process path (observability; the bench uses it).
 
     ``row_budget`` is the early-stop path (the qlang ``LIMIT`` fusion):
-    the stream ends after exactly ``min(total, row_budget)`` answers.
-    Serial mode enumerates lazily and touches O(budget) rows; parallel
-    modes truncate the drain and close it, cancelling every work unit
-    the consumer will never read.  The budgeted prefix is byte-identical
-    to the unbudgeted stream's prefix in every mode.
+    the stream ends after exactly ``min(total, row_budget)`` answers,
+    and closing it cancels every work unit the consumer will never
+    read.  The budgeted prefix is byte-identical to the unbudgeted
+    stream's prefix in every mode.
 
     ``project_columns`` keeps only those answer columns (duplicates
     preserved; rows stay 1:1 with the enumeration).  Process-mode
     workers apply it *before* encoding, so dropped columns never cross
     the process boundary — the qlang SELECT-list pushdown.
 
-    Process-mode columnar units additionally stream their chunks
-    through a shared-memory :class:`~repro.engine.mailbox.ChunkMailbox`
-    when the platform supports it: the first page of a heavy shard is
-    decoded parent-side while that shard is still enumerating (bounded
-    *transfer*, not just bounded decode).  ``mailbox_bytes`` overrides
+    Process-mode units stream their chunks through a shared-memory
+    :class:`~repro.engine.mailbox.ChunkMailbox` when the platform
+    supports it: the first page of a heavy shard is decoded parent-side
+    while that shard is still enumerating.  ``mailbox_bytes`` overrides
     the per-unit ring capacity (smaller rings force backpressure — the
     bench uses this); when shared memory is unavailable the chunks ride
-    the future exactly as before.  Answer bytes and order are identical
-    either way.
+    the future.  Answer bytes and order are identical either way.
     """
-    transport = resolve_transport(transport)
     if pipeline.trivial is not None:
         return
+    rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
     if row_budget is not None:
         if row_budget < 0:
             raise EngineError(f"row_budget must be >= 0, got {row_budget}")
         if row_budget == 0:
             return
-        if mode is None and row_budget <= resolve_chunk_rows(
-            pipeline, chunk_rows
-        ):
+        if mode is None and row_budget <= rows_per_chunk:
             # Constant delay bounds the useful work to O(budget) rows;
             # for small budgets pool startup and shard materialization
             # would dominate, so auto mode stays serial.
             mode = "serial"
-    mode, workers = decide_mode(pipeline, workers, mode, transport=transport)
+        # Never enumerate more than one chunk past the budget.
+        rows_per_chunk = min(rows_per_chunk, row_budget)
+    mode, workers = decide_mode(pipeline, workers, mode)
     if mode == "serial":
-        if row_budget is not None:
-            remaining = row_budget
-            for branch_index in range(len(pipeline.branches)):
-                branch_iter = enumerate_branch(
-                    pipeline, branch_index, skip_mode=skip_mode
-                )
-                chunk = list(
-                    islice(_project_rows(branch_iter, project_columns), remaining)
-                )
-                close = getattr(branch_iter, "close", None)
-                if close is not None:
-                    close()
-                if chunk:
-                    yield chunk
-                    remaining -= len(chunk)
-                    if remaining <= 0:
-                        return
-            return
-        for branch_index in range(len(pipeline.branches)):
-            yield list(
-                _project_rows(
-                    enumerate_branch(
-                        pipeline, branch_index, skip_mode=skip_mode
-                    ),
-                    project_columns,
-                )
+        stream = (
+            chunk
+            for branch_index in range(len(pipeline.branches))
+            for chunk in split_chunks(
+                _unit_rows(pipeline, (branch_index, 0, None), skip_mode, project_columns),
+                rows_per_chunk,
             )
-        return
-    units = plan_work_units(pipeline, workers)
-
-    def bounded(stream: Iterator[List[Answer]]) -> Iterator[List[Answer]]:
-        return stream if row_budget is None else _budgeted(stream, row_budget)
-    if mode == "thread":
-        # Pre-create the arming cache so concurrent workers never race on
-        # installing the dict itself (per-branch keys are disjoint), and
-        # arm up front: shards of one branch share its enumerator.
-        if getattr(pipeline, "_armed_branches", None) is None:
-            pipeline._armed_branches = {}  # type: ignore[attr-defined]
-        for branch_index in {unit[0] for unit in units}:
-            arm_enumerator(pipeline, branch_index, skip_mode)
-
-        def thread_task(unit: WorkUnit) -> List[Answer]:
-            branch_index, start, stop = unit
-            outer_slice = None if start == 0 and stop is None else (start, stop)
-            return list(
-                _project_rows(
-                    enumerate_branch(
-                        pipeline,
-                        branch_index,
-                        skip_mode=skip_mode,
-                        outer_slice=outer_slice,
-                    ),
-                    project_columns,
-                )
-            )
-
-        # Only a thread pool can run the closure over the parent's
-        # pipeline; a process pool handed in by the caller (for process
-        # mode) cannot pickle it — fall back to an ephemeral thread pool.
-        if executor is not None and isinstance(executor, ThreadPoolExecutor):
-            futures = [executor.submit(thread_task, unit) for unit in units]
-            yield from bounded(_yield_futures(futures))
-            return
-        if pool is not None:
-            futures = [
-                pool.submit("thread", thread_task, unit) for unit in units
-            ]
-            yield from bounded(_yield_futures(futures))
-            return
-        with ThreadPoolExecutor(max_workers=workers) as ephemeral:
-            futures = [ephemeral.submit(thread_task, unit) for unit in units]
-            yield from bounded(_yield_futures(futures))
-        return
-    # Process mode: ship the picklable spec, rebuild per worker (memoized
-    # per process under spec_key).  The columnar transport (default)
-    # returns bounded encoded chunks decoded lazily parent-side; the
-    # pickle transport returns the legacy whole answer list per shard.
-    if spec_key is None:
-        spec_key = _default_spec_key(pipeline)
-    columnar = transport == "columnar"
-    if columnar:
-        rows_per_chunk: Optional[int] = resolve_chunk_rows(pipeline, chunk_rows)
-        task_fn = run_branch_task_encoded
-        # Force the intern table BEFORE cutting specs: the table then
-        # ships inside every spec and the decode side is this exact
-        # object (pickle-transport and counting paths ship None and
-        # never pay the table build).
-        codec = ColumnarCodec(pipeline.intern_table)
-    else:
-        rows_per_chunk = None
-        task_fn = run_branch_task
-        codec = None
-    spec = pipeline.rebuild_spec()
-    # Streaming transfer: one ring per work unit (a unit whose ring
-    # cannot be created simply rides its future, per-unit fallback).
-    rings: List[Optional[ChunkMailbox]] = [None] * len(units)
-    if columnar and mailbox_available():
-        id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
-        capacity = mailbox_bytes or mailbox_capacity(
-            rows_per_chunk * max(pipeline.arity, 1) * id_width + 64
         )
-        for index in range(len(units)):
-            try:
-                rings[index] = ChunkMailbox(create=True, capacity=capacity)
-            except Exception:
-                rings[index] = None
+    elif mode == "thread":
+        stream = _thread_chunks(
+            pipeline, workers, skip_mode, pool, rows_per_chunk, project_columns
+        )
+    else:
+        stream = _process_chunks(
+            pipeline, workers, skip_mode, spec_key, pool, rows_per_chunk,
+            project_columns, transfer_stats, mailbox_bytes, decode=True,
+        )
+    yield from (stream if row_budget is None else _budgeted(stream, row_budget))
 
-    def make_tasks(ship_spec: bool) -> List[BranchTask]:
-        return [
-            BranchTask(
-                spec if ship_spec else None, spec_key, branch_index,
-                skip_mode, start, stop, rows_per_chunk, project_columns,
-                None if ring is None else (ring.name, ring.capacity),
-            )
-            for (branch_index, start, stop), ring in zip(units, rings)
-        ]
 
-    def drain(futures, tasks) -> Iterator[List[Answer]]:
-        if not columnar:
-            return _yield_futures(futures)
-        labels = [task.label for task in tasks]
-        if any(ring is not None for ring in rings):
-            entries = list(zip(futures, rings, labels))
-            return _yield_encoded_mailboxed(entries, codec, transfer_stats, pool)
-        return _yield_encoded(futures, codec, transfer_stats, pool, labels)
+def _thread_chunks(
+    pipeline: Pipeline,
+    workers: int,
+    skip_mode: str,
+    pool: Optional[WorkerPool],
+    chunk_rows: int,
+    project_columns: Optional[Tuple[int, ...]],
+) -> Iterator[List[Answer]]:
+    """Thread mode: units enumerate over the parent's own pipeline."""
+    units = plan_work_units(pipeline, workers)
+    # Pre-create the arming cache so concurrent workers never race on
+    # installing the dict itself (per-branch keys are disjoint), and arm
+    # up front: shards of one branch share its enumerator.
+    if getattr(pipeline, "_armed_branches", None) is None:
+        pipeline._armed_branches = {}  # type: ignore[attr-defined]
+    for branch_index in {unit[0] for unit in units}:
+        arm_enumerator(pipeline, branch_index, skip_mode)
 
-    if executor is not None and not isinstance(executor, ThreadPoolExecutor):
-        # External (possibly shared/warmed) process pool: its workers may
-        # serve other queries, so every task must carry the spec.  (A
-        # thread pool is not reused here — rebuilding the pipeline inside
-        # the parent process would only duplicate it.)
-        tasks = make_tasks(ship_spec=True)
-        futures = [executor.submit(task_fn, task) for task in tasks]
-        yield from bounded(drain(futures, tasks))
-        return
-    if pool is not None:
-        # Batch-owned long-lived pool: like the external case its workers
-        # serve many queries, so tasks carry the spec (memoized worker-side
-        # under spec_key after the first shard arrives).
-        tasks = make_tasks(ship_spec=True)
-        futures = [pool.submit("process", task_fn, task) for task in tasks]
-        yield from bounded(drain(futures, tasks))
-        return
-    # Ephemeral pool: the initializer ships the spec once per worker;
-    # tasks carry only the key (the structure is not re-pickled per shard).
-    tasks = make_tasks(ship_spec=False)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(spec, spec_key)
-    ) as ephemeral:
-        futures = [ephemeral.submit(task_fn, task) for task in tasks]
-        yield from bounded(drain(futures, tasks))
+    def thread_task(unit: WorkUnit) -> List[List[Answer]]:
+        rows = _unit_rows(pipeline, unit, skip_mode, project_columns)
+        return list(split_chunks(rows, chunk_rows))
+
+    with _pool_scope(pool, workers) as active:
+        futures = [active.submit("thread", thread_task, unit) for unit in units]
+        yield from _yield_futures(futures)
 
 
 def run_branches_raw(
@@ -886,91 +744,43 @@ def run_branches_raw(
     so the parent-side encode here is the *only* encode; trivial
     pipelines encode their literal answers.  Every buffer decodes with
     ``ColumnarCodec(pipeline.intern_table)``, and the concatenated
-    decoded rows are byte-identical to serial enumeration (chunks are
-    bounded by :func:`resolve_chunk_rows`; the final chunk of a shard
-    may be short, so chunk boundaries — not contents — can differ
-    between modes).
+    decoded rows are byte-identical to serial enumeration (chunks hold
+    at most :func:`resolve_chunk_rows` rows — an upper bound, as in
+    :func:`run_branches`).
     """
     rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
     codec = ColumnarCodec(pipeline.intern_table)
-
-    def account(buf: bytes) -> bytes:
+    if pipeline.trivial is not None:
+        answers = _project_rows(trivial_answers(pipeline), project_columns)
+        chunks: Iterable[bytes] = encode_answers(answers, codec, rows_per_chunk)
+    else:
+        mode, workers = decide_mode(pipeline, workers, mode)
+        if mode == "process":
+            # The workers encode; forward their buffers verbatim.
+            yield from _process_chunks(
+                pipeline, workers, skip_mode, spec_key, pool, rows_per_chunk,
+                project_columns, transfer_stats, None, decode=False,
+            )
+            return
+        chunks = (
+            codec.encode(chunk)
+            for chunk in run_branches(
+                pipeline,
+                workers=workers,
+                mode=mode,
+                skip_mode=skip_mode,
+                spec_key=spec_key,
+                pool=pool,
+                chunk_rows=rows_per_chunk,
+                project_columns=project_columns,
+            )
+        )
+    for buf in chunks:
         if transfer_stats is not None:
             transfer_stats.record(len(buf), 0)
         if pool is not None:
             pool.record_transfer(len(buf))
-        return buf
-
-    if pipeline.trivial is not None:
-        answers = _project_rows(trivial_answers(pipeline), project_columns)
-        for buf in encode_answers(answers, codec, rows_per_chunk):
-            yield account(buf)
-        return
-    mode, workers = decide_mode(pipeline, workers, mode, transport="columnar")
-    if mode != "process":
-        # In-process enumeration: re-chunk each branch's answers to the
-        # transport bound and encode parent-side (the only copy made).
-        buffer: List[Answer] = []
-        for chunk in run_branches(
-            pipeline,
-            workers=workers,
-            mode=mode,
-            skip_mode=skip_mode,
-            spec_key=spec_key,
-            pool=pool,
-            project_columns=project_columns,
-        ):
-            buffer.extend(chunk)
-            while len(buffer) >= rows_per_chunk:
-                yield account(codec.encode(buffer[:rows_per_chunk]))
-                buffer = buffer[rows_per_chunk:]
-        if buffer:
-            yield account(codec.encode(buffer))
-        return
-    # Process mode: the workers encode; forward their buffers verbatim.
-    if spec_key is None:
-        spec_key = _default_spec_key(pipeline)
-    units = plan_work_units(pipeline, workers)
-    spec = pipeline.rebuild_spec()
-
-    def drain(futures) -> Iterator[bytes]:
-        try:
-            for future in futures:
-                for buf in future.result():
-                    yield account(buf)
-        except GeneratorExit:
-            for future in futures:
-                future.cancel()
-            raise
-
-    if pool is not None:
-        tasks = [
-            BranchTask(
-                spec, spec_key, branch_index, skip_mode, start, stop,
-                rows_per_chunk, project_columns,
-            )
-            for branch_index, start, stop in units
-        ]
-        futures = [
-            pool.submit("process", run_branch_task_encoded, task)
-            for task in tasks
-        ]
-        yield from drain(futures)
-        return
-    tasks = [
-        BranchTask(
-            None, spec_key, branch_index, skip_mode, start, stop,
-            rows_per_chunk, project_columns,
-        )
-        for branch_index, start, stop in units
-    ]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(spec, spec_key)
-    ) as ephemeral:
-        futures = [
-            ephemeral.submit(run_branch_task_encoded, task) for task in tasks
-        ]
-        yield from drain(futures)
+        yield buf
 
 
 def parallel_enumerate(
@@ -978,10 +788,8 @@ def parallel_enumerate(
     workers: Optional[int] = None,
     mode: Optional[str] = None,
     skip_mode: str = "lazy",
-    executor=None,
     pool: Optional[WorkerPool] = None,
     chunk_rows: Optional[int] = None,
-    transport: Optional[str] = None,
     transfer_stats: Optional[TransferStats] = None,
     row_budget: Optional[int] = None,
     mailbox_bytes: Optional[int] = None,
@@ -998,20 +806,18 @@ def parallel_enumerate(
             answers if row_budget is None else islice(answers, row_budget)
         )
         return
-    for branch_answers in run_branches(
+    for chunk in run_branches(
         pipeline,
         workers=workers,
         mode=mode,
         skip_mode=skip_mode,
-        executor=executor,
         pool=pool,
         chunk_rows=chunk_rows,
-        transport=transport,
         transfer_stats=transfer_stats,
         row_budget=row_budget,
         mailbox_bytes=mailbox_bytes,
     ):
-        yield from branch_answers
+        yield from chunk
 
 
 def parallel_count(
@@ -1019,7 +825,6 @@ def parallel_count(
     workers: Optional[int] = None,
     mode: Optional[str] = None,
     spec_key: Optional[tuple] = None,
-    executor=None,
     pool: Optional[WorkerPool] = None,
 ) -> int:
     """``|q(A)|`` with the per-branch counts computed in parallel.
@@ -1034,8 +839,7 @@ def parallel_count(
     Mode selection uses the *counting* cost model
     (:func:`repro.storage.cost_model.estimate_count_work`): counting never
     materializes answers, so it goes parallel later than enumeration.
-    ``pool``/``executor`` follow :func:`run_branches` semantics (batch
-    pool vs. legacy caller-supplied executor vs. ephemeral).
+    ``pool`` follows :func:`run_branches` semantics.
     """
     if pipeline.trivial is not None:
         return trivial_count(pipeline)
@@ -1043,47 +847,27 @@ def parallel_count(
     if mode == "serial":
         return count_answers(pipeline)
     indices = range(len(pipeline.branches))
-    if mode == "thread":
-        # Counting only reads the colored graph and branch lists, so
-        # threads share the parent pipeline with no arming or pickling.
-        if executor is not None and isinstance(executor, ThreadPoolExecutor):
-            submit = executor.submit
-        elif pool is not None:
-            def submit(fn, *args):
-                return pool.submit("thread", fn, *args)
+    with _pool_scope(pool, workers) as active:
+        if mode == "thread":
+            # Counting only reads the colored graph and branch lists, so
+            # threads share the parent pipeline with no arming or pickling.
+            futures = [
+                active.submit("thread", count_branch_at, pipeline, i)
+                for i in indices
+            ]
         else:
-            with ThreadPoolExecutor(max_workers=workers) as ephemeral:
-                futures = [
-                    ephemeral.submit(count_branch_at, pipeline, i)
-                    for i in indices
-                ]
-                return sum(future.result() for future in futures)
-        futures = [submit(count_branch_at, pipeline, i) for i in indices]
+            # One task per branch, pipeline rebuilt (memoized) per worker
+            # exactly as for enumeration.
+            if spec_key is None:
+                spec_key = _default_spec_key(pipeline)
+            spec = pipeline.rebuild_spec()
+            futures = [
+                active.submit(
+                    "process", count_branch_task, BranchTask(spec, spec_key, i, "lazy")
+                )
+                for i in indices
+            ]
         return sum(future.result() for future in futures)
-    # Process mode: one task per branch, pipeline rebuilt (memoized) per
-    # worker exactly as for enumeration.  Dispatch mirrors run_branches:
-    # a long-lived executor/pool serves many queries, so its tasks carry
-    # the spec; an ephemeral pool ships it once via the initializer.
-    if spec_key is None:
-        spec_key = _default_spec_key(pipeline)
-    spec = pipeline.rebuild_spec()
-    if executor is not None and not isinstance(executor, ThreadPoolExecutor):
-        submit = executor.submit
-    elif pool is not None:
-        def submit(fn, *args):
-            return pool.submit("process", fn, *args)
-    else:
-        tasks = [BranchTask(None, spec_key, i, "lazy") for i in indices]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(spec, spec_key),
-        ) as ephemeral:
-            futures = [ephemeral.submit(count_branch_task, t) for t in tasks]
-            return sum(future.result() for future in futures)
-    tasks = [BranchTask(spec, spec_key, i, "lazy") for i in indices]
-    futures = [submit(count_branch_task, task) for task in tasks]
-    return sum(future.result() for future in futures)
 
 
 def prearm(pipeline: Pipeline, skip_mode: str = "lazy") -> None:

@@ -41,9 +41,9 @@ lengths beyond sanity bounds, so a reordered torn read fails loudly
 instead of silently.
 
 Everything degrades gracefully: if shared memory is unavailable (no
-``/dev/shm``, permissions) the executor keeps the legacy
-chunks-on-the-future path, and a worker that cannot attach a ring
-returns its chunk list on the future exactly as before.
+``/dev/shm``, permissions) the executor reads each unit's chunks off
+its future instead, and a worker that cannot attach a ring returns its
+chunk list on the future.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def mailbox_available() -> bool:
     Checked once per process: imports can succeed on platforms where
     ``shm_open`` is still denied (sealed containers), so the probe
     creates and unlinks a minimal segment.  ``REPRO_MAILBOX=0`` forces
-    the legacy future path; ``REPRO_MAILBOX=1`` re-probes every call
+    the chunks-on-the-future path; ``REPRO_MAILBOX=1`` re-probes every call
     (used by tests to exercise the fallback toggles).
     """
     override = os.environ.get("REPRO_MAILBOX")

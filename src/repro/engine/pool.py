@@ -1,9 +1,10 @@
-"""A long-lived worker pool owned by the batch engine.
+"""A long-lived worker pool owned by each session.
 
 :class:`WorkerPool` fronts one :class:`~concurrent.futures.ThreadPoolExecutor`
 and one :class:`~concurrent.futures.ProcessPoolExecutor` behind a single
-``submit(mode, fn, *args)`` facade, with the lifecycle a long-running
-service needs:
+``submit(mode, fn, *args)`` facade — the only route by which the engine
+runs parallel work (a call without a session pool gets one scoped to
+that call) — with the lifecycle a long-running service needs:
 
 * **lazy start** — no OS resource exists until the first parallel
   submission; serial queries never pay for a pool;
@@ -19,8 +20,8 @@ service needs:
   manager protocol) joins every worker thread and process, so tests can
   assert no leaks.
 
-The pool is thread-safe: submissions may arrive concurrently from result
-handles, the asyncio front-end's worker threads, and user code.
+The pool is thread-safe: submissions may arrive concurrently from answer
+handles, the asyncio faces' worker threads, and user code.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ class WorkerPool:
     def executor_for(self, mode: str):
         """The live executor for ``mode``, starting it if necessary.
 
-        For warming only (e.g. :func:`repro.engine.executor.warm_pool`);
-        regular work should go through :meth:`submit`, which adds the
-        broken-pool restart.
+        For callers that need the raw executor (e.g. a benchmark
+        settling its workers); regular work should go through
+        :meth:`submit`, which adds the broken-pool restart.
         """
         with self._lock:
             self._check_open()

@@ -1,10 +1,8 @@
 """Columnar answer transport for the process backend.
 
-Process-mode enumeration used to materialize each shard's answers as a
-Python list of tuples and pickle the entire list back to the parent; on
-large result sets that transfer dominated the enumeration the paper made
-cheap.  This module replaces the pickled tuple lists with a *columnar*
-codec over interned element ids:
+Process-mode answers cross the process boundary in a *columnar* codec
+over interned element ids, so on large result sets the transfer does not
+dominate the enumeration the paper made cheap:
 
 * :class:`InternTable` maps every domain element to a dense integer id
   (domain order, built once at pipeline build time and shipped with
@@ -20,7 +18,7 @@ codec over interned element ids:
 * chunks are bounded by the ``chunk_rows`` knob
   (:func:`repro.storage.cost_model.default_chunk_rows` sizes the
   default), so the parent decodes lazily chunk by chunk instead of
-  unpickling a whole shard before serving the first page.
+  waiting on a whole shard before serving the first page.
 
 Thread and serial modes never touch the codec: in-process answers stay
 zero-copy.
@@ -33,14 +31,13 @@ import sys
 import time
 import zlib
 from array import array
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
 
 Element = Hashable
 Answer = Tuple[Element, ...]
-
-TRANSPORTS = ("columnar", "pickle")
 
 _FLAG_RAW = 0
 _FLAG_ZLIB = 1
@@ -62,17 +59,6 @@ def width_for(span: int) -> int:
         if span < (1 << (8 * width)):
             return width
     raise EngineError(f"id span {span} exceeds 64-bit columns")
-
-
-def resolve_transport(transport) -> str:
-    """Validate a transport name (``None`` means the columnar default)."""
-    if transport is None:
-        return "columnar"
-    if transport not in TRANSPORTS:
-        raise EngineError(
-            f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-        )
-    return transport
 
 
 class InternTable:
@@ -274,6 +260,16 @@ class ColumnarCodec:
         return f"ColumnarCodec(intern={self.intern!r})"
 
 
+def split_chunks(rows: Iterable[Answer], size: int) -> Iterator[List[Answer]]:
+    """Cut a row stream into lists of at most ``size`` rows, lazily."""
+    rows = iter(rows)
+    while True:
+        chunk = list(islice(rows, size))
+        if not chunk:
+            return
+        yield chunk
+
+
 def encode_answers(
     answers: Iterable[Answer], codec: ColumnarCodec, chunk_rows: int
 ) -> List[bytes]:
@@ -285,16 +281,7 @@ def encode_answers(
     """
     if chunk_rows < 1:
         raise EngineError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    chunks: List[bytes] = []
-    buffer: List[Answer] = []
-    for answer in answers:
-        buffer.append(answer)
-        if len(buffer) >= chunk_rows:
-            chunks.append(codec.encode(buffer))
-            buffer = []
-    if buffer:
-        chunks.append(codec.encode(buffer))
-    return chunks
+    return [codec.encode(chunk) for chunk in split_chunks(answers, chunk_rows)]
 
 
 def estimate_encoded_bytes(rows: int, arity: int, id_width: int, chunk_rows: int) -> int:

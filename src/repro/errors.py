@@ -102,7 +102,7 @@ class CancelledResultError(EngineError):
     """The result handle was cancelled before its answers were consumed.
 
     Every access path — ``page`` / ``stream`` / ``all`` / ``count`` /
-    ``test`` — raises this after :meth:`ResultHandle.cancel`; a cancelled
+    ``test`` — raises this after :meth:`repro.session.Answers.cancel`; a cancelled
     handle never serves the partial prefix it may have pulled.
     """
 
@@ -215,21 +215,3 @@ class MaintenanceWarning(RuntimeWarning):
     reader stays consistent, but the new head rebuilds the affected
     plans on demand instead of starting warm.
     """
-
-
-def __getattr__(name: str):
-    # Legacy alias (pre-PR-2 spelling); new code should catch
-    # CancelledResultError.  Accessing the old name warns but keeps
-    # working — it resolves to the very same class, so existing
-    # ``except ResultCancelledError`` blocks still match.
-    if name == "ResultCancelledError":
-        import warnings
-
-        warnings.warn(
-            "ResultCancelledError was renamed to CancelledResultError; "
-            "the alias will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return CancelledResultError
-    raise AttributeError(f"module 'repro.errors' has no attribute {name!r}")

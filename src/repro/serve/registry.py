@@ -8,6 +8,13 @@ hands each one a lazily-created per-database asyncio write lock so
 concurrent ``/apply`` requests serialize per tenant without blocking
 each other across tenants.  Reads never take the lock: MVCC snapshot
 pins make them safe against concurrent commits.
+
+Ownership: a database the registry opened (``create`` / ``open``)
+or was handed with ``close_on_shutdown=True`` is closed by ``close_all``
+— which also shuts down its worker pool.  One added with
+``close_on_shutdown=False`` stays the caller's: the server never closes
+it, so its lazily started pool (threads and worker processes) lives on
+after the server stops until the caller calls ``db.close()``.
 """
 
 from __future__ import annotations

@@ -502,7 +502,16 @@ class QueryServer:
 
 
 class _StreamConnection:
-    """One WebSocket connection: control frames in, cursor streams out."""
+    """One WebSocket connection: control frames in, cursor streams out.
+
+    ``{"action": "open", ...}`` is answered by an ``open`` ack
+    (``cursor``, ``index``, ``version``, ``columns``, ``wire``,
+    ``page_size``).  A columnar cursor's ack adds ``arity``, the intern
+    table (``intern``) and ``chunk_rows`` — an upper bound on the rows of
+    each binary chunk that follows, not a fixed size: a work unit's last
+    chunk may be short, so chunk boundaries depend on the execution mode
+    (the concatenated rows do not).
+    """
 
     def __init__(self, server: QueryServer, entry, reader, writer):
         self.server = server

@@ -29,9 +29,7 @@ one maintenance pass per cached plan, one cache re-key per commit.
 
 Execution strategy (serial / thread / process) is chosen per plan by the
 cost model and overridable via ``db.query(..., backend=...)`` — see
-:mod:`repro.session.backends`.  The legacy front-ends (``prepare``,
-``DynamicQuery``, ``QueryBatch``, ``AsyncQueryBatch``) remain as thin
-deprecated shims over this layer.
+:mod:`repro.session.backends`.
 """
 
 from repro.session.answers import DEFAULT_PAGE_SIZE, Answers, EncodedAnswers

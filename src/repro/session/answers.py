@@ -1,9 +1,7 @@
 """The one answers handle: paged / streamed / counted, sync *and* async.
 
-:class:`Answers` unifies what used to be two objects —
-``repro.engine.batch.ResultHandle`` (sync pulls) and
-``repro.engine.aio.AsyncResultHandle`` (awaitable facade) — behind a
-single handle returned by :meth:`repro.session.Query.answers`:
+:class:`Answers` is the handle returned by
+:meth:`repro.session.Query.answers`:
 
 * **sync**: ``page`` / ``stream`` / ``all`` / ``count`` / ``test`` /
   ``cancel`` / ``for answer in answers``;
@@ -28,14 +26,10 @@ Semantics shared by both faces:
   answers forever — so retaining it cannot force copy-on-write forks
   on later commits.  Cancel and garbage collection release the pin
   too.  Only a *direct* structure mutation (bypassing the session)
-  still raises on an unsealed handle, and the legacy engine facades
-  (``ResultHandle``) keep the historical raise-on-any-commit contract
-  via ``stale_policy="raise"``;
+  still raises on an unsealed handle;
 * after :meth:`cancel`, every access raises
   :class:`repro.errors.CancelledResultError`; a cancelled handle never
   serves the partial prefix it may have pulled.
-
-The legacy classes remain importable as thin shims over this one.
 """
 
 from __future__ import annotations
@@ -82,11 +76,12 @@ DEFAULT_PAGE_SIZE = 100
 class Answers:
     """Unified access to one prepared query's answer sequence.
 
-    The *merge* is lazy — pages pull only as many branch chunks as they
-    need.  In serial mode partial consumption only pays for the branches
-    it touched; in thread/process mode every work unit is submitted to
-    the pool on first access (they compute concurrently), and laziness
-    governs only when results are drained.
+    The *merge* is lazy — pages pull only as many answer chunks (at
+    most ``chunk_rows`` rows each) as they need.  In serial mode partial
+    consumption only pays for the chunks it touched; in thread/process
+    mode every work unit is submitted to the pool on first access (they
+    compute concurrently), and laziness governs only when results are
+    drained.
     """
 
     def __init__(
@@ -96,20 +91,13 @@ class Answers:
         skip_mode: str = "lazy",
         workers: Optional[int] = None,
         spec_key: Optional[tuple] = None,
-        executor=None,
         pool: Optional[WorkerPool] = None,
         chunk_rows: Optional[int] = None,
-        transport: Optional[str] = None,
         pin=None,
         version_source=None,
-        stale_policy: str = "pin",
         row_budget: Optional[int] = None,
         project_columns: Optional[Tuple[int, ...]] = None,
     ):
-        if stale_policy not in ("pin", "raise"):
-            raise EngineError(
-                f"stale_policy must be 'pin' or 'raise', got {stale_policy!r}"
-            )
         if row_budget is not None and row_budget < 0:
             raise EngineError(
                 f"row_budget must be >= 0, got {row_budget}"
@@ -132,14 +120,12 @@ class Answers:
         # Snapshot pinning: `pin` keeps the session from refreshing this
         # pipeline in place (commits fork instead); `version_source`
         # reports the database head's version so `stale` stays
-        # informative across forks; policy "raise" restores the legacy
-        # raise-on-any-commit contract for the engine facades.
+        # informative across forks.
         self._pin = pin
         self._version_source = version_source
         self._source_version = (
             version_source() if version_source is not None else None
         )
-        self._stale_policy = stale_policy
         self._pin_finalizer = (
             weakref.finalize(self, pin.release) if pin is not None else None
         )
@@ -149,10 +135,8 @@ class Answers:
             skip_mode=skip_mode,
             workers=workers,
             spec_key=spec_key,
-            executor=executor,
             pool=pool,
             chunk_rows=chunk_rows,
-            transport=transport,
             transfer_stats=TransferStats(),
             row_budget=row_budget,
             project_columns=project_columns,
@@ -190,16 +174,16 @@ class Answers:
 
     @property
     def transport_used(self) -> Optional[str]:
-        """The answer transport of the last run (``"columnar"`` /
-        ``"pickle"`` in process mode, ``"none"`` for in-process zero-copy,
-        ``None`` before any pull)."""
+        """The answer transport of the last run (``"columnar"`` in
+        process mode, ``"none"`` for in-process zero-copy, ``None``
+        before any pull)."""
         return self._plan.used_transport
 
     @property
     def transport_stats(self):
         """Received-bytes accounting of the columnar transport
         (:class:`repro.engine.transport.TransferStats`; zeros for
-        in-process modes and the pickle transport)."""
+        in-process modes)."""
         return self._plan.transfer_stats
 
     # -- liveness ------------------------------------------------------
@@ -216,23 +200,11 @@ class Answers:
         if self._structure.version != self._version:
             # Session commits can never move a pinned handle's structure
             # (they fork the head instead); only a direct mutation — or,
-            # for un-pinned legacy handles, an in-place commit — lands
-            # here.
+            # for an un-pinned handle, an in-place commit — lands here.
             raise StaleResultError(
                 "the structure changed after this handle was created "
                 f"(version {self._version} -> {self._structure.version}); "
                 "re-run the query"
-            )
-        if (
-            self._stale_policy == "raise"
-            and self._version_source is not None
-            and self._version_source() != self._source_version
-        ):
-            raise StaleResultError(
-                "the database committed past this handle (version "
-                f"{self._source_version} -> {self._version_source()}); "
-                "re-run the query (session handles pin their version "
-                "instead of raising)"
             )
 
     @property
@@ -241,7 +213,7 @@ class Answers:
 
         A pinned session handle keeps serving its version byte-
         identically even when stale — staleness is informative, not an
-        error, unless the legacy ``stale_policy="raise"`` applies.
+        error.
         """
         if self._structure.version != self._version:
             return True
@@ -324,10 +296,9 @@ class Answers:
         (enumeration partitions the answer set exactly, so both agree
         with the counting/testing algorithms at the pinned version), and
         the staleness check is retired: nothing this handle serves can
-        change anymore.  Legacy ``stale_policy="raise"`` handles keep
-        their historical contract and never seal.
+        change anymore.
         """
-        if self._sealed or self._stale_policy != "pin":
+        if self._sealed:
             return
         self._sealed = True
         if self._count is None:

@@ -31,7 +31,7 @@ from repro.engine.executor import (
     run_branches,
 )
 from repro.engine.pool import WorkerPool
-from repro.engine.transport import TransferStats, resolve_transport
+from repro.engine.transport import TransferStats
 from repro.errors import EngineError
 
 Element = Hashable
@@ -42,14 +42,13 @@ Answer = Tuple[Element, ...]
 class ExecutionPlan:
     """Everything a backend needs to run one prepared query.
 
-    ``pool`` is the session-owned :class:`WorkerPool` (lazily started);
-    ``executor`` is the legacy caller-managed override that takes
-    precedence over it.  ``chunk_rows`` / ``transport`` configure the
-    process-mode answer transport (``None`` = cost-model default chunk
-    size, columnar codec); ``transfer_stats`` collects the columnar
-    path's received-bytes accounting.  ``used_mode`` /
-    ``used_count_mode`` / ``used_transport`` record what actually ran,
-    for :meth:`repro.session.Query.explain` and the differential suite.
+    ``pool`` is the session-owned :class:`WorkerPool` (lazily started).
+    ``chunk_rows`` bounds the rows of every answer chunk (``None`` =
+    cost-model default); ``transfer_stats`` collects the process path's
+    received-bytes accounting.  ``used_mode`` / ``used_count_mode`` /
+    ``used_transport`` record what actually ran (the transport is
+    ``"columnar"`` in process mode, ``"none"`` in-process), for
+    :meth:`repro.session.Query.explain` and the differential suite.
 
     Snapshot contract: ``pipeline`` (and ``pipeline.structure``) may
     belong to a *pinned* version whose structure is frozen — a commit
@@ -64,10 +63,8 @@ class ExecutionPlan:
     skip_mode: str = "lazy"
     workers: Optional[int] = None
     spec_key: Optional[tuple] = None
-    executor: object = None
     pool: Optional[WorkerPool] = None
     chunk_rows: Optional[int] = None
-    transport: Optional[str] = None
     # Early-stop: the run yields at most this many rows (min(total,
     # budget), byte-identical prefix), cancelling abandoned work units.
     row_budget: Optional[int] = None
@@ -113,9 +110,7 @@ class PoolBackend:
 
     def resolve(self, plan: ExecutionPlan) -> Tuple[str, int]:
         """The concrete ``(mode, workers)`` enumeration would use."""
-        return decide_mode(
-            plan.pipeline, plan.workers, self._mode, transport=plan.transport
-        )
+        return decide_mode(plan.pipeline, plan.workers, self._mode)
 
     def resolve_count(self, plan: ExecutionPlan) -> Tuple[str, int]:
         """The concrete ``(mode, workers)`` counting would use."""
@@ -136,19 +131,15 @@ class PoolBackend:
             # backend keeps its mode (the budget still truncates it).
             mode, workers = "serial", 1
         plan.used_mode = mode
-        plan.used_transport = (
-            resolve_transport(plan.transport) if mode == "process" else "none"
-        )
+        plan.used_transport = "columnar" if mode == "process" else "none"
         return run_branches(
             plan.pipeline,
             workers=workers,
             mode=mode,
             skip_mode=plan.skip_mode,
             spec_key=plan.spec_key,
-            executor=plan.executor,
             pool=plan.pool,
             chunk_rows=plan.chunk_rows,
-            transport=plan.transport,
             transfer_stats=plan.transfer_stats,
             row_budget=plan.row_budget,
             project_columns=plan.project_columns,
@@ -162,7 +153,6 @@ class PoolBackend:
             workers=workers,
             mode=mode,
             spec_key=plan.spec_key,
-            executor=plan.executor,
             pool=plan.pool,
         )
 

@@ -182,7 +182,6 @@ class Database:
         cache_capacity: int = 64,
         share_graphs: bool = True,
         maintain: bool = True,
-        guard_writes: bool = True,
         retention_budget: int = 64,
     ):
         if workers is not None and workers < 1:
@@ -233,10 +232,9 @@ class Database:
         self._retention_budget = retention_budget
         # Write guard: refuse direct structure.add_fact/remove_fact for
         # session-owned structures (GuardedStructureError names the
-        # session API); legacy facades opt out to keep the historical
-        # mutate-then-StaleResultError contract.
+        # session API).
         self._guard_installed = False
-        if guard_writes and not structure.frozen and structure._write_guard is None:
+        if not structure.frozen and structure._write_guard is None:
             structure._write_guard = _WRITE_GUARD_MESSAGE
             self._guard_installed = True
         # Concurrency: the session is thread-safe.  Shared mutable state
@@ -270,7 +268,6 @@ class Database:
         workers: Optional[int] = None,
         budget=None,
         chunk_rows: Optional[int] = None,
-        transport: Optional[str] = None,
     ) -> Query:
         """Preprocess (or cache-hit) ``query`` and return its plan object.
 
@@ -280,10 +277,8 @@ class Database:
         ``"auto"`` lets the cost model decide per plan.  ``budget`` (a
         :class:`repro.fo.localize.LocalizationBudget`) bypasses the cache
         — budgets change pipeline shape and are not part of the cache
-        key.  ``chunk_rows`` / ``transport`` override the process-mode
-        answer transport (default: columnar codec, cost-model chunk
-        size; ``transport="pickle"`` restores the legacy whole-list
-        transfer).
+        key.  ``chunk_rows`` bounds the rows of every answer chunk
+        (default: cost-model chunk size).
 
         A string starting with the ``SELECT`` keyword is a qlang
         statement (``SELECT x, y WHERE <FO formula> ...``): it is
@@ -307,7 +302,6 @@ class Database:
                 workers=workers,
                 budget=budget,
                 chunk_rows=chunk_rows,
-                transport=transport,
             )
         return Query(
             self,
@@ -318,7 +312,6 @@ class Database:
             workers=workers,
             budget=budget,
             chunk_rows=chunk_rows,
-            transport=transport,
         )
 
     def count(self, query, order=None, **options) -> int:
@@ -1029,8 +1022,8 @@ class Database:
         the loser lands on the winner's cache entry.  Leasing (instead
         of pruning idle locks) guarantees a lock handed to one thread is
         never replaced under another: the entry lives exactly as long as
-        some prepare holds a lease, so the registry is bounded by the
-        number of concurrent prepares.  Pair with
+        some ``_prepare`` call holds a lease, so the registry is bounded
+        by the number of concurrent ``_prepare`` calls.  Pair with
         :meth:`_release_build_lock`.
         """
         with self._locks_guard:
@@ -1090,13 +1083,13 @@ class Database:
         """The cached pipeline for a query at the *head* version
         (building it on a miss).
 
-        Thread-safe: the whole prepare holds the structure lock's *read*
+        Thread-safe: the whole call holds the structure lock's *read*
         side (session commits hold the write side, so a mutation can
         neither tear a build's structure reads nor slip between key
         computation and cache insertion).  Mutating the structure
-        *directly* (not through the session) remains uncoordinated: the
-        legacy contract — stale handles, full fingerprint-keyed
-        invalidation at the next access — applies.
+        *directly* (not through the session) is refused by the write
+        guard; should a version bump happen anyway, the next access
+        falls back to full fingerprint-keyed invalidation.
         """
         formula = coerce_formula(query)
         variable_order = coerce_order(order)

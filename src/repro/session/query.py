@@ -32,16 +32,12 @@ from repro.engine.executor import (
     resolve_chunk_rows,
     transfer_works,
 )
-from repro.engine.transport import (
-    estimate_encoded_bytes,
-    resolve_transport,
-    width_for,
-)
+from repro.engine.transport import estimate_encoded_bytes, width_for
 from repro.errors import EngineError
 from repro.fo.syntax import Formula, Var
 from repro.session.answers import Answers, EncodedAnswers
 from repro.session.backends import ExecutionPlan, PoolBackend, resolve_backend
-from repro.storage.cost_model import PICKLE_BYTES_PER_VALUE, estimate_rows
+from repro.storage.cost_model import estimate_rows
 
 Element = Hashable
 
@@ -78,9 +74,9 @@ class QueryPlan:
     trivial: Optional[bool]
     cached: bool = field(default=False)
     maintained: bool = field(default=False)
-    # Answer-transport report: which codec ships process-mode answers
-    # back ("columnar" / "pickle"; "none" = in-process zero-copy), the
-    # chunk bound, and the estimated parent-received bytes.
+    # Answer-transport report: "columnar" when process-mode answers
+    # ship back ("none" = in-process zero-copy), the chunk bound, and
+    # the estimated parent-received bytes.
     transport: str = "none"
     chunk_rows: Optional[int] = None
     transfer_bytes: int = 0
@@ -188,7 +184,6 @@ class Query:
         workers: Optional[int] = None,
         budget=None,
         chunk_rows: Optional[int] = None,
-        transport: Optional[str] = None,
         snapshot=None,
     ):
         self._db = database
@@ -202,7 +197,6 @@ class Query:
         if chunk_rows is not None and chunk_rows < 1:
             raise EngineError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self._chunk_rows = chunk_rows
-        self._transport = resolve_transport(transport) if transport else None
         if snapshot is not None:
             # The query holds its own version pin: it must keep serving
             # the snapshot's version even after the snapshot itself is
@@ -303,10 +297,8 @@ class Query:
             skip_mode=self._skip_mode,
             workers=self._workers,
             spec_key=self._key,
-            executor=None,
             pool=self._db.pool,
             chunk_rows=self._chunk_rows,
-            transport=self._transport,
         )
 
     # -- the three operations ------------------------------------------
@@ -384,7 +376,6 @@ class Query:
             spec_key=self._key,
             pool=self._db.pool,
             chunk_rows=self._chunk_rows,
-            transport=self._transport,
             pin=pin,
             version_source=self._db._head_version,
             row_budget=limit,
@@ -474,18 +465,13 @@ class Query:
         transfer_bytes = 0
         transfer_costs: Tuple[int, ...] = ()
         if pipeline.trivial is None and mode == "process":
-            transport = resolve_transport(self._transport)
-            transfer_costs = tuple(transfer_works(pipeline, transport))
-            rows = _estimated_rows(pipeline)
-            arity = pipeline.arity
-            if transport == "columnar":
-                chunk_rows = resolve_chunk_rows(pipeline, self._chunk_rows)
-                id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
-                transfer_bytes = estimate_encoded_bytes(
-                    rows, arity, id_width, chunk_rows
-                )
-            else:
-                transfer_bytes = rows * arity * PICKLE_BYTES_PER_VALUE
+            transport = "columnar"
+            transfer_costs = tuple(transfer_works(pipeline))
+            chunk_rows = resolve_chunk_rows(pipeline, self._chunk_rows)
+            id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
+            transfer_bytes = estimate_encoded_bytes(
+                _estimated_rows(pipeline), pipeline.arity, id_width, chunk_rows
+            )
         return QueryPlan(
             query=str(self._formula),
             variables=tuple(v.name for v in pipeline.variables),

@@ -97,9 +97,8 @@ class Snapshot:
             raise EngineError("this Snapshot is closed")
         self._db._check_open()
         if self._structure.version != self._version:
-            # Only a *direct* structure mutation (bypassing the session)
-            # can move a pinned structure; the legacy uncoordinated
-            # contract applies.
+            # Only a *direct* structure mutation (bypassing the session
+            # and its write guard) can move a pinned structure.
             raise StaleResultError(
                 "the snapshot's structure was mutated directly (version "
                 f"{self._version} -> {self._structure.version}); "
@@ -117,7 +116,6 @@ class Snapshot:
         workers: Optional[int] = None,
         budget=None,
         chunk_rows: Optional[int] = None,
-        transport: Optional[str] = None,
     ) -> Query:
         """Plan ``query`` against the pinned version.
 
@@ -144,7 +142,6 @@ class Snapshot:
                 workers=workers,
                 budget=budget,
                 chunk_rows=chunk_rows,
-                transport=transport,
             )
         return Query(
             self._db,
@@ -155,7 +152,6 @@ class Snapshot:
             workers=workers,
             budget=budget,
             chunk_rows=chunk_rows,
-            transport=transport,
             snapshot=self,
         )
 

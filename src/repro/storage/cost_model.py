@@ -79,13 +79,11 @@ _WORK_CAP = 10**15
 
 # -- answer-transport cost terms (process mode ships answers back) -----
 #
-# Ballpark bytes one answer *value* costs on the wire: pickled tuples of
-# small ints run ~8-12 bytes/value once tuple/memo opcodes are amortized;
-# the columnar codec is bounded by the intern-id width (<= 4 bytes for
-# any realistic domain) before offset narrowing and compression shrink it
-# further.  One RAM step per machine word moved keeps the term in the
-# same unit as the work estimates.
-PICKLE_BYTES_PER_VALUE = 12
+# Ballpark bytes one answer *value* costs on the wire: the columnar
+# codec is bounded by the intern-id width (<= 4 bytes for any realistic
+# domain) before offset narrowing and compression shrink it further.
+# One RAM step per machine word moved keeps the term in the same unit as
+# the work estimates.
 COLUMNAR_BYTES_PER_VALUE = 4
 TRANSFER_BYTES_PER_STEP = 8
 

@@ -205,8 +205,12 @@ class Structure:
 
     @property
     def order(self) -> DomainOrder:
-        """The linear order on the domain (Section 2.2)."""
-        if self._order is None or self._caches_dirty:
+        """The linear order on the domain (Section 2.2).
+
+        Built once: the domain is fixed after construction, so the order
+        is independent of the adjacency caches' dirty bit.
+        """
+        if self._order is None:
             self._order = DomainOrder(self._domain)
         return self._order
 
@@ -387,7 +391,6 @@ class Structure:
     def _rebuild_adjacency(self) -> None:
         self._adjacency = {element: set() for element in self._domain}
         self._edge_support = {}
-        self._order = DomainOrder(self._domain)
         self._caches_dirty = False
         for facts in self._relations.values():
             for fact in facts:
@@ -452,6 +455,7 @@ class Structure:
         for name, facts in self._relations.items():
             clone._relations[name] = set(facts)
         clone._caches_dirty = True
+        clone._order = self._order  # same domain, same order
         return clone
 
     def __repr__(self) -> str:

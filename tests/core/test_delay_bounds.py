@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import prepare
+from repro.core.enumeration import enumerate_answers
 from repro.storage.cost_model import CostMeter
 from repro.structures.random_gen import random_colored_graph
+
+from planning import plan
 
 SIZES = [64, 128, 256, 512]
 DEGREE = 4
@@ -28,10 +30,10 @@ MAX_DELAY_STEPS = 32
 
 
 def max_delay(db, query: str) -> int:
-    prepared = prepare(db, query, skip_mode="precompute")
+    pipeline = plan(db, query)
     meter = CostMeter()
     produced = 0
-    for _ in prepared.enumerate(meter=meter):
+    for _ in enumerate_answers(pipeline, meter=meter, skip_mode="precompute"):
         meter.mark()
         produced += 1
     assert produced > 0, "sweep structure produced no answers"

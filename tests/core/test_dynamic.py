@@ -25,6 +25,13 @@ x, y = Var("x"), Var("y")
 EXAMPLE = "B(x) & R(y) & ~E(x,y)"
 
 
+def dynamic_query(*args, **kwargs):
+    """A :class:`DynamicQuery` — deprecated in favour of the session
+    API, so constructing one warns."""
+    with pytest.warns(DeprecationWarning, match="DynamicQuery"):
+        return DynamicQuery(*args, **kwargs)
+
+
 def _assert_consistent(dyn, query, order):
     got = sorted(dyn.enumerate())
     want = sorted(naive_answers(query, dyn.structure, order=order))
@@ -42,7 +49,7 @@ def _assert_consistent(dyn, query, order):
 def dyn_pair(small_colored):
     query = parse(EXAMPLE)
     db = small_colored.copy()
-    return DynamicQuery(db, query, order=(x, y)), query
+    return dynamic_query(db, query, order=(x, y)), query
 
 
 class TestSingleUpdates:
@@ -114,7 +121,7 @@ class TestUpdateSequences:
     def test_random_walk_stays_consistent(self, query_text, small_colored):
         query = parse(query_text)
         order = sorted(query.free)
-        dyn = DynamicQuery(small_colored.copy(), query, order=order)
+        dyn = dynamic_query(small_colored.copy(), query, order=order)
         rng = random.Random(7)
         domain = list(dyn.structure.domain)
         for _ in range(15):
@@ -140,7 +147,7 @@ class TestUpdateSequences:
         for u in range(1, 8, 2):
             db.add_fact("R", u)
         query = parse(EXAMPLE)
-        dyn = DynamicQuery(db, query, order=(x, y))
+        dyn = dynamic_query(db, query, order=(x, y))
         assert dyn.count() == 16  # all blue-red pairs, nothing connected
         for u in range(0, 8, 2):
             dyn.insert_fact("E", u, u + 1)
@@ -160,14 +167,14 @@ class TestUpdateSequences:
 class TestSupportGuard:
     def test_rejects_derived_predicates(self, small_colored):
         with pytest.raises(UnsupportedQueryError):
-            DynamicQuery(
+            dynamic_query(
                 small_colored.copy(),
                 parse("B(x) & exists z. (R(z) & ~E(x,z))"),
                 order=(x,),
             )
 
     def test_accepts_relativized_quantifiers(self, small_colored):
-        DynamicQuery(
+        dynamic_query(
             small_colored.copy(), parse("exists z in N2(x). R(z)"), order=(x,)
         )
 
@@ -243,7 +250,7 @@ class TestBatchMaintenance:
 def test_dynamic_oracle_property(seed, update_seed):
     db = random_colored_graph(12, max_degree=3, seed=seed)
     query = parse(EXAMPLE)
-    dyn = DynamicQuery(db.copy(), query, order=(x, y))
+    dyn = dynamic_query(db.copy(), query, order=(x, y))
     rng = random.Random(update_seed)
     domain = list(dyn.structure.domain)
     for _ in range(8):

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import prepare
+from repro import Database
+from repro.core.enumeration import enumerate_answers
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
 from repro.structures.random_gen import random_structure
 from repro.structures.signature import Signature
+
+from planning import plan
 
 
 QUERIES = [
@@ -28,11 +31,12 @@ QUERIES = [
 def assert_matches(db, text):
     query = parse(text)
     order = sorted(query.free)
-    prepared = prepare(db, query, order=order)
-    got = sorted(prepared.enumerate(validate=True))
-    want = sorted(naive_answers(query, db, order=order))
-    assert got == want
-    assert prepared.count() == len(want)
+    with Database(db) as session:
+        prepared = session.query(query, order=order)
+        got = sorted(enumerate_answers(prepared.pipeline, validate=True))
+        want = sorted(naive_answers(query, db, order=order))
+        assert got == want
+        assert prepared.count() == len(want)
 
 
 class TestTernary:
@@ -46,20 +50,21 @@ class TestTernary:
 
     def test_testing_on_ternary(self, db):
         query = parse("T(x,y,z)")
-        prepared = prepare(db, query, order=sorted(query.free))
-        for fact in list(db.facts("T"))[:10]:
-            assert prepared.test(fact)
+        with Database(db) as session:
+            prepared = session.query(query, order=sorted(query.free))
+            for fact in list(db.facts("T"))[:10]:
+                assert prepared.test(fact)
 
     def test_gaifman_cliques_link_clusters(self, db):
         """Components of one T-fact always share a cluster."""
         query = parse("B(x) & ~B(y)")
-        prepared = prepare(db, query, order=sorted(query.free))
+        pipeline = plan(db, query, order=sorted(query.free))
         for fact in db.facts("T"):
             a, b = fact[0], fact[1]
             if a == b:
                 continue
-            plan_index, node_ids = prepared.pipeline.encode((a, b))
-            partition = prepared.pipeline.plans[plan_index].partition
+            plan_index, node_ids = pipeline.encode((a, b))
+            partition = pipeline.plans[plan_index].partition
             assert partition == ((0, 1),)
 
 

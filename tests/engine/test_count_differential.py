@@ -12,11 +12,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import prepare
 from repro.core.counting import count_answers
-from repro.engine import QueryBatch, WorkerPool, parallel_count
+from repro.engine import WorkerPool, parallel_count
+from repro.session import Database
 from repro.fo.semantics import naive_count
 
+from planning import plan
 from strategies import (
     formulas,
     rejecting_unsupported,
@@ -38,20 +39,18 @@ def shared_pool():
         yield pool
 
 
-def prepare_or_reject(db, formula, order=None):
+def plan_or_reject(db, formula, order=None):
     with rejecting_unsupported():
-        return prepare(db, formula, order=order)
+        return plan(db, formula, order=order)
 
 
 def assert_counts_match(db, formula, pool, modes=("serial", "thread")):
     order = sorted(formula.free)
-    prepared = prepare_or_reject(db, formula, order)
-    serial = count_answers(prepared.pipeline)
+    pipeline = plan_or_reject(db, formula, order)
+    serial = count_answers(pipeline)
     for mode in modes:
         for workers in (1, 2, 3, 4):
-            got = parallel_count(
-                prepared.pipeline, workers=workers, mode=mode, pool=pool
-            )
+            got = parallel_count(pipeline, workers=workers, mode=mode, pool=pool)
             assert got == serial, (
                 f"mode={mode}, workers={workers}: parallel count {got} "
                 f"!= serial {serial}"
@@ -126,57 +125,52 @@ class TestProcessMode:
     @pytest.mark.parametrize("text", QUERIES)
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_corpus(self, medium_colored, text, workers, shared_pool):
-        prepared = prepare(medium_colored, text)
-        serial = count_answers(prepared.pipeline)
+        pipeline = plan(medium_colored, text)
+        serial = count_answers(pipeline)
         got = parallel_count(
-            prepared.pipeline, workers=workers, mode="process", pool=shared_pool
+            pipeline, workers=workers, mode="process", pool=shared_pool
         )
         assert got == serial
 
 
 class TestTrivialAndEmpty:
     def test_trivially_true(self, small_colored, shared_pool):
-        prepared = prepare(small_colored, "x = x")
-        serial = count_answers(prepared.pipeline)
+        pipeline = plan(small_colored, "x = x")
+        serial = count_answers(pipeline)
         assert serial == small_colored.cardinality
         for mode in ("serial", "thread", "process"):
             assert (
-                parallel_count(
-                    prepared.pipeline, workers=2, mode=mode, pool=shared_pool
-                )
+                parallel_count(pipeline, workers=2, mode=mode, pool=shared_pool)
                 == serial
             )
 
     def test_empty_answer_set(self, small_colored, shared_pool):
-        prepared = prepare(small_colored, "B(x) & R(x) & ~(x = x)")
+        pipeline = plan(small_colored, "B(x) & R(x) & ~(x = x)")
         for mode in ("serial", "thread", "process"):
             assert (
-                parallel_count(
-                    prepared.pipeline, workers=2, mode=mode, pool=shared_pool
-                )
+                parallel_count(pipeline, workers=2, mode=mode, pool=shared_pool)
                 == 0
             )
 
 
-class TestBatchCountPath:
-    """QueryBatch.count() and ResultHandle.count() ride the same engine."""
+class TestSessionCountPath:
+    """Query.count() and Answers.count() ride the same engine."""
 
     @given(
         db=structures(max_n=10),
         formula=formulas(free_count=2, max_depth=3, max_quantifiers=1),
     )
     @settings(max_examples=15, **SETTINGS)
-    def test_batch_count_matches_serial(self, db, formula):
+    def test_session_count_matches_serial(self, db, formula):
         order = sorted(formula.free)
-        prepared = prepare_or_reject(db, formula, order)
-        serial = count_answers(prepared.pipeline)
-        with QueryBatch(db, workers=2) as batch:
-            assert batch.count(formula, order=order) == serial
-            assert batch.submit(formula, order=order).count() == serial
+        serial = count_answers(plan_or_reject(db, formula, order))
+        with Database(db, workers=2) as session:
+            assert session.count(formula, order=order) == serial
+            assert session.query(formula, order=order).answers().count() == serial
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_forced_modes_through_batch(self, medium_colored, mode):
+    def test_forced_modes_through_session(self, medium_colored, mode):
         text = "B(x) & R(y) & ~E(x,y)"
-        serial = count_answers(prepare(medium_colored, text).pipeline)
-        with QueryBatch(medium_colored, workers=2, mode=mode) as batch:
-            assert batch.count(text) == serial
+        serial = count_answers(plan(medium_colored, text))
+        with Database(medium_colored, workers=2) as session:
+            assert session.count(text, backend=mode) == serial

@@ -1,23 +1,23 @@
 """Engine caches vs. dynamic updates (insertions / deletions).
 
-The contract: a mutation of the structure — direct, or through
-``repro.core.dynamic.DynamicQuery`` sharing the same structure — must
-(a) make every outstanding ResultHandle raise ``StaleResultError``
-rather than serve pre-update answers, and (b) cause the next submission
-to rebuild against the current state and agree with the dynamically
-maintained pipeline and the naive oracle.
+The contract, through the session: a commit (insert or delete) must
+(a) leave every outstanding, partially consumed handle on the version it
+was planned against — it keeps serving pre-update answers, reporting
+``stale`` — while a direct structure mutation is refused by the write
+guard, and (b) cause the next query to re-resolve against the current
+state and agree with the naive oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.dynamic import DynamicQuery
-from repro.engine import QueryBatch
-from repro.errors import StaleResultError
+from repro.core.enumeration import enumerate_answers
+from repro.errors import GuardedStructureError
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
 from repro.fo.syntax import Var
+from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
 
 EXAMPLE = "B(x) & R(y) & ~E(x,y)"
@@ -25,8 +25,14 @@ x, y = Var("x"), Var("y")
 
 
 @pytest.fixture
-def db():
+def structure():
     return random_colored_graph(24, max_degree=3, seed=7)
+
+
+@pytest.fixture
+def db(structure):
+    with Database(structure, maintain=False) as session:
+        yield session
 
 
 def missing_unary_fact(structure, relation="B"):
@@ -38,79 +44,60 @@ def missing_unary_fact(structure, relation="B"):
     )
 
 
-class TestStaleHandles:
-    def test_insert_staleness(self, db):
-        batch = QueryBatch(db)
-        handle = batch.submit(EXAMPLE)
-        handle.page(0, size=5)  # partially consumed
-        db.add_fact("B", missing_unary_fact(db))
+class TestOutstandingHandles:
+    def test_insert_leaves_partial_handle_pinned(self, db, structure):
+        handle = db.query(EXAMPLE).answers()
+        before = list(enumerate_answers(handle._pipeline))
+        first = handle.page(0, size=5)  # partially consumed
+        db.insert_fact("B", missing_unary_fact(structure))
         assert handle.stale
-        with pytest.raises(StaleResultError):
-            handle.page(1, size=5)
-        with pytest.raises(StaleResultError):
-            handle.all()
-        with pytest.raises(StaleResultError):
-            handle.count()
+        assert handle.page(0, size=5) == first
+        assert handle.all() == before
+        assert handle.count() == len(before)
 
-    def test_delete_staleness(self, db):
-        batch = QueryBatch(db)
-        handle = batch.submit(EXAMPLE)
-        some_edge = next(iter(db.facts("E")))
-        db.remove_fact("E", *some_edge)
-        with pytest.raises(StaleResultError):
-            handle.all()
+    def test_delete_leaves_handle_pinned(self, db, structure):
+        handle = db.query(EXAMPLE).answers()
+        before = list(enumerate_answers(handle._pipeline))
+        db.remove_fact("E", *next(iter(structure.facts("E"))))
+        assert handle.all() == before
 
-    def test_stream_raises_mid_iteration(self, db):
-        batch = QueryBatch(db)
-        handle = batch.submit(EXAMPLE)
+    def test_stream_continues_across_a_commit(self, db, structure):
+        handle = db.query(EXAMPLE).answers()
+        before = list(enumerate_answers(handle._pipeline))
         stream = handle.stream()
-        next(stream)
-        db.add_fact("B", missing_unary_fact(db))
-        with pytest.raises(StaleResultError):
-            next(stream)
+        head = [next(stream)]
+        db.insert_fact("B", missing_unary_fact(structure))
+        assert head + list(stream) == before
 
-    def test_noop_mutation_keeps_handle_fresh(self, db):
-        batch = QueryBatch(db)
-        handle = batch.submit(EXAMPLE)
-        existing = next(iter(db.facts("B")))
-        db.add_fact("B", *existing)  # already present: not a mutation
-        handle.all()  # must not raise
+    def test_noop_update_keeps_handle_fresh(self, db, structure):
+        handle = db.query(EXAMPLE).answers()
+        existing = next(iter(structure.facts("B")))
+        db.insert_fact("B", *existing)  # already present: not a mutation
+        assert not handle.stale
+        handle.all()
+
+    def test_direct_mutation_is_refused(self, db, structure):
+        handle = db.query(EXAMPLE).answers()
+        with pytest.raises(GuardedStructureError):
+            structure.add_fact("B", missing_unary_fact(structure))
+        assert not handle.stale
+        handle.all()
 
 
 class TestRebuildAfterUpdate:
-    def test_resubmit_reflects_mutation(self, db):
-        batch = QueryBatch(db)
-        before = batch.submit(EXAMPLE).all()
-        db.add_fact("B", missing_unary_fact(db))
-        after = batch.submit(EXAMPLE).all()
-        want = sorted(naive_answers(parse(EXAMPLE), db, order=(x, y)))
+    def test_requery_reflects_update(self, db):
+        before = db.query(EXAMPLE).answers().all()
+        db.insert_fact("B", missing_unary_fact(db.structure))
+        after = db.query(EXAMPLE).answers().all()
+        want = sorted(naive_answers(parse(EXAMPLE), db.structure, order=(x, y)))
         assert sorted(after) == want
         assert before != after or sorted(before) == want
 
-    def test_cache_and_templates_invalidated(self, db):
-        batch = QueryBatch(db)
-        first, _ = batch.prepare(EXAMPLE)
-        assert batch.stats()["graph_templates"] == 1
-        db.add_fact("B", missing_unary_fact(db))
-        second, _ = batch.prepare(EXAMPLE)
-        assert second is not first, "stale pipeline served after a mutation"
+    def test_cache_invalidated(self, db):
+        first = db.query(EXAMPLE).pipeline
+        assert db.stats()["graph_templates"] == 1
+        db.insert_fact("B", missing_unary_fact(db.structure))
+        second = db.query(EXAMPLE).pipeline
+        assert second is not first, "stale pipeline served after an update"
         # Old entries were dropped, not just shadowed.
-        assert batch.stats()["entries"] == 1
-
-    def test_agrees_with_dynamic_query(self):
-        # DynamicQuery maintains its own pipeline in place on the same
-        # structure the batch serves; both views must agree after updates.
-        structure = random_colored_graph(20, max_degree=3, seed=13)
-        dynamic = DynamicQuery(structure, EXAMPLE)
-        batch = QueryBatch(structure)
-        handle = batch.submit(EXAMPLE)
-        handle.page(0)
-
-        dynamic.insert_fact("E", 0, 5)
-        dynamic.insert_fact("B", 7)
-        dynamic.delete_fact("E", 0, 5)
-
-        with pytest.raises(StaleResultError):
-            handle.page(0)
-        fresh = batch.submit(EXAMPLE).all()
-        assert sorted(fresh) == sorted(dynamic.answers())
+        assert db.stats()["entries"] == 1

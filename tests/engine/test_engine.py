@@ -1,17 +1,23 @@
 """Unit tests for the engine: cache keys, LRU, paging, streaming,
-cancellation, the execution-mode heuristic, and preprocessing sharing."""
+cancellation, the execution-mode heuristic, the chunk stream, and
+preprocessing sharing."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro import prepare
-from repro.engine import QueryBatch, parallel_enumerate
+from repro.core.enumeration import arm_enumerator, enumerate_answers, enumerate_branch
+from repro.engine import WorkerPool, parallel_enumerate, run_branches
+from repro.engine import executor
 from repro.engine.cache import PipelineCache, normalize_formula
-from repro.core.enumeration import arm_enumerator, enumerate_branch
 from repro.engine.executor import branch_works, decide_mode, plan_work_units
+from repro.engine.mailbox import mailbox_available
+from repro.engine.transport import TransferStats
+from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
-from repro.errors import CancelledResultError, EngineError, ResultCancelledError
+from repro.errors import CancelledResultError, EngineError
 from repro.fo.parser import parse
 from repro.storage.cost_model import (
     choose_execution_mode,
@@ -20,7 +26,21 @@ from repro.storage.cost_model import (
 )
 from repro.structures.serialize import fingerprint
 
+from planning import plan
+
 EXAMPLE = "B(x) & R(y) & ~E(x,y)"
+
+
+@pytest.fixture
+def small_db(small_colored):
+    with Database(small_colored) as db:
+        yield db
+
+
+@pytest.fixture
+def medium_db(medium_colored):
+    with Database(medium_colored) as db:
+        yield db
 
 
 class TestFingerprint:
@@ -146,21 +166,21 @@ class TestHeuristic:
         assert choose_execution_mode([10**6, 10**6], workers=4) == "process"
 
     def test_decide_mode_rejects_bad_mode(self, small_colored):
-        prepared = prepare(small_colored, EXAMPLE)
+        pipeline = plan(small_colored, EXAMPLE)
         with pytest.raises(EngineError):
-            decide_mode(prepared.pipeline, workers=2, mode="fiber")
+            decide_mode(pipeline, workers=2, mode="fiber")
 
     def test_branch_works_matches_branches(self, small_colored):
-        prepared = prepare(small_colored, EXAMPLE)
-        works = branch_works(prepared.pipeline)
-        assert len(works) == prepared.pipeline.branch_count
+        pipeline = plan(small_colored, EXAMPLE)
+        works = branch_works(pipeline)
+        assert len(works) == pipeline.branch_count
 
     def test_count_works_matches_branches(self, small_colored):
         from repro.engine import count_works
 
-        prepared = prepare(small_colored, EXAMPLE)
-        works = count_works(prepared.pipeline)
-        assert len(works) == prepared.pipeline.branch_count
+        pipeline = plan(small_colored, EXAMPLE)
+        works = count_works(pipeline)
+        assert len(works) == pipeline.branch_count
         assert all(work >= 1 for work in works)
 
     def test_count_work_far_below_enumeration_work(self):
@@ -176,17 +196,16 @@ class TestHeuristic:
     def test_decide_count_mode_rejects_bad_mode(self, small_colored):
         from repro.engine import decide_count_mode
 
-        prepared = prepare(small_colored, EXAMPLE)
+        pipeline = plan(small_colored, EXAMPLE)
         with pytest.raises(EngineError):
-            decide_count_mode(prepared.pipeline, workers=2, mode="fiber")
-        assert decide_count_mode(prepared.pipeline, workers=1) == ("serial", 1)
+            decide_count_mode(pipeline, workers=2, mode="fiber")
+        assert decide_count_mode(pipeline, workers=1) == ("serial", 1)
 
 
-class TestResultHandle:
-    def test_paging_covers_all_answers(self, medium_colored):
-        batch = QueryBatch(medium_colored)
-        serial = list(prepare(medium_colored, EXAMPLE).enumerate())
-        handle = batch.submit(EXAMPLE)
+class TestAnswersHandle:
+    def test_paging_covers_all_answers(self, medium_db):
+        serial = list(enumerate_answers(medium_db.query(EXAMPLE).pipeline))
+        handle = medium_db.query(EXAMPLE).answers()
         paged = []
         index = 0
         while True:
@@ -197,99 +216,96 @@ class TestResultHandle:
             index += 1
         assert paged == serial
 
-    def test_page_is_idempotent(self, small_colored):
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+    def test_page_is_idempotent(self, small_db):
+        handle = small_db.query(EXAMPLE).answers()
         assert handle.page(0, size=5) == handle.page(0, size=5)
 
-    def test_bad_page_request(self, small_colored):
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+    def test_bad_page_request(self, small_db):
+        handle = small_db.query(EXAMPLE).answers()
         with pytest.raises(EngineError):
             handle.page(-1)
         with pytest.raises(EngineError):
             handle.page(0, size=0)
 
-    def test_stream_matches_serial_order(self, medium_colored):
-        serial = list(prepare(medium_colored, EXAMPLE).enumerate())
-        handle = QueryBatch(medium_colored).submit(EXAMPLE)
+    def test_stream_matches_serial_order(self, medium_db):
+        serial = list(enumerate_answers(medium_db.query(EXAMPLE).pipeline))
+        handle = medium_db.query(EXAMPLE).answers()
         assert list(handle.stream()) == serial
 
-    def test_stream_restarts_from_materialized_prefix(self, small_colored):
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+    def test_stream_restarts_from_materialized_prefix(self, small_db):
+        handle = small_db.query(EXAMPLE).answers()
         first = list(handle.stream())
         second = list(handle.stream())
         assert first == second
 
-    def test_count_and_test(self, small_colored):
-        prepared = prepare(small_colored, EXAMPLE)
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
-        assert handle.count() == prepared.count()
-        answers = prepared.answers()
+    def test_count_and_test(self, small_db):
+        query = small_db.query(EXAMPLE)
+        handle = query.answers()
+        assert handle.count() == query.count()
+        answers = list(enumerate_answers(query.pipeline))
         if answers:
             assert handle.test(answers[0])
 
-    def test_cancel_stops_access(self, small_colored):
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+    def test_cancel_stops_access(self, small_db):
+        handle = small_db.query(EXAMPLE).answers()
         stream = handle.stream()
         next(stream)
         handle.cancel()
         assert handle.cancelled
-        with pytest.raises(ResultCancelledError):
+        with pytest.raises(CancelledResultError):
             handle.page(0)
-        with pytest.raises(ResultCancelledError):
+        with pytest.raises(CancelledResultError):
             handle.all()
 
-    def test_cancel_is_idempotent(self, small_colored):
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+    def test_cancel_is_idempotent(self, small_db):
+        handle = small_db.query(EXAMPLE).answers()
         handle.cancel()
         handle.cancel()
 
-    def test_count_after_cancel_raises(self, small_colored):
+    def test_count_after_cancel_raises(self, small_db):
         """Regression: count() on a cancelled handle must raise a clear
         CancelledResultError — never compute from (or return alongside)
         the partial prefix the handle pulled before cancellation."""
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+        handle = small_db.query(EXAMPLE).answers()
         stream = handle.stream()
         next(stream)  # partial pull
         handle.cancel()
         with pytest.raises(CancelledResultError):
             handle.count()
-        # The legacy exception name still catches it.
-        with pytest.raises(ResultCancelledError):
-            handle.count()
 
-    def test_count_cached_before_cancel_still_raises(self, small_colored):
-        handle = QueryBatch(small_colored).submit(EXAMPLE)
+    def test_count_cached_before_cancel_still_raises(self, small_db):
+        handle = small_db.query(EXAMPLE).answers()
         assert handle.count() >= 0  # cache the count
         handle.cancel()
         with pytest.raises(CancelledResultError):
             handle.count()
 
-    def test_trivial_query_handles(self, small_colored):
+    def test_trivial_query_handles(self, small_db, small_colored):
         # Localization collapses this to a constant-true formula.
-        handle = QueryBatch(small_colored).submit("x = x")
+        handle = small_db.query("x = x").answers()
         answers = handle.all()
         assert answers == [(a,) for a in small_colored.domain]
 
 
 class TestSharedPreprocessing:
-    def test_graph_template_shared_across_queries(self, small_colored):
-        batch = QueryBatch(small_colored)
-        batch.submit("B(x) & R(y) & ~E(x,y)").all()
-        batch.submit("B(x) & B(y) & ~E(x,y) & x != y").all()
+    def test_graph_template_shared_across_queries(self, small_db):
+        small_db.query("B(x) & R(y) & ~E(x,y)").answers().all()
+        small_db.query("B(x) & B(y) & ~E(x,y) & x != y").answers().all()
         # Same arity, same radius: one template serves both pipelines.
-        assert batch.stats()["graph_templates"] == 1
-        assert batch.stats()["misses"] == 2
+        assert small_db.stats()["graph_templates"] == 1
+        assert small_db.stats()["misses"] == 2
 
     def test_shared_graph_answers_match_unshared(self, medium_colored):
-        shared = QueryBatch(medium_colored, share_graphs=True)
-        unshared = QueryBatch(medium_colored, share_graphs=False)
-        for text in (EXAMPLE, "B(x) & R(y) & E(x,y)"):
-            assert shared.submit(text).all() == unshared.submit(text).all()
+        texts = (EXAMPLE, "B(x) & R(y) & E(x,y)")
+        with Database(medium_colored, share_graphs=True) as shared:
+            want = [shared.query(text).answers().all() for text in texts]
+        with Database(medium_colored, share_graphs=False) as unshared:
+            got = [unshared.query(text).answers().all() for text in texts]
+        assert got == want
 
-    def test_pipelines_do_not_share_colors(self, small_colored):
-        batch = QueryBatch(small_colored)
-        first, _ = batch.prepare(EXAMPLE)
-        second, _ = batch.prepare("B(x) & R(y) & E(x,y)")
+    def test_pipelines_do_not_share_colors(self, small_db):
+        first = small_db.query(EXAMPLE).pipeline
+        second = small_db.query("B(x) & R(y) & E(x,y)").pipeline
         assert first.graph is not second.graph
 
 
@@ -303,7 +319,7 @@ class TestIntraBranchSharding:
         db = random_colored_graph(
             40, max_degree=4, colors=("B", "R", "G"), seed=42
         )
-        return prepare(db, self.TRIPLE).pipeline
+        return plan(db, self.TRIPLE)
 
     def test_units_are_ordered_and_contiguous(self, triple_pipeline):
         units = plan_work_units(triple_pipeline, workers=4)
@@ -360,35 +376,92 @@ class TestIntraBranchSharding:
         assert pieces == whole
 
 
-class TestExternalExecutors:
-    def test_process_pool_with_thread_mode_falls_back(self, medium_colored):
-        """Regression: thread mode must not pickle its closure into a
-        caller-supplied process pool."""
-        from concurrent.futures import ProcessPoolExecutor
+class TestChunkStream:
+    """Every mode yields one stream of chunks bounded by ``chunk_rows``."""
 
-        serial = list(prepare(medium_colored, EXAMPLE).enumerate())
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            batch = QueryBatch(medium_colored, workers=2, executor=pool)
-            got = batch.submit(EXAMPLE, mode="thread").all()
-        assert got == serial
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with WorkerPool(2) as pool:
+            yield pool
 
-    def test_thread_pool_reused_for_thread_mode(self, medium_colored):
-        from concurrent.futures import ThreadPoolExecutor
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_chunks_never_exceed_chunk_rows(self, medium_colored, pool, mode):
+        pipeline = plan(medium_colored, EXAMPLE)
+        serial = list(enumerate_answers(pipeline))
+        for chunk_rows in (1, 37):
+            chunks = list(
+                run_branches(
+                    pipeline, workers=2, mode=mode, pool=pool, chunk_rows=chunk_rows
+                )
+            )
+            assert all(0 < len(chunk) <= chunk_rows for chunk in chunks)
+            assert [row for chunk in chunks for row in chunk] == serial
 
-        serial = list(prepare(medium_colored, EXAMPLE).enumerate())
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            batch = QueryBatch(medium_colored, workers=2, executor=pool)
-            got = batch.submit(EXAMPLE, mode="thread").all()
-        assert got == serial
+    def test_serial_page_pulls_one_chunk_of_a_big_branch(self, monkeypatch):
+        """A first page must not drain the branch it starts in: constant
+        delay means a page costs O(page), not O(branch)."""
+        pulled = {}
+
+        def counting_branch(pipeline, branch_index, **options):
+            for answer in enumerate_branch(pipeline, branch_index, **options):
+                pulled[branch_index] = pulled.get(branch_index, 0) + 1
+                yield answer
+
+        monkeypatch.setattr(executor, "enumerate_branch", counting_branch)
+        chunk_rows = 100
+        structure = random_colored_graph(200, max_degree=3, seed=5)
+        with Database(structure) as db:
+            query = db.query(EXAMPLE, backend="serial", chunk_rows=chunk_rows)
+            sizes = [
+                sum(1 for _ in enumerate_branch(query.pipeline, index))
+                for index in range(query.pipeline.branch_count)
+            ]
+            big = [index for index, size in enumerate(sizes) if size > 10 * chunk_rows]
+            assert big, "the workload needs a branch of more than 10 chunks"
+            page = query.answers().page(0, 100)
+        assert page == list(enumerate_answers(query.pipeline))[:100]
+        for index in big:
+            assert pulled.get(index, 0) <= chunk_rows
+
+
+    @pytest.mark.skipif(not mailbox_available(), reason="shared memory unavailable")
+    def test_drain_error_without_a_pool_does_not_hang(self):
+        """An error in the parent's drain must abandon every ring before
+        the call-scoped pool joins its workers: a worker blocked on a full
+        ring only returns once its ring is abandoned."""
+
+        class FailingStats(TransferStats):
+            def record(self, nbytes, rows, source=None):
+                super().record(nbytes, rows, source)
+                raise RuntimeError("accounting failed")
+
+        pipeline = plan(random_colored_graph(400, max_degree=3, seed=5), EXAMPLE)
+        outcome = []
+
+        def drain():
+            try:
+                for _ in run_branches(
+                    pipeline, workers=2, mode="process", chunk_rows=16,
+                    transfer_stats=FailingStats(), mailbox_bytes=4096,
+                ):
+                    pass
+            except RuntimeError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=drain, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the pool join hung on a full ring"
+        assert [str(error) for error in outcome] == ["accounting failed"]
 
 
 class TestFailureRecovery:
-    def test_retry_after_worker_failure_is_complete(self, medium_colored):
+    def test_retry_after_worker_failure_is_complete(self, medium_db):
         """Regression: a failed pull must not leave partial answers that a
         retry would serve as the complete result set."""
-        batch = QueryBatch(medium_colored)
-        handle = batch.submit(EXAMPLE)
-        want = list(prepare(medium_colored, EXAMPLE).enumerate())
+        query = medium_db.query(EXAMPLE)
+        handle = query.answers()
+        want = list(enumerate_answers(query.pipeline))
 
         def broken_source():
             yield want[:2]
@@ -406,26 +479,26 @@ class TestBudgetPropagation:
         from repro.fo.localize import LocalizationBudget
 
         budget = LocalizationBudget(max_derived=10_000)
-        prepared = prepare(small_colored, EXAMPLE, budget=budget)
-        spec = prepared.pipeline.rebuild_spec()
+        pipeline = plan(small_colored, EXAMPLE, budget=budget)
+        spec = pipeline.rebuild_spec()
         assert spec[4] is budget
         from repro.engine.executor import _default_spec_key
 
-        keyed = _default_spec_key(prepared.pipeline)
-        default = _default_spec_key(prepare(small_colored, EXAMPLE).pipeline)
+        keyed = _default_spec_key(pipeline)
+        default = _default_spec_key(plan(small_colored, EXAMPLE))
         assert keyed != default, "budget must distinguish worker memo keys"
 
 
 class TestParallelEnumerateEdgeCases:
     def test_empty_answer_set(self, small_colored):
-        prepared = prepare(small_colored, "B(x) & R(x) & ~(x = x)")
-        assert list(parallel_enumerate(prepared.pipeline, workers=2)) == []
+        pipeline = plan(small_colored, "B(x) & R(x) & ~(x = x)")
+        assert list(parallel_enumerate(pipeline, workers=2)) == []
 
     def test_workers_validation(self, small_colored):
-        prepared = prepare(small_colored, EXAMPLE)
+        pipeline = plan(small_colored, EXAMPLE)
         with pytest.raises(EngineError):
-            list(parallel_enumerate(prepared.pipeline, workers=0))
+            list(parallel_enumerate(pipeline, workers=0))
 
-    def test_batch_rejects_bad_workers_eagerly(self, small_colored):
+    def test_session_rejects_bad_workers_eagerly(self, small_colored):
         with pytest.raises(EngineError):
-            QueryBatch(small_colored, workers=0)
+            Database(small_colored, workers=0)

@@ -3,7 +3,8 @@ and the naive product baseline on random (structure, formula) pairs.
 
 The engine's contract is exact: for every query it must produce the
 *same answer sequence* — set AND order — as serial
-``PreparedQuery.enumerate()``, which in turn must agree as a set with
+``enumerate_answers`` on a session-planned pipeline, which in turn must
+agree as a set with
 ``baselines.product_enumerate``.  Any divergence, on any generated pair,
 is a bug in the branch splitting, the deterministic merge, or the cache.
 """
@@ -13,10 +14,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import prepare
 from repro.core.baselines import product_enumerate
-from repro.engine import QueryBatch, parallel_enumerate
+from repro.core.enumeration import enumerate_answers
+from repro.engine import parallel_enumerate
+from repro.session import Database
 
+from planning import plan
 from strategies import (
     formulas,
     rejecting_unsupported,
@@ -30,27 +33,25 @@ SETTINGS = dict(
 )
 
 
-def prepare_or_reject(db, formula, order):
-    """Prepare, rejecting formulas outside the pipeline's fragment.
+def plan_or_reject(db, formula, order):
+    """Plan, rejecting formulas outside the pipeline's fragment.
 
     The pipeline guards its clause expansion (``max_units``) with
     ``UnsupportedQueryError``; such formulas are out of scope for the
     engine-vs-serial comparison, not failures.
     """
     with rejecting_unsupported():
-        return prepare(db, formula, order=order)
+        return plan(db, formula, order=order)
 
 
 def assert_engine_matches(db, formula, workers=3, modes=("serial", "thread")):
     """Engine output must equal serial output exactly, and the oracle as a set."""
     order = sorted(formula.free)
-    prepared = prepare_or_reject(db, formula, order)
-    serial = list(prepared.enumerate())
+    pipeline = plan_or_reject(db, formula, order)
+    serial = list(enumerate_answers(pipeline))
 
     for mode in modes:
-        parallel = list(
-            parallel_enumerate(prepared.pipeline, workers=workers, mode=mode)
-        )
+        parallel = list(parallel_enumerate(pipeline, workers=workers, mode=mode))
         assert parallel == serial, (
             f"mode={mode}: parallel answers (or their order) diverge from serial"
         )
@@ -105,26 +106,27 @@ class TestTernarySignature:
         assert_engine_matches(db, formula)
 
 
-class TestBatchDifferential:
-    """The QueryBatch path (cache + shared graphs) must match too."""
+class TestSessionDifferential:
+    """The session path (cache + shared graphs) must match too."""
 
     @given(
         db=structures(max_n=10),
         formula=formulas(free_count=2, max_depth=3, max_quantifiers=1),
     )
     @settings(max_examples=20, **SETTINGS)
-    def test_batch_matches_serial_and_oracle(self, db, formula):
+    def test_session_matches_serial_and_oracle(self, db, formula):
         order = sorted(formula.free)
-        prepared = prepare_or_reject(db, formula, order)
-        serial = list(prepared.enumerate())
+        serial = list(enumerate_answers(plan_or_reject(db, formula, order)))
 
-        with QueryBatch(db, workers=2, mode="thread") as batch:
-            first = batch.submit(formula, order=order).all()
-            # Resubmission hits the pipeline cache; answers must be identical.
-            second = batch.submit(formula, order=order).all()
+        with Database(db, workers=2) as session:
+            query = session.query(formula, order=order, backend="thread")
+            first = query.answers().all()
+            # Re-planning hits the pipeline cache; answers must be identical.
+            query = session.query(formula, order=order, backend="thread")
+            second = query.answers().all()
             assert first == serial
             assert second == serial
-            assert batch.stats()["hits"] >= 1
+            assert session.stats()["hits"] >= 1
 
         oracle = set(product_enumerate(formula, db, order=order))
         assert set(first) == oracle
@@ -141,9 +143,7 @@ class TestProcessMode:
 
     @pytest.mark.parametrize("text", QUERIES)
     def test_process_pool_matches_serial(self, medium_colored, text):
-        prepared = prepare(medium_colored, text)
-        serial = list(prepared.enumerate())
-        parallel = list(
-            parallel_enumerate(prepared.pipeline, workers=2, mode="process")
-        )
+        pipeline = plan(medium_colored, text)
+        serial = list(enumerate_answers(pipeline))
+        parallel = list(parallel_enumerate(pipeline, workers=2, mode="process"))
         assert parallel == serial

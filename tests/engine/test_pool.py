@@ -17,9 +17,13 @@ import time
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro import prepare
-from repro.engine import QueryBatch, WorkerPool, parallel_count
+from repro.core.counting import count_answers
+from repro.core.enumeration import enumerate_answers
+from repro.engine import WorkerPool, parallel_count
 from repro.errors import EngineError
+from repro.session import Database
+
+from planning import plan
 
 EXAMPLE = "B(x) & R(y) & ~E(x,y)"
 
@@ -63,12 +67,12 @@ class TestLazyStart:
             assert pool.stats()["thread_pool_live"] == 1
             assert pool.stats()["process_pool_live"] == 0
 
-    def test_serial_batch_never_starts_a_pool(self, small_colored, no_leaks):
-        with QueryBatch(small_colored) as batch:
-            handle = batch.submit(EXAMPLE)
+    def test_serial_session_never_starts_a_pool(self, small_colored, no_leaks):
+        with Database(small_colored) as db:
+            handle = db.query(EXAMPLE, backend="serial").answers()
             handle.all()
             handle.count()
-            stats = batch.stats()
+            stats = db.stats()
             assert stats["pool_thread_pool_live"] == 0
             assert stats["pool_process_pool_live"] == 0
 
@@ -98,12 +102,13 @@ class TestWarmReuse:
             second = pool.submit("process", os.getpid).result(timeout=60)
             assert first == second, "warm pool must reuse its worker process"
 
-    def test_batch_reuses_pool_across_queries(self, medium_colored, no_leaks):
-        serial = list(prepare(medium_colored, EXAMPLE).enumerate())
-        with QueryBatch(medium_colored, workers=2, mode="thread") as batch:
-            assert batch.submit(EXAMPLE).all() == serial
-            assert batch.submit("B(x) & R(y) & E(x,y)").all() is not None
-            stats = batch.stats()
+    def test_session_reuses_pool_across_queries(self, medium_colored, no_leaks):
+        serial = list(enumerate_answers(plan(medium_colored, EXAMPLE)))
+        with Database(medium_colored, workers=2) as db:
+            assert db.query(EXAMPLE, backend="thread").answers().all() == serial
+            other = db.query("B(x) & R(y) & E(x,y)", backend="thread")
+            assert other.answers().all() is not None
+            stats = db.stats()
             assert stats["pool_thread_pool_live"] == 1
             assert stats["pool_submits"] > 0
 
@@ -131,14 +136,14 @@ class TestClose:
         pool.close()
         # no_leaks asserts every pool thread and child process is gone
 
-    def test_closed_batch_rejects_submissions(self, small_colored):
-        batch = QueryBatch(small_colored)
-        batch.close()
-        batch.close()  # idempotent
+    def test_closed_session_rejects_queries(self, small_colored):
+        db = Database(small_colored)
+        db.close()
+        db.close()  # idempotent
         with pytest.raises(EngineError):
-            batch.submit(EXAMPLE)
+            db.query(EXAMPLE)
         with pytest.raises(EngineError):
-            batch.count(EXAMPLE)
+            db.count(EXAMPLE)
 
 
 class TestCrashRestart:
@@ -170,17 +175,15 @@ class TestCrashRestart:
     def test_parallel_count_retry_after_crash(self, medium_colored, no_leaks):
         """A query-level retry after a worker crash must succeed and
         return the exact serial count, on the restarted pool."""
-        prepared = prepare(medium_colored, EXAMPLE)
-        from repro.core.counting import count_answers
-
-        serial = count_answers(prepared.pipeline)
+        pipeline = plan(medium_colored, EXAMPLE)
+        serial = count_answers(pipeline)
         with WorkerPool(1) as pool:
             self._kill_one_worker(pool)
             deadline = time.monotonic() + 60
             while True:
                 try:
                     got = parallel_count(
-                        prepared.pipeline, workers=1, mode="process", pool=pool
+                        pipeline, workers=1, mode="process", pool=pool
                     )
                     break
                 except BrokenProcessPool:

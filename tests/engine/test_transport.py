@@ -1,7 +1,7 @@
 """The columnar answer transport: codec units + differential suite.
 
-The transport's contract is exact: for every (backend, codec, chunk
-size) configuration the merged answer sequence — set AND order — must be
+The transport's contract is exact: for every (backend, chunk size)
+configuration the merged answer sequence — set AND order — must be
 byte-identical to serial enumeration, including ternary relations,
 nested quantifiers, and non-integer domain elements routed through the
 intern table.
@@ -19,7 +19,6 @@ from repro.engine.transport import (
     TransferStats,
     encode_answers,
     estimate_encoded_bytes,
-    resolve_transport,
     width_for,
 )
 from repro.errors import EngineError
@@ -29,7 +28,6 @@ from repro.structures import Signature, Structure
 # Chunk sizes the differential sweep exercises: degenerate (1), prime &
 # misaligned with every answer count (7), and the cost-model default.
 CHUNK_SIZES = (1, 7, None)
-TRANSPORTS = ("columnar", "pickle")
 
 
 class TestInternTable:
@@ -120,12 +118,6 @@ class TestColumnarCodec:
         assert 0 < small < large
         assert estimate_encoded_bytes(0, 2, 1, 100) == 0
 
-    def test_resolve_transport(self):
-        assert resolve_transport(None) == "columnar"
-        assert resolve_transport("pickle") == "pickle"
-        with pytest.raises(EngineError):
-            resolve_transport("carrier-pigeon")
-
 
 class TestTransferStats:
     def test_accumulates(self):
@@ -172,30 +164,26 @@ def string_domain_structure() -> Structure:
 
 
 def sweep(db: Database, query: str) -> None:
-    """Every backend x transport x chunk size must equal serial exactly."""
+    """Every backend x chunk size must equal serial exactly."""
     serial = db.query(query, backend="serial").answers()
     expected = serial.all()
     expected_count = serial.count()
     for backend in ("serial", "thread", "process"):
-        for transport in TRANSPORTS:
-            for chunk_rows in CHUNK_SIZES:
-                answers = db.query(
-                    query,
-                    backend=backend,
-                    transport=transport,
-                    chunk_rows=chunk_rows,
-                ).answers()
-                label = f"{backend}/{transport}/chunk={chunk_rows}"
-                assert answers.page(0, 3) == expected[:3], label
-                assert answers.all() == expected, label
-                assert answers.count() == expected_count, label
-                if backend == "process":
-                    assert answers.transport_used == transport, label
-                    if transport == "columnar" and expected:
-                        assert answers.transport_stats.rows == len(expected), label
-                        assert answers.transport_stats.bytes_received > 0, label
-                else:
-                    assert answers.transport_used == "none", label
+        for chunk_rows in CHUNK_SIZES:
+            answers = db.query(
+                query, backend=backend, chunk_rows=chunk_rows
+            ).answers()
+            label = f"{backend}/chunk={chunk_rows}"
+            assert answers.page(0, 3) == expected[:3], label
+            assert answers.all() == expected, label
+            assert answers.count() == expected_count, label
+            if backend == "process":
+                assert answers.transport_used == "columnar", label
+                if expected:
+                    assert answers.transport_stats.rows == len(expected), label
+                    assert answers.transport_stats.bytes_received > 0, label
+            else:
+                assert answers.transport_used == "none", label
 
 
 class TestTransportDifferential:
@@ -251,16 +239,6 @@ class TestExplainReportsTransport:
             text = plan.describe()
             assert "transport: columnar" in text
             assert f"chunk_rows: {plan.chunk_rows}" in text
-
-    def test_pickle_plan_reports_pickle(self, small_colored):
-        with Database(small_colored, workers=2) as db:
-            plan = db.query(
-                "B(x) & R(y)", backend="process", transport="pickle"
-            ).explain()
-            assert plan.transport == "pickle"
-            assert plan.chunk_rows is None
-            assert plan.transfer_bytes > 0
-            assert "transport: pickle" in plan.describe()
 
     def test_in_process_plan_reports_zero_copy(self, small_colored):
         with Database(small_colored, workers=2) as db:

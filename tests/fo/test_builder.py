@@ -71,11 +71,12 @@ class TestCompose:
             Q()
 
     def test_builder_queries_run_through_pipeline(self, small_colored):
-        from repro import prepare
+        from repro import Database
         from repro.fo.semantics import naive_answers
 
         query = Q.B(x) & Q.R(y) & ~Q.E(x, y)
-        prepared = prepare(small_colored, query, order=(x, y))
-        assert sorted(prepared.enumerate()) == sorted(
+        with Database(small_colored) as db:
+            got = db.query(query, order=(x, y)).answers().all()
+        assert sorted(got) == sorted(
             naive_answers(query, small_colored, order=(x, y))
         )

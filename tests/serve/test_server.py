@@ -17,11 +17,18 @@ QUERY = "B(x) & R(y) & ~E(x,y)"
 
 
 @pytest.fixture
-def no_leaks():
-    """Snapshot live threads/children; fail if the test leaks either."""
+def no_leaks(db):
+    """Snapshot live threads/children; fail if the test leaks either.
+
+    Depends on ``db`` and closes it before checking: the registry entry
+    is added with ``close_on_shutdown=False``, so the session's lazily
+    started worker pool outlives the server and is the test's to close
+    (closing is idempotent, so ``db``'s own teardown stays harmless).
+    """
     threads_before = set(threading.enumerate())
     children_before = set(multiprocessing.active_children())
     yield
+    db.close()
     deadline = time.monotonic() + 10
     leaked_threads: list = []
     leaked_children: list = []

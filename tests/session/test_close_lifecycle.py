@@ -13,11 +13,9 @@ import asyncio
 import multiprocessing
 import threading
 import time
-import warnings
 
 import pytest
 
-from repro.engine import AsyncQueryBatch
 from repro.errors import EngineError
 from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
@@ -123,18 +121,6 @@ class TestCloseIdempotency:
             await handle.apage(0, size=2)
             db.close()
             await handle.acancel()
-
-        asyncio.run(scenario())
-
-    def test_legacy_async_batch_close_with_handles(self, structure, no_leaks):
-        async def scenario():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                async with AsyncQueryBatch(structure, workers=2) as batch:
-                    handle = await batch.submit(EXAMPLE)
-                    await handle.page(0, size=2)
-                # closed with the handle mid-consumption
-                await handle.cancel()
 
         asyncio.run(scenario())
 

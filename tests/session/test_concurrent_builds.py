@@ -15,8 +15,6 @@ import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 import repro.session.database as database_module
 from repro.core.pipeline import Pipeline
 from repro.session import Database
@@ -60,16 +58,18 @@ class TestDistinctQueriesOverlap:
     def test_async_submits_overlap(self, small_colored, monkeypatch):
         probe = _BarrierPipeline(parties=2)
         monkeypatch.setattr(database_module, "Pipeline", probe)
-        from repro.engine.aio import AsyncQueryBatch
 
         async def scenario():
-            with pytest.warns(DeprecationWarning):
-                batch = AsyncQueryBatch(small_colored)
-            async with batch:
+            loop = asyncio.get_running_loop()
+            with Database(small_colored) as db:
                 first, second = await asyncio.gather(
-                    batch.submit(QUERY_A), batch.submit(QUERY_B)
+                    loop.run_in_executor(None, db.query, QUERY_A),
+                    loop.run_in_executor(None, db.query, QUERY_B),
                 )
-                return await first.count(), await second.count()
+                return (
+                    await first.answers().acount(),
+                    await second.answers().acount(),
+                )
 
         counts = asyncio.run(scenario())
         assert probe.builds == 2

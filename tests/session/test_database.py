@@ -85,6 +85,28 @@ class TestQueryBasics:
             assert db.test(EXAMPLE, want[0])
 
 
+class TestQueryOptions:
+    def test_default_variable_order_is_sorted(self, db):
+        assert [v.name for v in db.query("R(y) & B(x)").variables] == ["x", "y"]
+
+    def test_explicit_order(self, db, structure):
+        q = db.query("R(y) & B(x)", order=["y", "x"])
+        assert [v.name for v in q.variables] == ["y", "x"]
+        for answer in q.answers().all():
+            assert structure.has_fact("R", answer[0])
+            assert structure.has_fact("B", answer[1])
+
+    def test_skip_mode_override(self, db):
+        lazy = db.query(EXAMPLE, skip_mode="lazy").answers().all()
+        strict = db.query(EXAMPLE, skip_mode="precompute").answers().all()
+        assert lazy == strict
+
+    def test_stats(self, db, structure):
+        stats = db.query(EXAMPLE).stats()
+        assert stats["arity"] == 2
+        assert stats["structure_size"] == structure.cardinality
+
+
 class TestBackends:
     @pytest.mark.parametrize("backend", ["serial", "thread", "auto"])
     def test_forced_backends_agree(self, db, structure, backend):
@@ -358,13 +380,20 @@ class TestDynamicUpdates:
             assert answers.all() == expected
 
     def test_external_mutation_falls_back_to_invalidation(self, structure):
-        # guard_writes=False opts back into the legacy contract where
-        # out-of-band mutations are tolerated via invalidation; guarded
-        # sessions (the default) refuse them at the add_fact call.
-        with Database(structure, guard_writes=False) as db:
+        # Only the session that installed the write guard lifts it on
+        # close, so a second session on the same structure is left
+        # unguarded: a direct mutation then reaches it behind its back and
+        # the fingerprint-keyed cache must rebuild rather than serve stale.
+        owner = Database(structure)
+        with Database(structure) as db:
             q = db.query(EXAMPLE)
             before = q.pipeline
+            handle = q.answers()
+            handle.page(0, size=2)  # open, not exhausted
+            owner.close()
             structure.add_fact("B", missing_unary(structure))  # behind our back
+            with pytest.raises(StaleResultError):
+                handle.page(2, size=2)
             assert q.pipeline is not before, "stale pipeline served"
             assert sorted(q.answers().all()) == oracle(structure)
             assert db.stats()["maintained_plans"] == 1  # re-attached on rebuild

@@ -375,9 +375,3 @@ class TestWriteGuard:
         db = Database(structure)
         db.close()
         structure.add_fact("B", missing_unary(structure))  # fine again
-
-    def test_guard_opt_out(self):
-        structure = fresh_structure()
-        with Database(structure, guard_writes=False) as db:
-            structure.add_fact("B", missing_unary(structure))
-            assert db is not None

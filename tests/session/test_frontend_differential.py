@@ -1,24 +1,25 @@
 """Front-end differential suite: every entry point, one answer.
 
-The acceptance contract of the session refactor: for a corpus of
-(structure, query) pairs — including ternary relations and nested
-quantifiers — ``Database.query(...)`` must produce *byte-identical*
-enumeration order, exact-equal counts, and identical test verdicts
-versus every legacy front-end (``prepare``/``PreparedQuery``,
-``QueryBatch``/``ResultHandle``, ``AsyncQueryBatch``), on both fixed
-corpus queries and Hypothesis-generated random structures/formulas.
+For a corpus of (structure, query) pairs — including ternary relations
+and nested quantifiers — ``Database.query(...)`` must produce
+*byte-identical* enumeration order, exact-equal counts, and identical
+test verdicts versus every other face of the same session (the awaitable
+``Answers`` methods, a pinned ``snapshot()``) and versus the paper's
+algorithms run directly on the planned pipeline, on both fixed corpus
+queries and Hypothesis-generated random structures/formulas.
 """
 
 from __future__ import annotations
 
 import asyncio
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import Database, prepare
-from repro.engine import AsyncQueryBatch, QueryBatch
+from repro import Database
+from repro.core.counting import count_answers
+from repro.core.enumeration import enumerate_answers
+from repro.core.testing import test_answer
 from repro.fo import parse
 from repro.fo.semantics import naive_answers
 
@@ -53,13 +54,6 @@ TERNARY_CORPUS = [
 ]
 
 
-def quiet(fn, *args, **kwargs):
-    """Run a deprecated front-end without polluting the warning log."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
-
-
 def front_end_results(structure, formula, order):
     """(answers, count, verdicts) from each front-end, same inputs."""
     probes = []
@@ -87,22 +81,25 @@ def front_end_results(structure, formula, order):
         )
     }
 
-    prepared = quiet(prepare, structure, formula, order=order)
-    results["prepare"] = capture(
-        list(prepared.enumerate()), prepared.count(), prepared.test
+    pipeline = session_query.pipeline
+    results["core"] = capture(
+        list(enumerate_answers(pipeline)),
+        count_answers(pipeline),
+        lambda probe: test_answer(pipeline, probe),
     )
 
-    with quiet(QueryBatch, structure) as batch:
-        handle = batch.submit(formula, order=order)
-        results["batch"] = capture(handle.all(), handle.count(), handle.test)
+    with session_db.snapshot() as snapshot:
+        pinned = snapshot.query(formula, order=order)
+        results["snapshot"] = capture(
+            pinned.answers().all(), pinned.count(), pinned.test
+        )
 
     async def async_face():
-        async with quiet(AsyncQueryBatch, structure) as async_batch:
-            handle = await async_batch.submit(formula, order=order)
-            answers = await handle.all()
-            count = await handle.count()
-            verdicts = [await handle.test(probe) for probe in probes]
-            return {"answers": answers, "count": count, "verdicts": verdicts}
+        handle = session_db.query(formula, order=order).answers()
+        answers = await handle.aall()
+        count = await handle.acount()
+        verdicts = [await handle.atest(probe) for probe in probes]
+        return {"answers": answers, "count": count, "verdicts": verdicts}
 
     results["asyncio"] = asyncio.run(async_face())
     session_db.close()
@@ -123,7 +120,7 @@ def assert_front_ends_agree(structure, formula_text_or_formula):
     oracle = set(naive_answers(formula, structure, order=order))
     assert set(reference["answers"]) == oracle
     assert reference["count"] == len(oracle)
-    # ... and every legacy front-end byte-for-byte (order included).
+    # ... and every other face byte-for-byte (order included).
     for name, result in results.items():
         assert result["answers"] == reference["answers"], (
             f"{name}: answers (or their order) diverge from the session"

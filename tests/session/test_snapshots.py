@@ -9,19 +9,17 @@ The acceptance contract of the snapshot redesign:
   proves the overlap is real, not accidental serialization);
 * ``db.snapshot()`` pins a version: its queries, counts, and verdicts
   are frozen at that version no matter how many commits follow;
-* the legacy engine facades keep the historical raise-on-mutation
-  contract behind the deprecation shim.
+* a direct structure mutation behind the session's back is refused by
+  the write guard.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 
 import pytest
 
 from repro.core.enumeration import enumerate_answers
-from repro.engine import QueryBatch
 from repro.errors import EngineError, StaleResultError
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
@@ -161,9 +159,13 @@ class TestSnapshotReads:
                 assert not live.pinned
 
     def test_direct_mutation_still_raises_on_snapshot(self, structure):
-        # guard_writes=False: the legacy tolerate-and-detect contract.
-        with Database(structure, guard_writes=False) as db:
+        # A second session on a structure another session guards installs
+        # no guard of its own; once the guarding session closes, direct
+        # mutations go through and the snapshot detects them.
+        owner = Database(structure)
+        with Database(structure) as db:
             snap = db.snapshot()
+            owner.close()
             structure.add_fact("B", missing_unary(structure))  # behind our back
             with pytest.raises(StaleResultError):
                 snap.query(EXAMPLE)
@@ -447,29 +449,3 @@ class TestConcurrentStress:
             )
             assert sorted(db.query(EXAMPLE).answers().all()) == want
             assert db.stats()["pinned_versions"] == 0, "pins leaked"
-
-
-class TestLegacyFacadeKeepsRaising:
-    def test_querybatch_handle_raises_after_session_commit(self, structure):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with QueryBatch(structure) as batch:
-                handle = batch.submit(EXAMPLE)
-                handle.page(0, size=2)
-                # A *session* commit on the batch's underlying database
-                # forks (nothing pins here, but the facade still reports
-                # staleness through the head-version probe).
-                batch.database.insert_fact("B", missing_unary(structure))
-                assert handle.stale
-                with pytest.raises(StaleResultError):
-                    handle.all()
-
-    def test_querybatch_handle_raises_on_direct_mutation(self, structure):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with QueryBatch(structure) as batch:
-                handle = batch.submit(EXAMPLE)
-                handle.page(0, size=2)
-                structure.add_fact("B", missing_unary(structure))
-                with pytest.raises(StaleResultError):
-                    handle.all()

@@ -4,7 +4,6 @@ from repro.storage.cost_model import (
     COLUMNAR_BYTES_PER_VALUE,
     MAX_CHUNK_ROWS,
     MIN_CHUNK_ROWS,
-    PICKLE_BYTES_PER_VALUE,
     CostMeter,
     choose_execution_mode,
     default_chunk_rows,
@@ -67,8 +66,10 @@ class TestCostMeter:
 class TestTransferTerm:
     def test_transfer_work_scales_with_rows_and_width(self):
         thin = estimate_transfer_work([100, 100], 2, COLUMNAR_BYTES_PER_VALUE)
-        fat = estimate_transfer_work([100, 100], 2, PICKLE_BYTES_PER_VALUE)
-        assert 0 < thin < fat
+        wide = estimate_transfer_work([100, 100], 3, COLUMNAR_BYTES_PER_VALUE)
+        fat = estimate_transfer_work([100, 100], 2, 3 * COLUMNAR_BYTES_PER_VALUE)
+        assert 0 < thin < wide
+        assert thin < fat
 
     def test_transfer_work_zero_for_empty_branch(self):
         assert estimate_transfer_work([100, 0], 2, 4) == 0

@@ -1,5 +1,7 @@
 """Tests for the plain-text structure format."""
 
+import time
+
 import pytest
 
 from repro.errors import ReproError
@@ -65,6 +67,24 @@ class TestRoundTrip:
     def test_facts_before_domain_line_are_deferred(self):
         text = "signature E/2\nE 0 1\ndomain 0 1\n"
         assert loads(text).has_fact("E", 0, 1)
+
+
+class TestCost:
+    def test_dumps_of_fresh_structure_is_linear(self):
+        """Regression: ``Structure.order`` used to rebuild its
+        ``DomainOrder`` on every access while the adjacency caches were
+        dirty, so ``dumps`` of a fresh, copied or forked structure was
+        quadratic (22 s against 0.1 s for ``loads`` at n=8000)."""
+        fresh = random_colored_graph(8000)
+        dumps_s, loads_s = [], []
+        for _ in range(3):
+            started = time.perf_counter()
+            text = dumps(fresh)
+            dumps_s.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            fresh = loads(text)  # fresh again: adjacency never built
+            loads_s.append(time.perf_counter() - started)
+        assert min(dumps_s) <= 3 * min(loads_s)
 
 
 class TestErrors:

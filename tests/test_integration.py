@@ -9,8 +9,10 @@ from the naive semantics.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import prepare
+from repro import Database
+from repro.core.enumeration import enumerate_answers
 from repro.errors import UnsupportedQueryError
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers, naive_test
@@ -29,31 +31,33 @@ x, y = Var("x"), Var("y")
 def assert_all_operations_match(db, query, reject_unsupported=False):
     order = sorted(query.free)
     want = sorted(naive_answers(query, db, order=order))
-    if reject_unsupported:
-        # Fuzzing only: formulas whose clause expansion trips the
-        # pipeline's max_units budget are outside the supported fragment
-        # (same convention as the engine differential suites), not bugs.
-        with rejecting_unsupported():
-            prepared = prepare(db, query, order=order)
-    else:
-        prepared = prepare(db, query, order=order)
+    with Database(db) as session:
+        if reject_unsupported:
+            # Fuzzing only: formulas whose clause expansion trips the
+            # pipeline's max_units budget are outside the supported
+            # fragment (same convention as the engine differential
+            # suites), not bugs.
+            with rejecting_unsupported():
+                prepared = session.query(query, order=order)
+        else:
+            prepared = session.query(query, order=order)
 
-    got = sorted(prepared.enumerate(validate=True))
-    assert got == want, "enumeration diverges from the oracle"
-    assert len(set(got)) == len(got), "enumeration repeated a tuple"
+        got = sorted(enumerate_answers(prepared.pipeline, validate=True))
+        assert got == want, "enumeration diverges from the oracle"
+        assert len(set(got)) == len(got), "enumeration repeated a tuple"
 
-    assert prepared.count() == len(want), "count diverges from the oracle"
+        assert prepared.count() == len(want), "count diverges from the oracle"
 
-    want_set = set(want)
-    domain = list(db.domain)
-    arity = prepared.arity
-    probes = list(want_set)[:20]
-    if arity == 1:
-        probes += [(a,) for a in domain[:10]]
-    elif arity == 2:
-        probes += [(a, b) for a in domain[:5] for b in domain[:5]]
-    for probe in probes:
-        assert prepared.test(probe) == (probe in want_set), f"test({probe})"
+        want_set = set(want)
+        domain = list(db.domain)
+        arity = prepared.arity
+        probes = list(want_set)[:20]
+        if arity == 1:
+            probes += [(a,) for a in domain[:10]]
+        elif arity == 2:
+            probes += [(a, b) for a in domain[:5] for b in domain[:5]]
+        for probe in probes:
+            assert prepared.test(probe) == (probe in want_set), f"test({probe})"
 
 
 class TestCorpusIntegration:
@@ -91,16 +95,20 @@ class TestMaxUnitsBudget:
 
     def test_fuzzing_helper_converts_it_to_a_rejection(self, small_colored):
         # The exact path every differential suite takes: with
-        # reject_unsupported the formula becomes an UnsatisfiedAssumption
-        # ("draw again"), never an error or a divergence report.
-        from hypothesis.errors import UnsatisfiedAssumption
+        # reject_unsupported the formula becomes a rejected draw ("draw
+        # again"), never an error or a divergence report — so a property
+        # test that only ever draws it is unsatisfiable.
+        from hypothesis.errors import Unsatisfiable
 
-        with pytest.raises(UnsatisfiedAssumption):
+        @given(text=st.just(MAX_UNITS_FLAKY_FORMULA))
+        @settings(max_examples=1, deadline=None, database=None)
+        def draw(text):
             assert_all_operations_match(
-                small_colored,
-                parse(MAX_UNITS_FLAKY_FORMULA),
-                reject_unsupported=True,
+                small_colored, parse(text), reject_unsupported=True
             )
+
+        with pytest.raises(Unsatisfiable):
+            draw()
 
 
 class TestFuzzing:

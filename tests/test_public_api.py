@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import Q, Signature, Structure, Var, model_check, parse, prepare
+from repro import Database, Q, Signature, Structure, Var, model_check, parse
 
 
 class TestExports:
@@ -36,6 +36,12 @@ class TestExports:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.not_a_thing
+        with pytest.raises(AttributeError):
+            repro.errors.NoSuchError
+
+    def test_removed_front_ends_are_gone(self):
+        for name in ("prepare", "QueryBatch", "AsyncQueryBatch", "ResultCancelledError"):
+            assert not hasattr(repro, name), name
 
     def test_dynamic_query_lazy_import(self):
         from repro.core.dynamic import DynamicQuery
@@ -79,10 +85,11 @@ class TestTopLevelHelpers:
         structure.add_fact("E", 2, 0)
         return structure
 
-    def test_prepare_roundtrip(self, db):
-        prepared = prepare(db, "B(x) & R(y) & ~E(x,y)")
-        assert prepared.count() == 0  # the only blue-red pair is an edge
-        assert not prepared.test((0, 2))
+    def test_database_roundtrip(self, db):
+        with Database(db) as session:
+            query = session.query("B(x) & R(y) & ~E(x,y)")
+            assert query.count() == 0  # the only blue-red pair is an edge
+            assert not query.test((0, 2))
 
     def test_model_check_accepts_text(self, db):
         assert model_check("exists x. B(x)", db)
