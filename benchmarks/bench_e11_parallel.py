@@ -9,8 +9,8 @@ count on multi-core hardware.
 Two entry points:
 
 * pytest-benchmark functions (``pytest benchmarks/bench_e11_parallel.py
-  --benchmark-only``), group "E11-parallel": serial vs. thread vs. warm
-  process pool on the 5-branch triple workload;
+  --benchmark-only``), group "E11-parallel": serial vs. warm process
+  pool on the 5-branch triple workload;
 * a standalone harness (``python benchmarks/bench_e11_parallel.py``)
   that measures speedup and **fails (exit 1) on any parallel/serial
   divergence** — CI runs it with ``--smoke`` on a tiny workload.
@@ -100,11 +100,6 @@ def run_harness(n: int, workers: int, require_speedup: bool) -> int:
         if not identical:
             failures += 1
 
-    # Thread pool (shares the armed parent pipeline; GIL-bound).
-    started = time.perf_counter()
-    threaded = list(parallel_enumerate(pipeline, workers=workers, mode="thread"))
-    check("thread ", threaded, time.perf_counter() - started)
-
     # Warmed process pool: the service regime.  Worker rebuild time is
     # reported separately — it is preprocessing, paid once per worker.
     with WorkerPool(workers) as pool:
@@ -180,18 +175,6 @@ if pytest is not None:
     def bench_serial_enumeration(benchmark, triple_pipeline):
         result = benchmark(
             lambda: sum(1 for _ in parallel_enumerate(triple_pipeline, mode="serial"))
-        )
-        assert result > 0
-
-    @pytest.mark.benchmark(group="E11-parallel")
-    def bench_thread_pool(benchmark, triple_pipeline):
-        result = benchmark(
-            lambda: sum(
-                1
-                for _ in parallel_enumerate(
-                    triple_pipeline, workers=4, mode="thread"
-                )
-            )
         )
         assert result > 0
 

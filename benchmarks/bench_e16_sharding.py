@@ -153,8 +153,9 @@ def check_streaming_first_page(structure, workers, report, failures):
                     mode="process",
                     pool=pool,
                     transfer_stats=stats,
+                    # 64-row chunks size each ring at the 4 KiB minimum:
+                    # forced backpressure.
                     chunk_rows=64,
-                    mailbox_bytes=4096,  # tiny ring: forced backpressure
                 )
             )
             elapsed = time.perf_counter() - started

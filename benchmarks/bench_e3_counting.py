@@ -11,7 +11,7 @@ Two entry points:
 * pytest-benchmark functions (``pytest benchmarks/bench_e3_counting.py
   --benchmark-only``), groups "E3-counting" / "E3-counting-parallel";
 * a standalone harness (``python benchmarks/bench_e3_counting.py``)
-  that times serial vs. thread vs. process counting over one long-lived
+  that times serial vs. process counting over one long-lived
   :class:`~repro.engine.pool.WorkerPool` and **fails (exit 1) on any
   parallel/serial count divergence** — CI runs it with ``--smoke``.
 """
@@ -61,15 +61,14 @@ def run_harness(n: int, workers: int) -> int:
 
     failures = 0
     with WorkerPool(workers) as pool:
-        for mode in ("thread", "process"):
-            started = time.perf_counter()
-            got = parallel_count(pipeline, workers=workers, mode=mode, pool=pool)
-            elapsed = time.perf_counter() - started
-            speedup = serial_elapsed / elapsed if elapsed > 0 else float("inf")
-            verdict = "exact" if got == serial else f"DIVERGED (got {got:,})"
-            print(f"{mode:7s}: {elapsed:.3f}s  speedup {speedup:.2f}x  [{verdict}]")
-            if got != serial:
-                failures += 1
+        started = time.perf_counter()
+        got = parallel_count(pipeline, workers=workers, mode="process", pool=pool)
+        elapsed = time.perf_counter() - started
+        speedup = serial_elapsed / elapsed if elapsed > 0 else float("inf")
+        verdict = "exact" if got == serial else f"DIVERGED (got {got:,})"
+        print(f"process: {elapsed:.3f}s  speedup {speedup:.2f}x  [{verdict}]")
+        if got != serial:
+            failures += 1
     if failures:
         print(f"FAIL: {failures} mode(s) diverged from the serial count")
         return 1
@@ -116,9 +115,8 @@ if pytest is not None:
         # Quadratically many answers, counted without enumerating them.
         assert count > n
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.benchmark(group="E3-counting-parallel")
-    def bench_parallel_count(benchmark, mode):
+    def bench_parallel_count(benchmark):
         """Parallel per-branch counting over a warm long-lived pool."""
         n = SIZES[-1]
         db = colored_graph(n, DEGREE)
@@ -126,14 +124,14 @@ if pytest is not None:
         serial = count_answers(pipeline)
         with WorkerPool(4) as pool:
             # Warm once (process workers rebuild the pipeline on first use).
-            parallel_count(pipeline, workers=4, mode=mode, pool=pool)
+            parallel_count(pipeline, workers=4, mode="process", pool=pool)
             count = benchmark.pedantic(
-                lambda: parallel_count(pipeline, workers=4, mode=mode, pool=pool),
+                lambda: parallel_count(pipeline, workers=4, mode="process", pool=pool),
                 rounds=3,
                 iterations=1,
             )
         benchmark.extra_info["n"] = n
-        benchmark.extra_info["mode"] = mode
+        benchmark.extra_info["mode"] = "process"
         assert count == serial, "parallel count diverged from serial"
 
     @pytest.mark.parametrize("n", [60, 120])

@@ -126,7 +126,7 @@ def e3_counting(sizes, workers=4):
             elapsed, count = timed(lambda p=pipeline: count_answers(p), repeats=2)
             par_elapsed, par_count = timed(
                 lambda p=pipeline: parallel_count(
-                    p, workers=workers, mode="thread", pool=pool
+                    p, workers=workers, mode="process", pool=pool
                 ),
                 repeats=2,
             )
@@ -134,7 +134,7 @@ def e3_counting(sizes, workers=4):
             rows.append((n, f"{elapsed:.3f}", f"{par_elapsed:.3f}", f"{count:,}"))
             times.append(elapsed)
             counts.append(count)
-    table(["n", "count time (s)", "parallel (s)", "|q(A)|"], rows)
+    table(["n", "count time (s)", "process (s)", "|q(A)|"], rows)
     print(
         f"fitted exponents — time: **{fitted_exponent(sizes, times):.2f}** "
         f"(claim ~1), answers: **{fitted_exponent(sizes, counts):.2f}** "
@@ -352,11 +352,6 @@ def e11_parallel(sizes, workers=4) -> None:
         serial_t, serial = timed(
             lambda: list(parallel_enumerate(pipeline, mode="serial"))
         )
-        thread_t, threaded = timed(
-            lambda: list(
-                parallel_enumerate(pipeline, workers=workers, mode="thread")
-            )
-        )
         with WorkerPool(workers) as pool:
             warm_pool(pool, pipeline, workers)
             process_t, processed = timed(
@@ -366,20 +361,18 @@ def e11_parallel(sizes, workers=4) -> None:
                     )
                 )
             )
-        identical = serial == threaded == processed
+        identical = serial == processed
         rows.append(
             (
                 n,
                 len(serial),
                 f"{serial_t:.3f}",
-                f"{thread_t:.3f}",
                 f"{process_t:.3f}",
                 identical,
             )
         )
     table(
-        ["n", "answers", "serial (s)", "thread (s)", "process warm (s)",
-         "identical"],
+        ["n", "answers", "serial (s)", "process warm (s)", "identical"],
         rows,
     )
     print("(speedup is hardware-bound — ~1x on one core, scaling with "

@@ -713,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--limit", type=int, default=0, help="answers to print")
     query_parser.add_argument(
         "--backend",
-        choices=["auto", "serial", "thread", "process"],
+        choices=["auto", "serial", "process"],
         default=None,
         help="force an execution backend (default: cost-model heuristic)",
     )
@@ -768,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_parser.add_argument(
         "--mode",
-        choices=["auto", "serial", "thread", "process"],
+        choices=["auto", "serial", "process"],
         default=None,
         help="force an execution backend (default: cost-model heuristic)",
     )

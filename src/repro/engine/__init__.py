@@ -3,7 +3,7 @@
 Layers on top of the paper's pipeline (:mod:`repro.core`):
 
 * :mod:`repro.engine.executor` — branch-parallel enumeration *and
-  counting* of one pipeline across a thread or process pool, with a
+  counting* of one pipeline across a process pool, with a
   deterministic merge that reproduces the serial answer order
   byte-for-byte (and, for :func:`parallel_count`, the exact serial
   count); every mode yields one stream of bounded answer chunks;

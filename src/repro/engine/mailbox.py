@@ -48,7 +48,6 @@ chunk list on the future.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from typing import Iterator, List, Optional
@@ -91,15 +90,11 @@ def mailbox_available() -> bool:
 
     Checked once per process: imports can succeed on platforms where
     ``shm_open`` is still denied (sealed containers), so the probe
-    creates and unlinks a minimal segment.  ``REPRO_MAILBOX=0`` forces
-    the chunks-on-the-future path; ``REPRO_MAILBOX=1`` re-probes every call
-    (used by tests to exercise the fallback toggles).
+    creates and unlinks a minimal segment.  Where it fails, process-mode
+    chunks ride the future instead.
     """
-    override = os.environ.get("REPRO_MAILBOX")
-    if override == "0":
-        return False
     global _AVAILABLE
-    if _AVAILABLE is None or override == "1":
+    if _AVAILABLE is None:
         if shared_memory is None:
             _AVAILABLE = False
         else:

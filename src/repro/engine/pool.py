@@ -1,14 +1,14 @@
 """A long-lived worker pool owned by each session.
 
-:class:`WorkerPool` fronts one :class:`~concurrent.futures.ThreadPoolExecutor`
-and one :class:`~concurrent.futures.ProcessPoolExecutor` behind a single
-``submit(mode, fn, *args)`` facade — the only route by which the engine
-runs parallel work (a call without a session pool gets one scoped to
-that call) — with the lifecycle a long-running service needs:
+:class:`WorkerPool` fronts one :class:`~concurrent.futures.ProcessPoolExecutor`
+behind a ``submit("process", fn, *args)`` facade — the only route by
+which the engine runs parallel work (a call without a session pool gets
+one scoped to that call) — with the lifecycle a long-running service
+needs:
 
 * **lazy start** — no OS resource exists until the first parallel
   submission; serial queries never pay for a pool;
-* **warm reuse** — once started, the same executors serve every
+* **warm reuse** — once started, the same executor serves every
   subsequent submission, so per-process pipeline memos
   (:mod:`repro.engine.executor`) amortize across queries;
 * **crash restart** — a killed or segfaulted worker process breaks a
@@ -17,28 +17,25 @@ that call) — with the lifecycle a long-running service needs:
   so one lost worker costs one failed (retryable) result instead of the
   whole service;
 * **explicit shutdown** — idempotent :meth:`close` (also via the context
-  manager protocol) joins every worker thread and process, so tests can
-  assert no leaks.
+  manager protocol) joins every worker process, so tests can assert no
+  leaks.
 
-The pool is thread-safe: submissions may arrive concurrently from answer
-handles, the asyncio faces' worker threads, and user code.
+There is no thread executor: CPython's GIL keeps threads from splitting
+CPU-bound enumeration, so parallel work goes to processes or stays
+serial.  The pool is thread-safe: submissions may arrive concurrently
+from answer handles, the asyncio faces' worker threads, and user code.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Callable, Dict, Optional
 
 from repro.errors import EngineError
 
-POOL_MODES = ("thread", "process")
+POOL_MODES = ("process",)
 
 
 def default_workers() -> int:
@@ -47,13 +44,12 @@ def default_workers() -> int:
 
 
 class WorkerPool:
-    """Lazily-started, restartable thread + process pools, one facade."""
+    """A lazily-started, restartable process pool."""
 
     def __init__(self, workers: Optional[int] = None):
         if workers is not None and workers < 1:
             raise EngineError(f"workers must be >= 1, got {workers}")
         self._requested_workers = workers
-        self._thread: Optional[ThreadPoolExecutor] = None
         self._process: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self._closed = False
@@ -93,19 +89,11 @@ class WorkerPool:
                 "submits": self._submits,
                 "restarts": self._restarts,
                 "bytes_received": self._bytes_received,
-                "thread_pool_live": int(self._thread is not None),
                 "process_pool_live": int(self._process is not None),
                 "closed": int(self._closed),
             }
 
     # -- executors (lazy) ----------------------------------------------
-
-    def _ensure_thread(self) -> ThreadPoolExecutor:
-        if self._thread is None:
-            self._thread = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-pool"
-            )
-        return self._thread
 
     def _ensure_process(self) -> ProcessPoolExecutor:
         if self._process is None:
@@ -119,15 +107,17 @@ class WorkerPool:
         settling its workers); regular work should go through
         :meth:`submit`, which adds the broken-pool restart.
         """
+        self._check_mode(mode)
         with self._lock:
             self._check_open()
-            if mode == "thread":
-                return self._ensure_thread()
-            if mode == "process":
-                return self._ensure_process()
-        raise EngineError(
-            f"unknown pool mode {mode!r}; choose from {POOL_MODES}"
-        )
+            return self._ensure_process()
+
+    @staticmethod
+    def _check_mode(mode: str) -> None:
+        if mode not in POOL_MODES:
+            raise EngineError(
+                f"unknown pool mode {mode!r}; choose from {POOL_MODES}"
+            )
 
     def _check_open(self) -> None:
         if self._closed:
@@ -136,22 +126,17 @@ class WorkerPool:
     # -- submission ----------------------------------------------------
 
     def submit(self, mode: str, fn: Callable, /, *args) -> Future:
-        """Schedule ``fn(*args)`` on the ``mode`` executor.
+        """Schedule ``fn(*args)`` on the ``mode`` (``"process"``) executor.
 
         A broken process executor (a worker died since the last
         submission) is replaced transparently: already-issued futures from
         the dead pool fail with ``BrokenProcessPool`` — retrying their
         originating operation re-submits here and lands on the fresh pool.
         """
-        if mode not in POOL_MODES:
-            raise EngineError(
-                f"unknown pool mode {mode!r}; choose from {POOL_MODES}"
-            )
+        self._check_mode(mode)
         with self._lock:
             self._check_open()
             self._submits += 1
-            if mode == "thread":
-                return self._ensure_thread().submit(fn, *args)
             try:
                 return self._ensure_process().submit(fn, *args)
             except BrokenExecutor:
@@ -168,15 +153,12 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down both executors, joining every worker.  Idempotent."""
+        """Shut down the executor, joining every worker.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            thread, self._thread = self._thread, None
             process, self._process = self._process, None
-        if thread is not None:
-            thread.shutdown(wait=True, cancel_futures=True)
         if process is not None:
             process.shutdown(wait=True, cancel_futures=True)
 

@@ -138,7 +138,9 @@ class CompiledQuery:
             statement=self.statement,
             columns=self.columns,
             stages=self._stages,
-            inner=self._query.explain(),
+            inner=self._query.explain(
+                limit=self._select.limit if self._push_limit else None
+            ),
         )
 
     # -- stages --------------------------------------------------------

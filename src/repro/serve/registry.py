@@ -13,7 +13,7 @@ Ownership: a database the registry opened (``create`` / ``open``)
 or was handed with ``close_on_shutdown=True`` is closed by ``close_all``
 — which also shuts down its worker pool.  One added with
 ``close_on_shutdown=False`` stays the caller's: the server never closes
-it, so its lazily started pool (threads and worker processes) lives on
+it, so its lazily started pool (worker processes) lives on
 after the server stops until the caller calls ``db.close()``.
 """
 

@@ -27,7 +27,7 @@ a concurrent commit forks the head copy-on-write instead of raising
 ``db.apply(changeset)``: one lock acquisition, one fingerprint roll,
 one maintenance pass per cached plan, one cache re-key per commit.
 
-Execution strategy (serial / thread / process) is chosen per plan by the
+Execution strategy (serial / process) is chosen per plan by the
 cost model and overridable via ``db.query(..., backend=...)`` — see
 :mod:`repro.session.backends`.
 """
@@ -38,7 +38,6 @@ from repro.session.backends import (
     BACKENDS,
     PROCESS,
     SERIAL,
-    THREAD,
     ExecutionBackend,
     ExecutionPlan,
     PoolBackend,
@@ -71,7 +70,6 @@ __all__ = [
     "QueryPlan",
     "SERIAL",
     "Snapshot",
-    "THREAD",
     "Transaction",
     "load_changeset_jsonl",
     "resolve_backend",

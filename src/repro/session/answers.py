@@ -37,7 +37,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import weakref
-from itertools import islice
 from typing import (
     AsyncIterator,
     Hashable,
@@ -48,11 +47,9 @@ from typing import (
     Tuple,
 )
 
-from repro.core.counting import trivial_count
-from repro.core.enumeration import trivial_answers
 from repro.core.pipeline import Pipeline
 from repro.core.testing import test_answer
-from repro.engine.executor import resolve_chunk_rows, run_branches_raw
+from repro.engine.executor import resolve_chunk_rows, run_branches
 from repro.engine.pool import WorkerPool
 from repro.engine.transport import TransferStats
 from repro.errors import (
@@ -78,8 +75,8 @@ class Answers:
 
     The *merge* is lazy — pages pull only as many answer chunks (at
     most ``chunk_rows`` rows each) as they need.  In serial mode partial
-    consumption only pays for the chunks it touched; in thread/process
-    mode every work unit is submitted to the pool on first access (they
+    consumption only pays for the chunks it touched; in process mode
+    every work unit is submitted to the pool on first access (they
     compute concurrently), and laziness governs only when results are
     drained.
     """
@@ -246,21 +243,7 @@ class Answers:
     # -- lazy production -----------------------------------------------
 
     def _ensure_source(self) -> None:
-        if self._source is not None or self._done:
-            return
-        if self._pipeline.trivial is not None:
-            self._plan.used_mode = "serial"
-            self._plan.used_transport = "none"
-            answers = trivial_answers(self._pipeline)
-            if self._project_columns is not None:
-                columns = self._project_columns
-                answers = (
-                    tuple(row[i] for i in columns) for row in answers
-                )
-            if self._row_budget is not None:
-                answers = islice(answers, self._row_budget)
-            self._source = iter([list(answers)])
-        else:
+        if self._source is None and not self._done:
             self._source = self._backend.run(self._plan)
 
     def _pull(self, needed: Optional[int]) -> None:
@@ -364,9 +347,6 @@ class Answers:
                 # thanks to the early-stop path, and seals the handle.
                 self._pull(None)
                 self._count = len(self._answers)
-            elif self._pipeline.trivial is not None:
-                self._plan.used_count_mode = "serial"
-                self._count = trivial_count(self._pipeline)
             else:
                 self._count = self._backend.count(self._plan)
         return self._count
@@ -653,10 +633,10 @@ class EncodedAnswers:
 
     The substrate of the serve tier's ``wire="columnar"`` cursors:
     :meth:`chunks` yields the byte buffers produced by
-    :func:`repro.engine.executor.run_branches_raw` — in process mode
-    they come straight off the workers, never decoded in this process
-    (``transport_stats.rows`` stays 0), so a server can forward them
-    worker→socket.  The receiving side rebuilds rows with
+    :func:`repro.engine.executor.run_branches` with ``encoded=True`` —
+    in process mode they come straight off the workers, never decoded
+    in this process (``transport_stats.rows`` stays 0), so a server can
+    forward them worker→socket.  The receiving side rebuilds rows with
     ``ColumnarCodec(InternTable(intern_elements))``; concatenated, they
     equal the serial enumeration order exactly.
 
@@ -740,7 +720,7 @@ class EncodedAnswers:
         if self._exhausted:
             return None
         if self._source is None:
-            self._source = run_branches_raw(
+            self._source = run_branches(
                 self._pipeline,
                 workers=self._workers,
                 skip_mode=self._skip_mode,
@@ -748,6 +728,7 @@ class EncodedAnswers:
                 pool=self._pool,
                 chunk_rows=self._requested_chunk_rows,
                 transfer_stats=self._stats,
+                encoded=True,
             )
         try:
             return next(self._source)

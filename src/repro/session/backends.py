@@ -1,11 +1,11 @@
 """Pluggable execution strategies for the session layer.
 
 An :class:`ExecutionBackend` decides *where* a plan's branch work runs —
-serially in the caller, on the session's shared thread pool, or across
-worker processes — while the answer semantics stay identical in every
-mode: the deterministic branch-order merge makes the output
-byte-identical to serial enumeration, and per-branch counting sums to the
-exact serial count.
+serially in the caller or across the session's worker processes —
+while the answer semantics stay identical in every mode: the
+deterministic branch-order merge makes the output byte-identical to
+serial enumeration, and per-branch counting sums to the exact serial
+count.
 
 The default is :data:`AUTO`, which applies the cost-model heuristics
 (:func:`repro.engine.executor.decide_mode` /
@@ -24,10 +24,10 @@ from typing import Hashable, Iterator, List, Optional, Protocol, Tuple, runtime_
 
 from repro.core.pipeline import Pipeline
 from repro.engine.executor import (
+    budget_mode,
     decide_count_mode,
     decide_mode,
     parallel_count,
-    resolve_chunk_rows,
     run_branches,
 )
 from repro.engine.pool import WorkerPool
@@ -109,8 +109,12 @@ class PoolBackend:
         return f"<ExecutionBackend {self.name!r}>"
 
     def resolve(self, plan: ExecutionPlan) -> Tuple[str, int]:
-        """The concrete ``(mode, workers)`` enumeration would use."""
-        return decide_mode(plan.pipeline, plan.workers, self._mode)
+        """The concrete ``(mode, workers)`` enumeration would use (a
+        row budget that fits one chunk keeps ``auto`` serial)."""
+        mode = budget_mode(
+            plan.pipeline, self._mode, plan.row_budget, plan.chunk_rows
+        )
+        return decide_mode(plan.pipeline, plan.workers, mode)
 
     def resolve_count(self, plan: ExecutionPlan) -> Tuple[str, int]:
         """The concrete ``(mode, workers)`` counting would use."""
@@ -118,18 +122,6 @@ class PoolBackend:
 
     def run(self, plan: ExecutionPlan) -> Iterator[List[Answer]]:
         mode, workers = self.resolve(plan)
-        if (
-            self._mode is None
-            and plan.row_budget is not None
-            and mode != "serial"
-            and plan.row_budget
-            <= resolve_chunk_rows(plan.pipeline, plan.chunk_rows)
-        ):
-            # Constant delay bounds a budgeted run's useful work to
-            # O(budget) rows; for small budgets pool startup and shard
-            # materialization dominate, so auto stays serial.  A forced
-            # backend keeps its mode (the budget still truncates it).
-            mode, workers = "serial", 1
         plan.used_mode = mode
         plan.used_transport = "columnar" if mode == "process" else "none"
         return run_branches(
@@ -159,11 +151,10 @@ class PoolBackend:
 
 AUTO = PoolBackend("auto", None)
 SERIAL = PoolBackend("serial", "serial")
-THREAD = PoolBackend("thread", "thread")
 PROCESS = PoolBackend("process", "process")
 
 BACKENDS = {
-    backend.name: backend for backend in (AUTO, SERIAL, THREAD, PROCESS)
+    backend.name: backend for backend in (AUTO, SERIAL, PROCESS)
 }
 
 

@@ -272,7 +272,7 @@ class Database:
         """Preprocess (or cache-hit) ``query`` and return its plan object.
 
         ``backend`` forces an execution strategy (``"serial"`` /
-        ``"thread"`` / ``"process"``, or any
+        ``"process"``, or any
         :class:`~repro.session.backends.ExecutionBackend`); the default
         ``"auto"`` lets the cost model decide per plan.  ``budget`` (a
         :class:`repro.fo.localize.LocalizationBudget`) bypasses the cache

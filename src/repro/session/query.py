@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.counting import count_answers
 from repro.core.testing import test_answer
 from repro.engine.executor import (
     branch_works,
@@ -246,23 +245,31 @@ class Query:
         pinned to (``None`` for a live head query)."""
         return self._snapshot
 
-    @contextmanager
-    def _pinned(self):
-        """Resolve and hold a version pin for one read operation.
+    def _pin_resolved(self):
+        """``(pipeline, pin)``: the current pipeline and a version pin on it.
 
-        While the pin is held a concurrent commit takes the fork path,
-        so the resolved pipeline cannot be refreshed in place mid-read
-        (same guarantee :meth:`answers` gives its handles).  Snapshot
-        queries are pinned by construction.
+        Pin-or-retry: ``_pin_current`` is atomic with commits, so a won
+        pin guarantees the resolved pipeline is never refreshed in place
+        while the pin is held (a concurrent commit takes the fork path).
+        A snapshot query pins its snapshot's version for the handle.
         """
         if self._snapshot is not None:
-            yield self._resolve()
-            return
+            return self._resolve(), self._snapshot._pin_for_handle()
         while True:
             pipeline = self._resolve()
             pin = self._db._pin_current(self._resolved_version)
             if pin is not None:
-                break
+                return pipeline, pin
+
+    @contextmanager
+    def _pinned(self):
+        """Resolve and hold a version pin for one read operation (the
+        guarantee :meth:`answers` gives its handles).  Snapshot queries
+        are pinned by construction."""
+        if self._snapshot is not None:
+            yield self._resolve()
+            return
+        pipeline, pin = self._pin_resolved()
         try:
             yield pipeline
         finally:
@@ -291,7 +298,7 @@ class Query:
         """The requested execution strategy ("auto" unless forced)."""
         return self._backend.name
 
-    def _execution_plan(self, pipeline) -> ExecutionPlan:
+    def _execution_plan(self, pipeline, limit: Optional[int] = None) -> ExecutionPlan:
         return ExecutionPlan(
             pipeline,
             skip_mode=self._skip_mode,
@@ -299,6 +306,7 @@ class Query:
             spec_key=self._key,
             pool=self._db.pool,
             chunk_rows=self._chunk_rows,
+            row_budget=limit,
         )
 
     # -- the three operations ------------------------------------------
@@ -317,10 +325,7 @@ class Query:
             ):
                 return self._cached_count[1]
             self._db._check_open()
-            if pipeline.trivial is not None:
-                value = count_answers(pipeline)
-            else:
-                value = self._backend.count(self._execution_plan(pipeline))
+            value = self._backend.count(self._execution_plan(pipeline))
             self._cached_count = (version, value)
             return value
 
@@ -356,18 +361,7 @@ class Query:
         mode the drop happens worker-side, before encoding.
         """
         self._db._check_open()
-        if self._snapshot is not None:
-            pipeline = self._resolve()
-            pin = self._snapshot._pin_for_handle()
-        else:
-            # Pin-or-retry: _pin_current is atomic with commits, so a
-            # won pin guarantees the resolved pipeline is never
-            # refreshed in place under this handle.
-            while True:
-                pipeline = self._resolve()
-                pin = self._db._pin_current(self._resolved_version)
-                if pin is not None:
-                    break
+        pipeline, pin = self._pin_resolved()
         handle = Answers(
             pipeline,
             backend=self._backend,
@@ -395,15 +389,7 @@ class Query:
         exhausted, closed, or collected.
         """
         self._db._check_open()
-        if self._snapshot is not None:
-            pipeline = self._resolve()
-            pin = self._snapshot._pin_for_handle()
-        else:
-            while True:
-                pipeline = self._resolve()
-                pin = self._db._pin_current(self._resolved_version)
-                if pin is not None:
-                    break
+        pipeline, pin = self._pin_resolved()
         return EncodedAnswers(
             pipeline,
             skip_mode=self._skip_mode,
@@ -437,8 +423,11 @@ class Query:
 
     # -- introspection -------------------------------------------------
 
-    def explain(self) -> QueryPlan:
+    def explain(self, limit: Optional[int] = None) -> QueryPlan:
         """The chosen plan: branches, shards, backend, cost estimates.
+
+        ``limit`` explains ``answers(limit=...)``: an ``auto`` run whose
+        limit fits one chunk stays serial, and the plan says so.
 
         After an :meth:`answers` handle from this query has actually
         moved chunks, the plan additionally carries ``runtime`` — the
@@ -446,11 +435,8 @@ class Query:
         received, per-work-unit attribution with streamed-before-done
         flags) from the handle's :class:`TransferStats`."""
         pipeline = self._resolve()
-        plan = self._execution_plan(pipeline)
-        if pipeline.trivial is not None:
-            mode, workers = "serial", 1
-            count_mode = "serial"
-        elif isinstance(self._backend, PoolBackend):
+        plan = self._execution_plan(pipeline, limit)
+        if isinstance(self._backend, PoolBackend):
             mode, workers = self._backend.resolve(plan)
             count_mode, _ = self._backend.resolve_count(plan)
         else:
@@ -458,13 +444,13 @@ class Query:
             mode, workers = self._backend.name, plan.workers or 0
             count_mode = self._backend.name
         shards: Tuple[Tuple[int, int, Optional[int]], ...] = ()
-        if pipeline.trivial is None and mode != "serial":
+        if mode != "serial" and workers:
             shards = tuple(plan_work_units(pipeline, workers))
         transport = "none"
         chunk_rows: Optional[int] = None
         transfer_bytes = 0
         transfer_costs: Tuple[int, ...] = ()
-        if pipeline.trivial is None and mode == "process":
+        if mode == "process":
             transport = "columnar"
             transfer_costs = tuple(transfer_works(pipeline))
             chunk_rows = resolve_chunk_rows(pipeline, self._chunk_rows)

@@ -30,8 +30,9 @@ Two gather strategies:
 Either way the output is byte-identical to the unsharded serial
 enumeration; the differential suite in ``tests/shard`` enforces it
 configuration by configuration.  When the plan is no longer canonical
-(its shard graphs went stale after an in-place maintenance pass) both
-strategies fall back to the merged pipeline, which *is* maintained.
+(its shard graphs went stale after an in-place maintenance pass) or was
+never sharded (a trivial pipeline has no graph to shard) both strategies
+hand the merged pipeline to the engine, which *is* maintained.
 """
 
 from __future__ import annotations

@@ -69,10 +69,9 @@ def tick(meter: Optional[CostMeter], label: str = "step", count: int = 1) -> Non
 # Parallel-execution heuristics (used by repro.engine)
 # ----------------------------------------------------------------------
 
-# Below this many estimated steps a pool costs more than it saves.
-THREAD_WORK_THRESHOLD = 20_000
-# Above this many estimated steps the GIL makes threads pointless and the
-# per-process pipeline rebuild amortizes; switch to processes.
+# Above this many estimated steps the per-process pipeline rebuild
+# amortizes and enumeration goes to worker processes; below it a pool
+# costs more than it saves.
 PROCESS_WORK_THRESHOLD = 500_000
 
 _WORK_CAP = 10**15
@@ -198,32 +197,27 @@ def estimate_count_work(list_sizes: Sequence[int], graph_degree: int) -> int:
 def choose_execution_mode(
     branch_works: Sequence[int],
     workers: int,
-    thread_threshold: int = THREAD_WORK_THRESHOLD,
     process_threshold: int = PROCESS_WORK_THRESHOLD,
     transfer_work: Optional[int] = None,
 ) -> str:
-    """Pick ``"serial"``, ``"thread"``, or ``"process"`` for a workload.
+    """Pick ``"serial"`` or ``"process"`` for a workload.
 
-    * one worker, or small total work (pool setup dominates): serial —
-      note a *single* heavy branch is still parallel-worthy, since the
-      executor shards within branches;
-    * medium total work: threads (cheap to spawn; the structure is small
-      enough that sharing the parent's pipeline beats pickling it);
+    * one worker, or small and medium total work (pool setup and the
+      per-worker pipeline rebuild dominate): serial;
     * large total work: processes (each worker rebuilds the pipeline from
       the picklable spec once and the CPU-bound enumeration scales past
-      the GIL) — *unless* ``transfer_work`` (the estimated cost of
-      shipping the answers back, :func:`estimate_transfer_work`) would
-      eat the multi-core speedup: answers cross the process boundary on
-      the serialized parent side, so when moving them costs more than
-      half the compute, threads win despite the GIL.
+      the GIL; a *single* heavy branch is still parallel-worthy, since
+      the executor shards within branches) — *unless* ``transfer_work``
+      (the estimated cost of shipping the answers back,
+      :func:`estimate_transfer_work`) would eat the multi-core speedup:
+      answers cross the process boundary on the serialized parent side,
+      so when moving them costs more than half the compute, serial wins.
     """
     if workers <= 1:
         return "serial"
     total = sum(work for work in branch_works if work > 0)
-    if total < thread_threshold:
-        return "serial"
     if total < process_threshold:
-        return "thread"
+        return "serial"
     if transfer_work is not None and 2 * transfer_work > total:
-        return "thread"
+        return "serial"
     return "process"

@@ -5,6 +5,11 @@ the parallel engine must return the *exact* serial integer — in every
 execution mode, for every worker count, on every (structure, formula)
 pair.  Any divergence is a bug in the branch splitting, the worker-side
 pipeline rebuild, or the summation.
+
+The per-branch split is checked without a pool: every branch counted
+by the worker entry point (``count_branch_task``, rebuilding the
+pipeline from its picklable spec in this process) must sum to the
+serial count.  Process pools run on a small fixed budget only.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.counting import count_answers
-from repro.engine import WorkerPool, parallel_count
+from repro.engine import BranchTask, WorkerPool, parallel_count
+from repro.engine.executor import _default_spec_key, count_branch_task
 from repro.session import Database
 from repro.fo.semantics import naive_count
 
@@ -44,10 +50,21 @@ def plan_or_reject(db, formula, order=None):
         return plan(db, formula, order=order)
 
 
-def assert_counts_match(db, formula, pool, modes=("serial", "thread")):
+def task_count(pipeline):
+    """The per-branch worker tasks, run in this process and summed."""
+    spec, key = pipeline.rebuild_spec(), _default_spec_key(pipeline)
+    return sum(
+        count_branch_task(BranchTask(spec, key, index, "lazy"))
+        for index in range(len(pipeline.branches))
+    )
+
+
+def assert_counts_match(db, formula, pool, modes=("serial",)):
     order = sorted(formula.free)
     pipeline = plan_or_reject(db, formula, order)
     serial = count_answers(pipeline)
+    if pipeline.trivial is None:
+        assert task_count(pipeline) == serial, "worker tasks diverge from serial"
     for mode in modes:
         for workers in (1, 2, 3, 4):
             got = parallel_count(pipeline, workers=workers, mode=mode, pool=pool)
@@ -138,15 +155,26 @@ class TestTrivialAndEmpty:
         pipeline = plan(small_colored, "x = x")
         serial = count_answers(pipeline)
         assert serial == small_colored.cardinality
-        for mode in ("serial", "thread", "process"):
+        for mode in ("serial", "process"):
             assert (
                 parallel_count(pipeline, workers=2, mode=mode, pool=shared_pool)
                 == serial
             )
 
+    def test_constant_pipeline_counts_in_every_mode(self, small_colored, shared_pool):
+        # Localization folds this to ``true``: no branches to split, so
+        # a forced process count still runs serially and counts |A|.
+        pipeline = plan(small_colored, "B(x) | ~B(x)", order=["x"])
+        assert pipeline.trivial is True
+        for mode in (None, "serial", "process"):
+            assert (
+                parallel_count(pipeline, workers=2, mode=mode, pool=shared_pool)
+                == small_colored.cardinality
+            )
+
     def test_empty_answer_set(self, small_colored, shared_pool):
         pipeline = plan(small_colored, "B(x) & R(x) & ~(x = x)")
-        for mode in ("serial", "thread", "process"):
+        for mode in ("serial", "process"):
             assert (
                 parallel_count(pipeline, workers=2, mode=mode, pool=shared_pool)
                 == 0
@@ -168,7 +196,7 @@ class TestSessionCountPath:
             assert session.count(formula, order=order) == serial
             assert session.query(formula, order=order).answers().count() == serial
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_forced_modes_through_session(self, medium_colored, mode):
         text = "B(x) & R(y) & ~E(x,y)"
         serial = count_answers(plan(medium_colored, text))

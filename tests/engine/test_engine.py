@@ -12,10 +12,17 @@ from repro.core.enumeration import arm_enumerator, enumerate_answers, enumerate_
 from repro.engine import WorkerPool, parallel_enumerate, run_branches
 from repro.engine import executor
 from repro.engine.cache import PipelineCache, normalize_formula
-from repro.engine.executor import branch_works, decide_mode, plan_work_units
+from repro.engine.executor import (
+    branch_works,
+    budget_mode,
+    decide_mode,
+    plan_work_units,
+)
 from repro.engine.mailbox import mailbox_available
-from repro.engine.transport import TransferStats
-from repro.session import Database
+from repro.engine.transport import ColumnarCodec, InternTable, TransferStats
+from repro.fo.syntax import Var
+from repro.session import AUTO, Database, ExecutionPlan
+from repro.shard import ShardedDatabase
 from repro.structures.random_gen import random_colored_graph
 from repro.errors import CancelledResultError, EngineError
 from repro.fo.parser import parse
@@ -159,8 +166,10 @@ class TestHeuristic:
     def test_small_work_is_serial(self):
         assert choose_execution_mode([10, 10], workers=4) == "serial"
 
-    def test_medium_work_is_thread(self):
-        assert choose_execution_mode([50_000, 50_000], workers=4) == "thread"
+    def test_medium_work_is_serial(self):
+        # Threads never beat serial under the GIL; below the process
+        # threshold the work stays in the caller.
+        assert choose_execution_mode([50_000, 50_000], workers=4) == "serial"
 
     def test_large_work_is_process(self):
         assert choose_execution_mode([10**6, 10**6], workers=4) == "process"
@@ -169,6 +178,21 @@ class TestHeuristic:
         pipeline = plan(small_colored, EXAMPLE)
         with pytest.raises(EngineError):
             decide_mode(pipeline, workers=2, mode="fiber")
+        with pytest.raises(EngineError):
+            decide_mode(pipeline, workers=2, mode="thread")
+
+    def test_trivial_pipeline_resolves_serial(self, small_colored):
+        pipeline = plan(small_colored, "B(x) | ~B(x)", order=(Var("x"),))
+        assert pipeline.trivial is True
+        assert decide_mode(pipeline, workers=4, mode="process") == ("serial", 1)
+
+    def test_budget_within_one_chunk_keeps_auto_serial(self, small_colored):
+        pipeline = plan(small_colored, EXAMPLE)
+        assert budget_mode(pipeline, None, 10, chunk_rows=10) == "serial"
+        assert budget_mode(pipeline, None, 11, chunk_rows=10) is None
+        assert budget_mode(pipeline, None, None, chunk_rows=10) is None
+        # A forced mode is kept; the budget only truncates it.
+        assert budget_mode(pipeline, "process", 1) == "process"
 
     def test_branch_works_matches_branches(self, small_colored):
         pipeline = plan(small_colored, EXAMPLE)
@@ -384,7 +408,7 @@ class TestChunkStream:
         with WorkerPool(2) as pool:
             yield pool
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_chunks_never_exceed_chunk_rows(self, medium_colored, pool, mode):
         pipeline = plan(medium_colored, EXAMPLE)
         serial = list(enumerate_answers(pipeline))
@@ -442,7 +466,7 @@ class TestChunkStream:
             try:
                 for _ in run_branches(
                     pipeline, workers=2, mode="process", chunk_rows=16,
-                    transfer_stats=FailingStats(), mailbox_bytes=4096,
+                    transfer_stats=FailingStats(),
                 ):
                     pass
             except RuntimeError as error:
@@ -494,6 +518,11 @@ class TestParallelEnumerateEdgeCases:
         pipeline = plan(small_colored, "B(x) & R(x) & ~(x = x)")
         assert list(parallel_enumerate(pipeline, workers=2)) == []
 
+    def test_negative_budget_on_a_trivial_pipeline(self, small_colored):
+        pipeline = plan(small_colored, "B(x) | ~B(x)", order=(Var("x"),))
+        with pytest.raises(EngineError):
+            list(parallel_enumerate(pipeline, row_budget=-1))
+
     def test_workers_validation(self, small_colored):
         pipeline = plan(small_colored, EXAMPLE)
         with pytest.raises(EngineError):
@@ -502,3 +531,76 @@ class TestParallelEnumerateEdgeCases:
     def test_session_rejects_bad_workers_eagerly(self, small_colored):
         with pytest.raises(EngineError):
             Database(small_colored, workers=0)
+
+
+class TestTriviallyTrue:
+    """A query that localization collapses to ``true`` still has free
+    variables: every tuple of the domain is an answer, through every
+    entry point of the engine."""
+
+    @pytest.fixture(scope="class")
+    def structure(self):
+        return random_colored_graph(20, seed=1)
+
+    @pytest.fixture(scope="class")
+    def expected(self, structure):
+        return [(element,) for element in structure.domain]
+
+    def query(self, db):
+        return db.query("B(x) | ~B(x)", order=(Var("x"),))
+
+    def test_run_branches_yields_every_tuple(self, structure, expected):
+        with Database(structure) as db:
+            pipeline = self.query(db).pipeline
+            assert pipeline.trivial is True
+            for mode in (None, "serial", "process"):
+                chunks = list(run_branches(pipeline, workers=2, mode=mode, chunk_rows=7))
+                assert all(0 < len(chunk) <= 7 for chunk in chunks), mode
+                assert [row for chunk in chunks for row in chunk] == expected, mode
+
+    def test_auto_backend_and_handles(self, structure, expected):
+        with Database(structure) as db:
+            query = self.query(db)
+            plan_ = ExecutionPlan(query.pipeline, chunk_rows=6)
+            assert [row for chunk in AUTO.run(plan_) for row in chunk] == expected
+            assert plan_.used_mode == "serial"
+            assert AUTO.count(ExecutionPlan(query.pipeline)) == len(expected)
+            handle = query.answers()
+            assert handle.all() == expected
+            assert handle.backend_used == "serial"
+            assert query.count() == len(expected)
+            assert query.answers(limit=3).all() == expected[:3]
+            assert query.answers(project=(0, 0)).page(0, 2) == [
+                row + row for row in expected[:2]
+            ]
+            assert query.explain().backend == "serial"
+
+    def test_budgets_and_encoded_chunks(self, structure, expected):
+        with Database(structure) as db:
+            pipeline = self.query(db).pipeline
+            assert list(parallel_enumerate(pipeline, row_budget=5)) == expected[:5]
+            assert list(parallel_enumerate(pipeline, row_budget=0)) == []
+            codec = ColumnarCodec(pipeline.intern_table)
+            buffers = list(run_branches(pipeline, chunk_rows=8, encoded=True))
+            assert len(buffers) == 3
+            assert [row for buf in buffers for row in codec.decode(buf)] == expected
+            with pytest.raises(EngineError):
+                next(run_branches(pipeline, row_budget=3, encoded=True))
+
+    def test_encoded_handle_accounts_serial_chunks(self, structure, expected):
+        with Database(structure) as db:
+            encoded = self.query(db).answers_encoded(chunk_rows=8)
+            codec = ColumnarCodec(InternTable(encoded.intern_elements))
+            rows = [row for buf in encoded.chunks() for row in codec.decode(buf)]
+            assert rows == expected
+            stats = encoded.transport_stats
+            assert (stats.chunks, stats.rows) == (3, 0)
+            assert not encoded.pinned
+
+    @pytest.mark.parametrize("gather", ["stream", "engine"])
+    def test_sharded_query(self, structure, expected, gather):
+        with ShardedDatabase(structure.copy(), shards=2, gather=gather) as sdb:
+            query = sdb.query("B(x) | ~B(x)", order=(Var("x"),))
+            assert query.answers().all() == expected
+            assert query.count() == len(expected)
+            assert query.answers(limit=4).all() == expected[:4]

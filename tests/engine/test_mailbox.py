@@ -4,7 +4,8 @@ Exercises the byte ring directly — ordering, fragment reassembly,
 byte-granular wrap, backpressure/abandon, the done flag, and the
 corruption guards — without involving the executor.  The streaming
 integration (mailboxed work units feeding ``TransferStats``) lives in
-the parallel differential and transport suites.
+the parallel differential and transport suites; the last test here
+drives the executor's no-shared-memory path end to end.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import threading
 
 import pytest
 
+from repro.core.enumeration import enumerate_answers
+from repro.engine import WorkerPool, executor, run_branches
 from repro.engine.mailbox import (
     DEFAULT_CAPACITY,
     MIN_CAPACITY,
@@ -22,7 +25,11 @@ from repro.engine.mailbox import (
     mailbox_available,
     mailbox_capacity,
 )
+from repro.engine.transport import TransferStats
 from repro.errors import EngineError
+from repro.structures.random_gen import random_colored_graph
+
+from planning import plan
 
 needs_shm = pytest.mark.skipif(
     not mailbox_available(), reason="shared memory unavailable"
@@ -169,10 +176,23 @@ def test_mailbox_capacity_tracks_the_chunk_hint():
     assert mailbox_capacity(100_000) == 800_000
 
 
-def test_env_toggle_forces_the_legacy_path(monkeypatch):
-    monkeypatch.setenv("REPRO_MAILBOX", "0")
-    assert mailbox_available() is False
-    monkeypatch.setenv("REPRO_MAILBOX", "1")
-    assert isinstance(mailbox_available(), bool)
-    monkeypatch.delenv("REPRO_MAILBOX")
-    assert isinstance(mailbox_available(), bool)
+def test_chunks_ride_the_future_without_shared_memory(monkeypatch):
+    """Where the probe finds no shared memory, every process-mode unit
+    returns its encoded chunks on the future: same bytes, same order,
+    same chunk bound."""
+    monkeypatch.setattr(executor, "mailbox_available", lambda: False)
+    structure = random_colored_graph(60, max_degree=4, seed=5)
+    pipeline = plan(structure, "B(x) & R(y) & ~E(x,y)")
+    serial = list(enumerate_answers(pipeline))
+    stats = TransferStats()
+    with WorkerPool(2) as pool:
+        chunks = list(
+            run_branches(
+                pipeline, workers=2, mode="process", pool=pool, chunk_rows=16,
+                transfer_stats=stats,
+            )
+        )
+    assert [row for chunk in chunks for row in chunk] == serial
+    assert all(0 < len(chunk) <= 16 for chunk in chunks)
+    assert stats.rows == len(serial)
+    assert len(chunks) == stats.chunks

@@ -7,6 +7,11 @@ The engine's contract is exact: for every query it must produce the
 agree as a set with
 ``baselines.product_enumerate``.  Any divergence, on any generated pair,
 is a bug in the branch splitting, the deterministic merge, or the cache.
+
+The split itself is checked without a pool: for every worker count,
+concatenating the rows of each work unit of ``plan_work_units`` (the
+exact units process mode ships) must reproduce serial enumeration.
+Process pools run on a fixed corpus only.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.baselines import product_enumerate
 from repro.core.enumeration import enumerate_answers
-from repro.engine import parallel_enumerate
+from repro.engine import parallel_enumerate, plan_work_units
+from repro.engine.executor import _unit_rows
 from repro.session import Database
+from repro.structures.random_gen import random_colored_graph
 
 from planning import plan
 from strategies import (
@@ -44,17 +51,31 @@ def plan_or_reject(db, formula, order):
         return plan(db, formula, order=order)
 
 
-def assert_engine_matches(db, formula, workers=3, modes=("serial", "thread")):
+def unit_rows(pipeline, workers):
+    """Every work unit's rows, concatenated in unit order (no pool)."""
+    return [
+        row
+        for unit in plan_work_units(pipeline, workers)
+        for row in _unit_rows(pipeline, unit, "lazy", None)
+    ]
+
+
+def assert_units_match(pipeline, serial):
+    for workers in (1, 2, 3, 4):
+        assert unit_rows(pipeline, workers) == serial, (
+            f"workers={workers}: work units diverge from serial"
+        )
+
+
+def assert_engine_matches(db, formula):
     """Engine output must equal serial output exactly, and the oracle as a set."""
     order = sorted(formula.free)
     pipeline = plan_or_reject(db, formula, order)
     serial = list(enumerate_answers(pipeline))
 
-    for mode in modes:
-        parallel = list(parallel_enumerate(pipeline, workers=workers, mode=mode))
-        assert parallel == serial, (
-            f"mode={mode}: parallel answers (or their order) diverge from serial"
-        )
+    assert list(parallel_enumerate(pipeline, workers=3, mode="serial")) == serial
+    if pipeline.trivial is None:
+        assert_units_match(pipeline, serial)
 
     oracle = set(product_enumerate(formula, db, order=order))
     assert set(serial) == oracle, "serial pipeline diverges from the product baseline"
@@ -119,17 +140,43 @@ class TestSessionDifferential:
         serial = list(enumerate_answers(plan_or_reject(db, formula, order)))
 
         with Database(db, workers=2) as session:
-            query = session.query(formula, order=order, backend="thread")
+            query = session.query(formula, order=order, backend="serial")
             first = query.answers().all()
             # Re-planning hits the pipeline cache; answers must be identical.
-            query = session.query(formula, order=order, backend="thread")
+            query = session.query(formula, order=order, backend="serial")
             second = query.answers().all()
             assert first == serial
             assert second == serial
             assert session.stats()["hits"] >= 1
+            if query.pipeline.trivial is None:
+                assert_units_match(query.pipeline, serial)
 
         oracle = set(product_enumerate(formula, db, order=order))
         assert set(first) == oracle
+
+
+class TestWorkUnits:
+    """The pool-free split differential on a heavy branch that slices."""
+
+    TRIPLE = "B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z) & ~E(x,z)"
+
+    def test_sliced_units_concatenate_to_serial(self):
+        structure = random_colored_graph(
+            40, max_degree=4, colors=("B", "R", "G"), seed=42
+        )
+        pipeline = plan(structure, self.TRIPLE)
+        serial = list(enumerate_answers(pipeline))
+        assert any(
+            stop is not None for _, _, stop in plan_work_units(pipeline, 4)
+        ), "the workload must slice a heavy branch"
+        assert_units_match(pipeline, serial)
+        for skip_mode in ("lazy", "precompute"):
+            rows = [
+                row
+                for unit in plan_work_units(pipeline, 3)
+                for row in _unit_rows(pipeline, unit, skip_mode, (2, 0))
+            ]
+            assert rows == [(z, x) for x, _, z in serial], skip_mode
 
 
 class TestProcessMode:

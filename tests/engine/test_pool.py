@@ -4,6 +4,7 @@ What a service needs from its pool: lazy start (serial work costs no OS
 resources), warm reuse across submissions, an idempotent ``close`` (also
 via ``with``), transparent restart after a killed process worker, and —
 enforced by the ``no_leaks`` fixture — no thread or process left behind.
+``"process"`` is the pool's only mode.
 """
 
 from __future__ import annotations
@@ -60,21 +61,16 @@ def no_leaks():
 class TestLazyStart:
     def test_no_executor_until_first_submit(self, no_leaks):
         with WorkerPool(2) as pool:
-            stats = pool.stats()
-            assert stats["thread_pool_live"] == 0
-            assert stats["process_pool_live"] == 0
-            pool.submit("thread", _square, 3)
-            assert pool.stats()["thread_pool_live"] == 1
             assert pool.stats()["process_pool_live"] == 0
+            assert pool.submit("process", _square, 3).result(timeout=60) == 9
+            assert pool.stats()["process_pool_live"] == 1
 
     def test_serial_session_never_starts_a_pool(self, small_colored, no_leaks):
         with Database(small_colored) as db:
             handle = db.query(EXAMPLE, backend="serial").answers()
             handle.all()
             handle.count()
-            stats = db.stats()
-            assert stats["pool_thread_pool_live"] == 0
-            assert stats["pool_process_pool_live"] == 0
+            assert db.stats()["pool_process_pool_live"] == 0
 
     def test_workers_validation(self):
         with pytest.raises(EngineError):
@@ -82,18 +78,20 @@ class TestLazyStart:
 
     def test_unknown_mode_rejected(self, no_leaks):
         with WorkerPool(2) as pool:
-            with pytest.raises(EngineError):
-                pool.submit("fiber", _square, 3)
-            with pytest.raises(EngineError):
-                pool.executor_for("fiber")
+            for mode in ("fiber", "thread"):
+                with pytest.raises(EngineError):
+                    pool.submit(mode, _square, 3)
+                with pytest.raises(EngineError):
+                    pool.executor_for(mode)
+            assert pool.stats()["process_pool_live"] == 0
 
 
 class TestWarmReuse:
     def test_same_executor_across_submits(self, no_leaks):
         with WorkerPool(2) as pool:
-            first = pool.executor_for("thread")
-            assert pool.submit("thread", _square, 4).result() == 16
-            assert pool.executor_for("thread") is first
+            first = pool.executor_for("process")
+            assert pool.submit("process", _square, 4).result(timeout=60) == 16
+            assert pool.executor_for("process") is first
             assert pool.stats()["submits"] == 1
 
     def test_process_workers_reused_across_submits(self, no_leaks):
@@ -105,36 +103,34 @@ class TestWarmReuse:
     def test_session_reuses_pool_across_queries(self, medium_colored, no_leaks):
         serial = list(enumerate_answers(plan(medium_colored, EXAMPLE)))
         with Database(medium_colored, workers=2) as db:
-            assert db.query(EXAMPLE, backend="thread").answers().all() == serial
-            other = db.query("B(x) & R(y) & E(x,y)", backend="thread")
+            assert db.query(EXAMPLE, backend="process").answers().all() == serial
+            other = db.query("B(x) & R(y) & E(x,y)", backend="process")
             assert other.answers().all() is not None
             stats = db.stats()
-            assert stats["pool_thread_pool_live"] == 1
+            assert stats["pool_process_pool_live"] == 1
             assert stats["pool_submits"] > 0
 
 
 class TestClose:
     def test_close_is_idempotent(self):
         pool = WorkerPool(2)
-        pool.submit("thread", _square, 2)
+        pool.submit("process", _square, 2).result(timeout=60)
         pool.close()
         pool.close()
         assert pool.closed
 
     def test_context_manager_closes(self, no_leaks):
         with WorkerPool(2) as pool:
-            pool.submit("thread", _square, 2)
             pool.submit("process", _square, 2).result(timeout=60)
         assert pool.closed
         with pytest.raises(EngineError):
-            pool.submit("thread", _square, 2)
+            pool.submit("process", _square, 2)
 
     def test_close_joins_all_workers(self, no_leaks):
         pool = WorkerPool(2)
-        assert pool.submit("thread", _square, 5).result() == 25
         assert pool.submit("process", _square, 5).result(timeout=60) == 25
         pool.close()
-        # no_leaks asserts every pool thread and child process is gone
+        # no_leaks asserts every child process (and helper thread) is gone
 
     def test_closed_session_rejects_queries(self, small_colored):
         db = Database(small_colored)

@@ -168,7 +168,7 @@ def sweep(db: Database, query: str) -> None:
     serial = db.query(query, backend="serial").answers()
     expected = serial.all()
     expected_count = serial.count()
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         for chunk_rows in CHUNK_SIZES:
             answers = db.query(
                 query, backend=backend, chunk_rows=chunk_rows

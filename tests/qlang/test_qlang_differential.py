@@ -5,8 +5,8 @@ no projection pushdown, no row budget, no counting fast path — and
 composes every stage in plain Python: project by position, group with a
 dict in first-seen order, sort with the same stable multi-pass rule,
 slice the limit.  The compiled path must be byte-identical on the
-serial, thread, AND process backends (the merge contract extends
-through every qlang stage).
+serial AND process backends (the merge contract extends through every
+qlang stage).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from tests.strategies import (
     supported_inputs,
 )
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 def oracle_rows(db, select):

@@ -30,6 +30,22 @@ class TestPushdown:
             stages = {s.name: s.detail for s in compiled.explain().stages}
             assert "pushed into enumeration" in stages["limit"]
 
+    def test_pushed_limit_explains_the_mode_it_runs(self, monkeypatch):
+        # With auto forced toward process, only the budget rule (a
+        # limit within one chunk stays serial) decides; the explained
+        # plan must match the run.
+        from repro.engine import executor
+
+        monkeypatch.setattr(
+            executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+        )
+        with Database(GRAPH, workers=2) as db:
+            compiled = db.query(STATEMENT.format(k=10))
+            assert compiled.explain().inner.backend == "serial"
+            assert len(compiled.all()) == 10
+            assert compiled.backend_used == "serial"
+            assert compiled.query.explain().backend == "process"
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -60,7 +60,7 @@ class TestConcurrentAwaits:
         want = serial(db, EXAMPLE)
 
         async def main():
-            handle = db.query(EXAMPLE, backend="thread").answers()
+            handle = db.query(EXAMPLE, backend="process").answers()
             return [answer async for answer in handle.astream(page_size=7)]
 
         assert run(main()) == want
@@ -72,7 +72,7 @@ class TestCancellation:
         releases its pool work; later access raises CancelledResultError."""
 
         async def main():
-            handle = db.query(EXAMPLE, backend="thread").answers()
+            handle = db.query(EXAMPLE, backend="process").answers()
             started = asyncio.Event()
 
             async def consume():

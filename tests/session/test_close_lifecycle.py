@@ -80,7 +80,7 @@ class TestCloseIdempotency:
 
     def test_close_with_partially_consumed_handle(self, structure, no_leaks):
         db = Database(structure)
-        handle = db.query(EXAMPLE, backend="thread", workers=2).answers()
+        handle = db.query(EXAMPLE, backend="process", workers=2).answers()
         handle.page(0, size=2)
         db.close()
         # The handle keeps its already-pulled answers; pin release and
@@ -126,7 +126,7 @@ class TestCloseIdempotency:
 
     def test_pool_shut_down_after_close(self, structure, no_leaks):
         db = Database(structure, workers=2)
-        db.query(EXAMPLE, backend="thread").answers().all()
-        assert db.stats()["pool_thread_pool_live"] == 1
+        db.query(EXAMPLE, backend="process").answers().all()
+        assert db.stats()["pool_process_pool_live"] == 1
         db.close()
         assert db.pool.closed

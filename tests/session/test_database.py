@@ -7,6 +7,7 @@ import asyncio
 import pytest
 
 from repro.core.counting import count_answers
+from repro.engine import executor
 from repro.errors import (
     CancelledResultError,
     EngineError,
@@ -108,19 +109,22 @@ class TestQueryOptions:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "auto"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "auto"])
     def test_forced_backends_agree(self, db, structure, backend):
         answers = db.query(EXAMPLE, backend=backend).answers()
         assert sorted(answers.all()) == oracle(structure)
 
     def test_backend_order_is_byte_identical(self, db):
         serial = db.query(EXAMPLE, backend="serial").answers().all()
-        threaded = db.query(EXAMPLE, backend="thread", workers=3).answers().all()
-        assert serial == threaded
+        processed = db.query(EXAMPLE, backend="process", workers=3).answers().all()
+        assert serial == processed
 
     def test_unknown_backend_rejected(self, db):
         with pytest.raises(EngineError):
             db.query(EXAMPLE, backend="quantum")
+        # Threads never beat serial under the GIL; the mode is gone.
+        with pytest.raises(EngineError):
+            db.query(EXAMPLE, backend="thread")
 
     def test_custom_backend_object(self, db, structure):
         class Recorder:
@@ -153,7 +157,7 @@ class TestExplain:
         plan = db.query(EXAMPLE).explain()
         assert isinstance(plan, QueryPlan)
         assert plan.branch_count >= 1
-        assert plan.backend in ("serial", "thread", "process")
+        assert plan.backend in ("serial", "process")
         assert plan.backend_requested == "auto"
         assert len(plan.branch_costs) == plan.branch_count
         assert plan.total_cost == sum(plan.branch_costs)
@@ -161,7 +165,7 @@ class TestExplain:
         assert "backend:" in plan.describe()
 
     def test_explain_reports_backend_actually_used(self, db):
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             q = db.query(EXAMPLE, backend=backend, workers=2)
             answers = q.answers()
             answers.all()
@@ -175,12 +179,28 @@ class TestExplain:
         assert answers.backend_used == plan.backend
         assert q.count() >= 0
         # count backend resolution is deterministic too
-        assert plan.count_backend in ("serial", "thread", "process")
+        assert plan.count_backend in ("serial", "process")
 
-    def test_forced_thread_plan_has_shards(self, db):
-        plan = db.query(EXAMPLE, backend="thread", workers=2).explain()
-        assert plan.backend == "thread"
+    def test_forced_process_plan_has_shards(self, db):
+        plan = db.query(EXAMPLE, backend="process", workers=2).explain()
+        assert plan.backend == "process"
         assert plan.shards, "parallel plans report their shard layout"
+
+    def test_explain_limit_applies_the_budget_rule(self, db, monkeypatch):
+        # Make auto pick process for any work, so only the budget rule
+        # (a limit within one chunk stays serial) can keep it serial.
+        monkeypatch.setattr(
+            executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+        )
+        q = db.query(EXAMPLE, workers=2, chunk_rows=8)
+        assert q.explain().backend == "process"
+        assert q.explain(limit=9).backend == "process"
+        assert q.explain(limit=8).backend == "serial"
+        answers = q.answers(limit=8)
+        assert len(answers.all()) == 8
+        assert answers.backend_used == "serial"
+        forced = db.query(EXAMPLE, backend="process", workers=2, chunk_rows=8)
+        assert forced.explain(limit=8).backend == "process"
 
     def test_runtime_absent_until_chunks_move(self, db):
         q = db.query(EXAMPLE, backend="serial")

@@ -168,7 +168,7 @@ class TestHypothesis:
 class TestExplainReportsReality:
     def test_explain_backend_matches_execution(self, medium_colored):
         with Database(medium_colored, workers=2) as db:
-            for backend in (None, "serial", "thread"):
+            for backend in (None, "serial", "process"):
                 query = db.query(
                     "B(x) & R(y) & ~E(x,y)", backend=backend, workers=2
                 )

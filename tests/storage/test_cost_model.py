@@ -86,18 +86,19 @@ class TestTransferTerm:
 
     def test_dominant_transfer_declines_process(self):
         """When shipping the answers costs more than half the compute,
-        the multi-core speedup is gone — stay on zero-copy threads."""
+        the multi-core speedup is gone — stay serial (zero-copy)."""
         works = [10**6, 10**6]
         assert (
             choose_execution_mode(works, workers=4, transfer_work=2 * 10**6)
-            == "thread"
+            == "serial"
         )
 
-    def test_transfer_term_ignored_below_process_threshold(self):
-        assert (
-            choose_execution_mode([50_000], workers=4, transfer_work=10**9)
-            == "thread"
-        )
+    def test_medium_work_stays_serial_whatever_the_transfer(self):
+        for transfer_work in (None, 0, 10**9):
+            assert (
+                choose_execution_mode([50_000], workers=4, transfer_work=transfer_work)
+                == "serial"
+            )
 
     def test_shard_sizes_overlap_lowers_the_estimate(self):
         serialized = estimate_transfer_work([1000, 100], 2, 4)

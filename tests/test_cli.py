@@ -125,6 +125,14 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_thread_backend_is_not_a_choice(self, capsys):
+        for flag in ("query --backend", "batch --mode"):
+            command, option = flag.split()
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "-w", "colored:n=20,d=2", "-q", "B(x)", option, "thread"])
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_bad_tuple_component(self, capsys):
         code = main(
             [
