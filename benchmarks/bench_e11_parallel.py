@@ -6,14 +6,9 @@ a deterministic merge — the parallel engine's output is *byte-identical*
 warmed process pool the steady-state wall clock scales with the worker
 count on multi-core hardware.
 
-Two entry points:
-
-* pytest-benchmark functions (``pytest benchmarks/bench_e11_parallel.py
-  --benchmark-only``), group "E11-parallel": serial vs. warm process
-  pool on the 5-branch triple workload;
-* a standalone harness (``python benchmarks/bench_e11_parallel.py``)
-  that measures speedup and **fails (exit 1) on any parallel/serial
-  divergence** — CI runs it with ``--smoke`` on a tiny workload.
+The standalone harness (``python benchmarks/bench_e11_parallel.py``)
+measures speedup and **fails (exit 1) on any parallel/serial
+divergence** — CI runs it with ``--smoke`` on a tiny workload.
 
 Methodology note: the serial baseline is timed *after arming* (the
 paper's preprocessing/enumeration split), and the process pool is timed
@@ -151,46 +146,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     n = args.n if args.n is not None else (48 if args.smoke else 140)
     return run_harness(n, args.workers, args.require_speedup and not args.smoke)
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points (the E-series tables)
-# ----------------------------------------------------------------------
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone invocation
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def triple_pipeline():
-        db, query = build_workload(96)
-        pipeline = Pipeline(db, query)
-        prearm(pipeline)
-        return pipeline
-
-    @pytest.mark.benchmark(group="E11-parallel")
-    def bench_serial_enumeration(benchmark, triple_pipeline):
-        result = benchmark(
-            lambda: sum(1 for _ in parallel_enumerate(triple_pipeline, mode="serial"))
-        )
-        assert result > 0
-
-    @pytest.mark.benchmark(group="E11-parallel")
-    def bench_process_pool_warm(benchmark, triple_pipeline):
-        with WorkerPool(4) as pool:
-            warm_pool(pool, triple_pipeline, 4)
-            result = benchmark(
-                lambda: sum(
-                    1
-                    for _ in parallel_enumerate(
-                        triple_pipeline, workers=4, mode="process", pool=pool
-                    )
-                )
-            )
-        assert result > 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Two entry points:
   equality contracts only:
 
   1. sharded ``answers()``/``count()`` are **byte-identical** to the
-     unsharded serial oracle for every shard count x gather strategy;
+     unsharded serial oracle for every shard count;
   2. with the streaming mailbox enabled, the heaviest work unit's first
      chunk arrives before that unit — and before the slowest unit —
      finishes producing (``TransferStats`` per-source timestamps);
@@ -88,49 +88,41 @@ def output_digest(answers) -> str:
     return hasher.hexdigest()
 
 
-def check_byte_identity(structure, shard_counts, gathers, report, failures):
-    """Gate 1: every shard count x gather matches the serial oracle."""
+def check_byte_identity(structure, shard_counts, report, failures):
+    """Gate 1: every shard count matches the serial oracle."""
     oracles = {}
     with Database(structure.copy()) as plain:
         for query in QUERIES:
             handle = plain.query(query, backend="serial")
             oracles[query] = (handle.answers().all(), handle.count())
     for shards in shard_counts:
-        for gather in gathers:
-            started = time.perf_counter()
-            with ShardedDatabase(
-                structure.copy(), shards=shards, gather=gather
-            ) as sdb:
-                layout = list(sdb.layout.sizes())
-                for query in QUERIES:
-                    expected_answers, expected_count = oracles[query]
-                    sharded = sdb.query(query)
-                    got = sharded.answers().all()
-                    if got != expected_answers:
-                        failures.append(
-                            f"[shards={shards} gather={gather}] {query}: "
-                            f"enumeration diverges from serial "
-                            f"({output_digest(got)[:12]} != "
-                            f"{output_digest(expected_answers)[:12]})"
-                        )
-                    if sharded.count() != expected_count:
-                        failures.append(
-                            f"[shards={shards} gather={gather}] {query}: "
-                            f"count diverges from serial"
-                        )
-            elapsed = time.perf_counter() - started
-            report["identity_runs"].append(
-                {
-                    "shards": shards,
-                    "gather": gather,
-                    "shard_sizes": layout,
-                    "seconds": elapsed,
-                }
-            )
-            print(
-                f"shards={shards} gather={gather:>6}: sizes={layout} "
-                f"all queries byte-identical ({elapsed:.3f}s)"
-            )
+        started = time.perf_counter()
+        with ShardedDatabase(structure.copy(), shards=shards) as sdb:
+            layout = list(sdb.layout.sizes())
+            for query in QUERIES:
+                expected_answers, expected_count = oracles[query]
+                sharded = sdb.query(query)
+                got = sharded.answers().all()
+                if got != expected_answers:
+                    failures.append(
+                        f"[shards={shards}] {query}: "
+                        f"enumeration diverges from serial "
+                        f"({output_digest(got)[:12]} != "
+                        f"{output_digest(expected_answers)[:12]})"
+                    )
+                if sharded.count() != expected_count:
+                    failures.append(
+                        f"[shards={shards}] {query}: "
+                        f"count diverges from serial"
+                    )
+        elapsed = time.perf_counter() - started
+        report["identity_runs"].append(
+            {"shards": shards, "shard_sizes": layout, "seconds": elapsed}
+        )
+        print(
+            f"shards={shards}: sizes={layout} "
+            f"all queries byte-identical ({elapsed:.3f}s)"
+        )
 
 
 def check_streaming_first_page(structure, workers, report, failures):
@@ -263,7 +255,7 @@ def check_apply_equivalence(structure, report, failures):
 
 
 def measure_throughput(structure, shard_counts, report):
-    """Standalone mode: wall-clock of sharded gathers vs serial."""
+    """Standalone mode: wall-clock of the sharded gather vs serial."""
     with Database(structure.copy()) as plain:
         started = time.perf_counter()
         baseline = len(plain.query(STREAM_QUERY, backend="serial").answers().all())
@@ -271,21 +263,15 @@ def measure_throughput(structure, shard_counts, report):
     report["throughput"] = {"serial_seconds": serial_seconds, "runs": []}
     print(f"serial: {baseline} answers in {serial_seconds:.3f}s")
     for shards in shard_counts:
-        for gather in ("stream", "engine"):
-            with ShardedDatabase(
-                structure.copy(), shards=shards, gather=gather
-            ) as sdb:
-                started = time.perf_counter()
-                rows = len(sdb.query(STREAM_QUERY).answers().all())
-                elapsed = time.perf_counter() - started
-            assert rows == baseline
-            report["throughput"]["runs"].append(
-                {"shards": shards, "gather": gather, "seconds": elapsed}
-            )
-            print(
-                f"shards={shards} gather={gather:>6}: {rows} answers "
-                f"in {elapsed:.3f}s"
-            )
+        with ShardedDatabase(structure.copy(), shards=shards) as sdb:
+            started = time.perf_counter()
+            rows = len(sdb.query(STREAM_QUERY).answers().all())
+            elapsed = time.perf_counter() - started
+        assert rows == baseline
+        report["throughput"]["runs"].append(
+            {"shards": shards, "seconds": elapsed}
+        )
+        print(f"shards={shards}: {rows} answers in {elapsed:.3f}s")
 
 
 def run_harness(sizes, workers: int, smoke: bool, json_path: str) -> int:
@@ -303,8 +289,7 @@ def run_harness(sizes, workers: int, smoke: bool, json_path: str) -> int:
     failures: list = []
 
     shard_counts = (1, 3, 5) if smoke else (2, 4, 8)
-    gathers = ("stream", "engine")
-    check_byte_identity(structure, shard_counts, gathers, report, failures)
+    check_byte_identity(structure, shard_counts, report, failures)
     check_streaming_first_page(structure, workers, report, failures)
     check_apply_equivalence(structure, report, failures)
     if not smoke:

@@ -3,16 +3,12 @@
 Claim: after preprocessing, the time (and RAM-step count) between
 consecutive outputs does not depend on ``n``.
 
-Two entry points:
-
-* pytest-benchmark functions (group "E2-delay"): full enumeration
-  times per-answer cost as ``n`` grows 8x, with an exact RAM-step
-  bound per output;
-* a standalone harness (``python benchmarks/bench_e2_delay.py``) that
-  gates the qlang **top-k** fusion: on a >= 10^5-answer workload a
-  compiled ``SELECT ... LIMIT 10`` must cost < 5% of full enumeration
-  (post-preprocessing) — O(k) delay, independent of the answer total.
-  CI runs ``--smoke``; both modes emit ``BENCH_delay.json``.
+The standalone harness (``python benchmarks/bench_e2_delay.py``) gates
+the qlang **top-k** fusion: on a >= 10^5-answer workload a compiled
+``SELECT ... LIMIT 10`` must cost < 5% of full enumeration
+(post-preprocessing) — O(k) delay, independent of the answer total.
+CI runs ``--smoke``; both modes emit ``BENCH_delay.json``.  The per-answer
+delay sweep over ``n`` is E2 in ``run_experiments.py``.
 """
 
 import argparse
@@ -27,22 +23,8 @@ REPO_SRC = os.path.join(
 if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e2_delay.py`
     sys.path.insert(0, REPO_SRC)
 
-import pytest  # noqa: E402
-
-from repro.core.enumeration import arm_enumerators, enumerate_answers  # noqa: E402
-from repro.core.pipeline import Pipeline  # noqa: E402
 from repro.session import Database  # noqa: E402
-from repro.storage.cost_model import CostMeter  # noqa: E402
 from repro.structures.random_gen import random_colored_graph  # noqa: E402
-
-from workloads import (  # noqa: E402
-    EXAMPLE_23,
-    TRIPLE_QUERY,
-    colored_graph,
-    consume,
-    query,
-    three_colored_graph,
-)
 
 DEFAULT_JSON = "BENCH_delay.json"
 PAIR_QUERY = "B(x) & R(y) & ~E(x,y)"
@@ -141,58 +123,6 @@ def main(argv=None) -> int:
     return run_topk_harness(
         n, args.k, 100_000, args.max_ratio, args.json_path
     )
-
-SIZES = [256, 512, 1024, 2048]
-DEGREE = 4
-
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.benchmark(group="E2-delay-example23")
-def bench_per_answer_cost(benchmark, n):
-    """Full enumeration; read mean-time-per-answer off ``answers`` in
-    extra_info — it stays flat while the answer count grows ~n^2.
-
-    A fixed answer *budget* would mis-measure: each list element's reach
-    set is memoized on first touch, and a small budget at large ``n``
-    amortizes that warm-up over too few reuses.  Full enumeration is the
-    steady-state regime the theorem speaks about.
-    """
-    db = colored_graph(n, DEGREE)
-    pipeline = Pipeline(db, query(EXAMPLE_23))
-    arm_enumerators(pipeline)  # arming is preprocessing, not delay
-
-    answers = benchmark.pedantic(
-        lambda: sum(1 for _ in enumerate_answers(pipeline)),
-        rounds=2,
-        iterations=1,
-    )
-    # RAM-step deltas: the exact claim of Theorem 2.7.
-    meter = CostMeter()
-    for _ in enumerate_answers(pipeline, meter=meter):
-        meter.mark()
-        if len(meter.deltas()) >= 20_000:
-            break
-    benchmark.extra_info["n"] = n
-    benchmark.extra_info["answers"] = answers
-    benchmark.extra_info["max_step_delta"] = meter.max_delta
-    assert meter.max_delta <= 64, "per-output step count must stay bounded"
-
-
-@pytest.mark.parametrize("n", [256, 512, 1024])
-@pytest.mark.benchmark(group="E2-delay-triple")
-def bench_triple_query_delay(benchmark, n):
-    """3-ary disconnected-triple query: same flat-delay shape."""
-    db = three_colored_graph(n, 3)
-    pipeline = Pipeline(db, query(TRIPLE_QUERY))
-    arm_enumerators(pipeline)
-
-    produced = benchmark.pedantic(
-        lambda: consume(enumerate_answers(pipeline), 5_000),
-        rounds=3,
-        iterations=1,
-    )
-    assert produced == 5_000
-    benchmark.extra_info["n"] = n
 
 
 if __name__ == "__main__":

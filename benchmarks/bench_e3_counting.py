@@ -6,14 +6,11 @@ The per-branch counts are independent integers (the theorem sums them),
 so the engine's ``parallel_count`` must return the *exact* serial value
 in every execution mode.
 
-Two entry points:
-
-* pytest-benchmark functions (``pytest benchmarks/bench_e3_counting.py
-  --benchmark-only``), groups "E3-counting" / "E3-counting-parallel";
-* a standalone harness (``python benchmarks/bench_e3_counting.py``)
-  that times serial vs. process counting over one long-lived
-  :class:`~repro.engine.pool.WorkerPool` and **fails (exit 1) on any
-  parallel/serial count divergence** — CI runs it with ``--smoke``.
+The standalone harness (``python benchmarks/bench_e3_counting.py``)
+times serial vs. process counting over one long-lived
+:class:`~repro.engine.pool.WorkerPool` and **fails (exit 1) on any
+parallel/serial count divergence** — CI runs it with ``--smoke``.  The
+counting-vs-n sweep is E3 in ``run_experiments.py``.
 """
 
 from __future__ import annotations
@@ -32,11 +29,9 @@ if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e3_counting.py`
 from repro.core.counting import count_answers  # noqa: E402
 from repro.core.pipeline import Pipeline  # noqa: E402
 from repro.engine import WorkerPool, parallel_count  # noqa: E402
-from repro.fo.semantics import naive_count  # noqa: E402
 
 from workloads import EXAMPLE_23, colored_graph, query  # noqa: E402
 
-SIZES = [512, 1024, 2048, 4096]
 DEGREE = 4
 
 
@@ -88,65 +83,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     n = args.n if args.n is not None else (96 if args.smoke else 2048)
     return run_harness(n, args.workers)
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points (the E-series tables)
-# ----------------------------------------------------------------------
-
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone invocation
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.benchmark(group="E3-counting")
-    def bench_count(benchmark, n):
-        db = colored_graph(n, DEGREE)
-        pipeline = Pipeline(db, query(EXAMPLE_23))
-
-        count = benchmark.pedantic(
-            lambda: count_answers(pipeline), rounds=3, iterations=2
-        )
-        benchmark.extra_info["n"] = n
-        benchmark.extra_info["count"] = count
-        # Quadratically many answers, counted without enumerating them.
-        assert count > n
-
-    @pytest.mark.benchmark(group="E3-counting-parallel")
-    def bench_parallel_count(benchmark):
-        """Parallel per-branch counting over a warm long-lived pool."""
-        n = SIZES[-1]
-        db = colored_graph(n, DEGREE)
-        pipeline = Pipeline(db, query(EXAMPLE_23))
-        serial = count_answers(pipeline)
-        with WorkerPool(4) as pool:
-            # Warm once (process workers rebuild the pipeline on first use).
-            parallel_count(pipeline, workers=4, mode="process", pool=pool)
-            count = benchmark.pedantic(
-                lambda: parallel_count(pipeline, workers=4, mode="process", pool=pool),
-                rounds=3,
-                iterations=1,
-            )
-        benchmark.extra_info["n"] = n
-        benchmark.extra_info["mode"] = "process"
-        assert count == serial, "parallel count diverged from serial"
-
-    @pytest.mark.parametrize("n", [60, 120])
-    @pytest.mark.benchmark(group="E3-counting-vs-naive")
-    def bench_naive_count_for_reference(benchmark, n):
-        """The O(n^2) naive count at small n — the quadratic strawman."""
-        db = colored_graph(n, DEGREE)
-        formula = query(EXAMPLE_23)
-        count = benchmark.pedantic(
-            lambda: naive_count(formula, db), rounds=2, iterations=1
-        )
-        benchmark.extra_info["n"] = n
-        # Cross-check correctness while we are here.
-        pipeline = Pipeline(db, formula)
-        assert count_answers(pipeline) == count
 
 
 if __name__ == "__main__":

@@ -1,14 +1,4 @@
-"""E8 — the Storing Theorem in practice, plus the durability layer.
-
-Claims (pytest-benchmark groups):
-
-* lookups cost O(depth) = O(k/eps) array accesses — independent of the
-  number of stored keys and of ``n`` (group "E8-lookup");
-* build cost and storage scale with ``|dom(f)| * n^eps`` — larger ``eps``
-  means shallower tries and faster lookups but more slack per node
-  (group "E8-build", ``slots_allocated`` in extra_info);
-* the hash-table realization (``dict``) of the same interface, for
-  reference.
+"""E8 — the durability layer on top of the Storing-Theorem substrate.
 
 Standalone harness (``python benchmarks/bench_e8_storing.py``): the
 snapshot + WAL durability layer on top of the storing substrate —
@@ -21,7 +11,9 @@ snapshot + WAL durability layer on top of the storing substrate —
   re-preprocessing) and **>= 2x faster** than the same first query on a
   cold (``load_warm=False``) reopen.
 
-Both modes emit ``BENCH_storing.json``; ``--smoke`` is the CI gate.
+Both modes emit ``BENCH_storing.json``; ``--smoke`` is the CI gate.  The
+trie's eps trade-off (lookup depth vs slots allocated) is E8 in
+``run_experiments.py``.
 """
 
 import random
@@ -29,69 +21,11 @@ import random
 import os
 import sys
 
-import pytest
-
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
 if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e8_storing.py`
     sys.path.insert(0, REPO_SRC)
-
-from repro.storage.trie import DictBackend, StoringTrie  # noqa: E402
-
-N = 1 << 14
-KEY_COUNT = 5_000
-EPSILONS = [0.25, 0.5, 1.0]
-
-
-def _keys(seed=7):
-    rng = random.Random(seed)
-    return [
-        (rng.randrange(N), rng.randrange(N)) for _ in range(KEY_COUNT)
-    ]
-
-
-@pytest.mark.parametrize("eps", EPSILONS)
-@pytest.mark.benchmark(group="E8-build")
-def bench_build(benchmark, eps):
-    keys = _keys()
-
-    def build():
-        trie = StoringTrie(n=N, k=2, eps=eps)
-        for index, key in enumerate(keys):
-            trie.store(key, index)
-        return trie
-
-    trie = benchmark(build)
-    benchmark.extra_info["eps"] = eps
-    benchmark.extra_info["depth"] = trie.depth
-    benchmark.extra_info["slots_allocated"] = trie.slots_allocated
-
-
-@pytest.mark.parametrize("eps", EPSILONS)
-@pytest.mark.benchmark(group="E8-lookup")
-def bench_lookup(benchmark, eps):
-    keys = _keys()
-    trie = StoringTrie(n=N, k=2, eps=eps)
-    for index, key in enumerate(keys):
-        trie.store(key, index)
-    probes = keys[:500] + _keys(seed=8)[:500]  # half hits, half misses
-
-    benchmark(lambda: sum(1 for key in probes if trie.lookup(key) is not None))
-    benchmark.extra_info["eps"] = eps
-    benchmark.extra_info["depth"] = trie.depth
-
-
-@pytest.mark.benchmark(group="E8-lookup")
-def bench_lookup_dict_reference(benchmark):
-    keys = _keys()
-    table = DictBackend(k=2)
-    for index, key in enumerate(keys):
-        table.store(key, index)
-    probes = keys[:500] + _keys(seed=8)[:500]
-
-    benchmark(lambda: sum(1 for key in probes if table.lookup(key) is not None))
-    benchmark.extra_info["eps"] = "dict"
 
 # -- standalone durability harness --------------------------------------
 

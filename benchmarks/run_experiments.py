@@ -1,19 +1,25 @@
 """Regenerate every experiment table for EXPERIMENTS.md.
 
-Standalone (no pytest):  python benchmarks/run_experiments.py [--fast]
+Standalone:  python benchmarks/run_experiments.py [--fast]
 
-Prints one markdown table per experiment E1..E9 together with the scaling
-exponents / flatness checks that constitute the paper's claims.  The
-pytest-benchmark modules time the same code paths with statistical rigor;
-this script favors a complete, readable summary.
+Prints one markdown table per experiment E1..E13 together with the
+scaling exponents / flatness checks that constitute the paper's claims.
+The ``bench_e*.py`` scripts next to it are the ``--smoke`` gates.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import time
+
+REPO_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+if REPO_SRC not in sys.path:  # allow `python benchmarks/run_experiments.py`
+    sys.path.insert(0, REPO_SRC)
 
 from repro.core.baselines import ListJoinBaseline
 from repro.core.counting import count_answers
@@ -279,12 +285,13 @@ def e10_dynamic(sizes, updates=50):
     print("## E10 — dynamic updates: local recomputation vs full rebuild\n")
     import random
 
-    from repro.core.dynamic import DynamicQuery
+    from repro.session import Database
 
     rows = []
     for n in sizes:
         db = colored_graph(n, 4).copy()
-        dyn = DynamicQuery(db, query(EXAMPLE_23))
+        session = Database(db)
+        session.query(EXAMPLE_23).count()  # one maintained plan
         rng = random.Random(3)
         domain = list(db.domain)
         stream = [
@@ -294,11 +301,12 @@ def e10_dynamic(sizes, updates=50):
         def apply_all():
             for a, b in stream:
                 if db.has_fact("E", a, b):
-                    dyn.delete_fact("E", a, b)
+                    session.remove_fact("E", a, b)
                 else:
-                    dyn.insert_fact("E", a, b)
+                    session.insert_fact("E", a, b)
 
         elapsed, _ = timed(apply_all)
+        session.close()
         rebuild_time, _ = timed(lambda: Pipeline(db, query(EXAMPLE_23)))
         rows.append(
             (

@@ -46,7 +46,6 @@ __all__ = [
     "CommitResult",
     "CompiledQuery",
     "Database",
-    "DynamicQuery",
     "EngineError",
     "EvaluationError",
     "FrozenStructureError",
@@ -81,9 +80,8 @@ def model_check(sentence, structure, **kwargs):
     return _model_check(coerce_formula(sentence), structure, **kwargs)
 
 
-# Heavy (or deprecated) surface, resolved lazily so ``import repro``
-# stays light and the ``DynamicQuery`` deprecation fires at use, not
-# import.
+# The session surface is heavy, so it resolves lazily and ``import repro``
+# stays light.
 _LAZY_EXPORTS = {
     "Answers": ("repro.session", "Answers"),
     "Changeset": ("repro.session", "Changeset"),
@@ -93,7 +91,6 @@ _LAZY_EXPORTS = {
     "QueryPlan": ("repro.session", "QueryPlan"),
     "Snapshot": ("repro.session", "Snapshot"),
     "Transaction": ("repro.session", "Transaction"),
-    "DynamicQuery": ("repro.core.dynamic", "DynamicQuery"),
 }
 
 

@@ -284,7 +284,6 @@ def _run_sharded_query(args: argparse.Namespace) -> int:
         shards=args.shards,
         eps=args.eps,
         workers=args.workers,
-        gather=getattr(args, "gather", "stream") or "stream",
     ) as sdb:
         query = sdb.query(args.query)
         preprocessing = time.perf_counter() - started
@@ -314,7 +313,10 @@ def _run_sharded_query(args: argparse.Namespace) -> int:
             print(f"({shown} answers shown)")
         if args.explain:
             report = query.explain()
-            print(f"gather: {report['gather']} (sharded: {report['sharded']})")
+            print(
+                f"sharded: {report['sharded']} "
+                f"(canonical: {report['canonical']})"
+            )
             if report["shard_blockers"]:
                 for blocker in report["shard_blockers"]:
                     print(f"  blocker: {blocker}")
@@ -738,12 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="run scatter-gather over N region shards (repro.shard)",
-    )
-    query_parser.add_argument(
-        "--gather",
-        choices=["stream", "engine"],
-        default="stream",
-        help="gather strategy with --shards (default: stream)",
     )
     _add_version_flags(query_parser)
     query_parser.set_defaults(handler=cmd_query)

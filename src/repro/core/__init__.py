@@ -6,7 +6,6 @@ counting (Theorem 2.5), testing (Theorem 2.6), constant-delay enumeration
 from repro.core.baselines import ListJoinBaseline, product_count, product_enumerate
 from repro.core.ccq import count_ccq, evaluate_ccq, parse_ccq
 from repro.core.counting import count_answers
-from repro.core.dynamic import DynamicQuery
 from repro.core.enumeration import (
     BranchEnumerator,
     SkipList,
@@ -20,7 +19,6 @@ from repro.core.testing import AnswerTester, test_answer
 __all__ = [
     "AnswerTester",
     "BranchEnumerator",
-    "DynamicQuery",
     "ListJoinBaseline",
     "Pipeline",
     "SkipList",

@@ -30,26 +30,23 @@ machinery and is out of scope here (raises
 :class:`UnsupportedQueryError`).
 
 The machinery lives in :class:`PipelineMaintainer`, which maintains *one*
-pipeline in place and is what :class:`repro.session.Database` attaches to
-every eligible cached plan.  :class:`DynamicQuery` is the legacy
-single-query facade over it (deprecated — use
-``Database.insert_fact`` / ``Database.remove_fact``).
+pipeline in place and is what :class:`repro.session.Database` (and
+:class:`repro.shard.ShardedDatabase`) attaches to every eligible cached
+plan.  :func:`maintain` is the one batch-commit pass every commit path
+runs: each maintainer's reach before the mutation, the mutation once,
+then one :meth:`PipelineMaintainer.refresh` per maintainer over the
+union of the reach before and after.  Updates go through the session
+(``Database.insert_fact`` / ``remove_fact`` / ``apply``).
 """
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left, insort
-from typing import Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Hashable, List, Sequence, Set, Tuple
 
-from repro.core.counting import count_answers
-from repro.core.enumeration import enumerate_answers
 from repro.core.pipeline import Pipeline
-from repro.core.testing import test_answer
 from repro.errors import UnsupportedQueryError
-from repro.fo import coerce_formula
-from repro.fo.syntax import CountCmp, Var, subformulas
-from repro.storage.cost_model import CostMeter
+from repro.fo.syntax import CountCmp, subformulas
 from repro.structures.gaifman_graph import ball_of_set
 from repro.structures.structure import Structure
 
@@ -123,15 +120,46 @@ def apply_ops(structure: Structure, ops: Sequence[UpdateOp]) -> None:
             structure.remove_fact(relation, *elements)
 
 
+def maintain(
+    maintainers: Sequence[PipelineMaintainer],
+    effective: Sequence[UpdateOp],
+    mutate: Callable[[], None],
+) -> List[bool]:
+    """One batch commit's maintenance pass; returns the refresh flags.
+
+    ``effective`` are the commit's net fact changes (:func:`net_effects`)
+    and ``mutate`` applies them — once — to the structure every
+    maintainer reads.  Each maintainer's refresh region is the union of
+    the touched elements' reach *before* and *after* the mutation: an
+    inserted edge extends reach, a deleted one used to provide it.  One
+    pass per maintainer covers the whole batch because maintenance only
+    reconciles the initial and final structures (intermediate states
+    are unobservable), and every node whose neighborhood-determined data
+    differs between them lies within the query radius of a changed fact
+    in one of the two Gaifman graphs.
+
+    Exceptions propagate unchanged, so each caller keeps its own failure
+    policy: whether ``mutate`` ran tells a reach/refresh failure from a
+    failed mutation.
+    """
+    touched = tuple(
+        {element for _, _, elements in effective for element in elements}
+    )
+    regions = [maintainer.reach(touched) for maintainer in maintainers]
+    mutate()
+    return [
+        maintainer.refresh(touched, region | maintainer.reach(touched))
+        for maintainer, region in zip(maintainers, regions)
+    ]
+
+
 class PipelineMaintainer:
     """Keeps one built :class:`Pipeline` consistent under fact updates.
 
-    The maintainer does not own the mutation: callers that coordinate
-    several pipelines over one structure (:class:`repro.session.Database`)
-    use the split-phase API — :meth:`reach` before *and* after the
-    mutation, then :meth:`refresh` — so the structure is mutated exactly
-    once.  :meth:`insert_fact` / :meth:`delete_fact` bundle the phases for
-    the single-pipeline case.
+    The maintainer does not own the mutation: commits that coordinate
+    several pipelines over one structure run :func:`maintain`, which
+    takes :meth:`reach` before *and* after the mutation and then calls
+    :meth:`refresh`, so the structure is mutated exactly once.
     """
 
     def __init__(self, pipeline: Pipeline):
@@ -146,66 +174,6 @@ class PipelineMaintainer:
         if pipeline.graph is not None:
             pipeline.graph.make_mutable()
         self.updates_applied = 0
-
-    # ------------------------------------------------------------------
-    # Single-pipeline mutations (the DynamicQuery path)
-    # ------------------------------------------------------------------
-
-    def insert_fact(self, relation: str, *elements: Element) -> bool:
-        """Insert a fact and refresh the affected region."""
-        if self.structure.has_fact(relation, *elements):
-            return False
-        # The region is the union of the touched elements' reach *before*
-        # and *after* the mutation: an inserted edge extends reach, a
-        # deleted one used to provide it.
-        region = self.reach(elements)
-        self.structure.add_fact(relation, *elements)
-        region |= self.reach(elements)
-        self.refresh(elements, region)
-        return True
-
-    def delete_fact(self, relation: str, *elements: Element) -> bool:
-        """Delete a fact and refresh the affected region."""
-        if not self.structure.has_fact(relation, *elements):
-            return False
-        region = self.reach(elements)
-        self.structure.remove_fact(relation, *elements)
-        region |= self.reach(elements)
-        self.refresh(elements, region)
-        return True
-
-    def apply_batch(self, ops: Sequence[UpdateOp]) -> int:
-        """Apply many fact updates with *one* local-recomputation pass.
-
-        ``ops`` are ``(insert, relation, elements)`` triples replayed in
-        order; no-ops and cancelling pairs are netted out first
-        (:func:`net_effects`).  The refresh region is the union of the
-        touched elements' reach *before* and *after* the whole batch —
-        sound because maintenance only has to reconcile the initial and
-        final structures (intermediate states are unobservable), and
-        every node whose neighborhood-determined data differs between
-        them lies within the query radius of a changed fact in one of
-        the two Gaifman graphs.  Returns the number of effective
-        updates; zero means nothing was touched (and no refresh ran).
-
-        INVARIANT SHARED WITH THE SESSION: the multi-maintainer commit
-        (``Database._commit_in_place_locked``) runs this exact
-        pre-reach / apply-once / post-reach / refresh sequence per
-        maintainer; a change to the region computation here must be
-        mirrored there (and vice versa) or batched and per-fact
-        maintenance silently diverge.
-        """
-        effective = net_effects(self.structure, ops)
-        if not effective:
-            return 0
-        touched = tuple(
-            {element for _, _, elements in effective for element in elements}
-        )
-        region = self.reach(touched)
-        apply_ops(self.structure, effective)
-        region |= self.reach(touched)
-        self.refresh(touched, region)
-        return len(effective)
 
     def reach(self, touched: Sequence[Element]) -> Set[Element]:
         """Every element an update to ``touched`` can affect (one side)."""
@@ -365,74 +333,3 @@ class PipelineMaintainer:
                 bucket = pipeline.block_vector_index.setdefault(key, [])
                 insort(bucket, node_id)
 
-
-class DynamicQuery:
-    """A prepared query that stays consistent while facts change.
-
-    .. deprecated::
-        Use :class:`repro.session.Database` — ``db.insert_fact()`` /
-        ``db.remove_fact()`` maintain *every* eligible cached plan through
-        the same machinery.
-
-    The wrapped structure is mutated in place through
-    :meth:`insert_fact` / :meth:`delete_fact`; the domain is fixed.
-    """
-
-    def __init__(
-        self,
-        structure: Structure,
-        query,
-        order: Optional[Sequence[Var]] = None,
-        eps: float = 0.5,
-    ):
-        warnings.warn(
-            "DynamicQuery is deprecated; use repro.session.Database — "
-            "db.insert_fact()/db.remove_fact() maintain every eligible "
-            "cached plan",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        query = coerce_formula(query)
-        self.structure = structure
-        self.pipeline = Pipeline(structure, query, order=order, eps=eps)
-        self._maintainer = PipelineMaintainer(self.pipeline)
-
-    @property
-    def updates_applied(self) -> int:
-        return self._maintainer.updates_applied
-
-    # ------------------------------------------------------------------
-    # Mutations
-    # ------------------------------------------------------------------
-
-    def insert_fact(self, relation: str, *elements: Element) -> None:
-        """Insert a fact and refresh the affected region."""
-        self._maintainer.insert_fact(relation, *elements)
-
-    def delete_fact(self, relation: str, *elements: Element) -> None:
-        """Delete a fact and refresh the affected region."""
-        self._maintainer.delete_fact(relation, *elements)
-
-    # ------------------------------------------------------------------
-    # The three operations (delegation)
-    # ------------------------------------------------------------------
-
-    def count(self, meter: Optional[CostMeter] = None) -> int:
-        return count_answers(self.pipeline, meter)
-
-    def test(self, candidate: Sequence[Element], meter: Optional[CostMeter] = None) -> bool:
-        return test_answer(self.pipeline, candidate, meter)
-
-    def enumerate(self, meter: Optional[CostMeter] = None) -> Iterator[Tuple[Element, ...]]:
-        return enumerate_answers(self.pipeline, meter=meter)
-
-    def answers(self) -> List[Tuple[Element, ...]]:
-        return list(self.enumerate())
-
-    @property
-    def arity(self) -> int:
-        return self.pipeline.arity
-
-    @property
-    def refresh_radius(self) -> int:
-        return self._maintainer.refresh_radius

@@ -44,8 +44,8 @@ from repro.fo.syntax import (
 def coerce_formula(query: Union[Formula, str]) -> Formula:
     """The one place query input is normalized: text or :class:`Formula`.
 
-    Every public entry point — ``Database.query``, ``DynamicQuery``,
-    the pipeline cache — accepts
+    Every public entry point — ``Database.query``,
+    ``ShardedDatabase.query``, the pipeline cache — accepts
     ``str | Formula`` through this helper, so parsing behavior and the
     error message are identical everywhere.
     """

@@ -40,6 +40,7 @@ from repro.core.colored_graph import ColoredGraph, build_colored_graph
 from repro.core.dynamic import (
     PipelineMaintainer,
     apply_ops,
+    maintain,
     net_effects,
     supports_maintenance,
 )
@@ -180,8 +181,6 @@ class Database:
         workers: Optional[int] = None,
         skip_mode: str = "lazy",
         cache_capacity: int = 64,
-        share_graphs: bool = True,
-        maintain: bool = True,
         retention_budget: int = 64,
     ):
         if workers is not None and workers < 1:
@@ -194,8 +193,6 @@ class Database:
         self.eps = eps
         self.workers = workers
         self.skip_mode = skip_mode
-        self.share_graphs = share_graphs
-        self.maintain = maintain
         self.pool = WorkerPool(workers)
         self.cache = PipelineCache(cache_capacity)
         # Keyed by (structure fingerprint, arity, link_radius).
@@ -559,61 +556,38 @@ class Database:
     def _commit_in_place_locked(self, effective) -> int:
         """The fast path: nothing pins the current version, so cached
         plans are maintained *in place* — one local-recomputation pass
-        per maintained plan for the whole batch — and the cache re-keys
-        to the new fingerprint."""
+        per maintained plan for the whole batch (:func:`maintain`) — and
+        the cache re-keys to the new fingerprint."""
         self._prune_maintainers()
-        touched = tuple(
-            {element for _, _, elements in effective for element in elements}
-        )
-        # Phase 1: each maintainer's reach *before* the mutations (a
-        # deleted edge used to provide connectivity).
-        pre_regions = {
-            key: maintainer.reach(touched)
-            for key, maintainer in self._maintainers.items()
-        }
-        # Phase 2: apply the whole batch to the structure.
         applied = []
-        try:
+
+        def mutate():
             for op in effective:
-                insert, relation, elements = op
-                if insert:
-                    self.structure.add_fact(relation, *elements)
-                else:
-                    self.structure.remove_fact(relation, *elements)
+                apply_ops(self.structure, [op])
                 applied.append(op)
-        except BaseException:
-            self._revert_ops_locked(applied)
-            raise
-        # Phase 3: ONE local recomputation per maintained plan, over the
-        # union of pre/post reach — sound because maintenance only
-        # reconciles the initial and final structures.  This mirrors
-        # PipelineMaintainer.apply_batch (the single-maintainer form);
-        # keep the region computation in lockstep with it.
+
         try:
-            for key, maintainer in self._maintainers.items():
-                region = pre_regions[key] | maintainer.reach(touched)
-                if maintainer.refresh(touched, region):
-                    self._dirty_plans.add(key[1:])
+            dirty = maintain(list(self._maintainers.values()), effective, mutate)
         except BaseException:
-            # A half-refreshed maintained plan cannot be trusted against
-            # either version: revert the facts and drop exactly the
-            # maintained entries (untouched cache entries stay valid).
             self._revert_ops_locked(applied)
-            for key in self._maintainers:
-                self.cache.discard(key)
-            self._maintainers.clear()
+            if len(applied) == len(effective):
+                # The ops went through and a refresh failed: a
+                # half-refreshed maintained plan cannot be trusted against
+                # either version, so drop exactly the maintained entries
+                # (untouched cache entries stay valid).
+                for key in self._maintainers:
+                    self.cache.discard(key)
+                self._maintainers.clear()
             raise
-        # Phase 4: one fingerprint roll + one cache re-key.  Maintained
-        # plans move to the new fingerprint key (still cache-hits);
-        # everything else for the old fingerprint is dropped; graph
-        # templates are structure-derived, so they rebuild on demand.
+        for key, changed in zip(self._maintainers, dirty):
+            if changed:
+                self._dirty_plans.add(key[1:])
+        # One fingerprint roll + one cache re-key.  Maintained plans move
+        # to the new fingerprint key (still cache-hits); everything else
+        # for the old fingerprint is dropped; graph templates are
+        # structure-derived, so they rebuild on demand.
         old_tag = self._cache_tag
-        self._fingerprint = fingerprint(self.structure)
-        self._cache_tag = self._tag(self._fingerprint)
-        self._version = self.structure.version
-        self._graph_templates.clear()
-        with self._locks_guard:
-            self._template_locks.clear()
+        self._roll_head_locked()
         kept = self.cache.rekey(
             old_tag,
             self._cache_tag,
@@ -654,70 +628,59 @@ class Database:
         self._prune_maintainers()
         old_structure = self.structure
         new_structure = old_structure.fork()
-        touched = tuple(
-            {element for _, _, elements in effective for element in elements}
-        )
-        # Phase 1 (pre-mutation): clone each maintained plan onto the
-        # fork and record its reach while the fork still has the old
-        # content — mirrors _commit_in_place_locked's pre-region pass.
         clones: Dict[CacheKey, PipelineMaintainer] = {}
-        pre_regions: Dict[CacheKey, set] = {}
+        stage = "clone"
+
+        def mutate():
+            nonlocal stage
+            stage = "apply"
+            apply_ops(new_structure, effective)
+            # Point of no return — everything before touched only the fork.
+            old_structure.freeze()
+            self.structure = new_structure
+            if self._guard_installed:
+                new_structure._write_guard = _WRITE_GUARD_MESSAGE
+            # fork() bumped the structure's generation, so the new tag
+            # names the new lineage: even if a later commit returns the
+            # head to this *content*, the frozen generation's entries
+            # stay unreachable.
+            self._roll_head_locked()
+            stage = "refresh"
+
         try:
             for key, maintainer in self._maintainers.items():
-                clone = PipelineMaintainer(maintainer.pipeline.fork(new_structure))
-                pre_regions[key] = clone.reach(touched)
-                clones[key] = clone
+                clones[key] = PipelineMaintainer(
+                    maintainer.pipeline.fork(new_structure)
+                )
+            maintain(list(clones.values()), effective, mutate)
         except Exception as error:
+            if stage == "apply":
+                raise
             # Anything a user-defined element or formula atom does inside
-            # fork/reach can surface here; warmth is best-effort, so warn
-            # and degrade rather than fail the commit.
+            # fork/reach/refresh can surface here.  The frozen head is
+            # untouched either way and warmth is best-effort, so warn and
+            # let the new head rebuild its plans on demand.
+            if stage == "clone":
+                what = (
+                    f"cloning {len(self._maintainers)} maintained plan(s) "
+                    f"onto version {new_structure.version}"
+                )
+            else:
+                what = (
+                    f"refreshing {len(clones)} cloned plan(s) for version "
+                    f"{new_structure.version}"
+                )
             warnings.warn(
-                f"warm fork degraded to cold: cloning "
-                f"{len(self._maintainers)} maintained plan(s) onto "
-                f"version {new_structure.version} failed ({error!r}); "
+                f"warm fork degraded to cold: {what} failed ({error!r}); "
                 "the new head rebuilds them on demand",
                 MaintenanceWarning,
                 stacklevel=3,
             )
-            clones, pre_regions = {}, {}
-        apply_ops(new_structure, effective)
-        # Point of no return — everything above touched only the fork.
-        old_structure.freeze()
-        self.structure = new_structure
-        if self._guard_installed:
-            new_structure._write_guard = _WRITE_GUARD_MESSAGE
-        self._fingerprint = fingerprint(new_structure)
-        # fork() bumped the structure's generation, so the tag names the
-        # new lineage: even if a later commit returns the head to this
-        # *content*, the frozen generation's entries stay unreachable.
-        self._cache_tag = self._tag(self._fingerprint)
-        self._version = new_structure.version
-        self._graph_templates.clear()
-        with self._locks_guard:
-            self._template_locks.clear()
-        # Phase 2 (post-mutation): one local-recomputation pass per
-        # clone over the pre/post reach union.  The frozen head's
-        # pipelines are untouched either way; a refresh failure only
-        # costs warmth (the new head rebuilds that plan on demand).
-        maintained: Dict[CacheKey, PipelineMaintainer] = {}
-        if clones:
-            try:
-                for key, clone in clones.items():
-                    region = pre_regions[key] | clone.reach(touched)
-                    clone.refresh(touched, region)
-                maintained = clones
-            except Exception as error:
-                warnings.warn(
-                    f"warm fork degraded to cold: refreshing "
-                    f"{len(clones)} cloned plan(s) for version "
-                    f"{new_structure.version} failed ({error!r}); the "
-                    "new head rebuilds them on demand",
-                    MaintenanceWarning,
-                    stacklevel=3,
-                )
-                maintained = {}
+            clones = {}
+            if stage == "clone":
+                mutate()
         self._maintainers = {}
-        for key, clone in maintained.items():
+        for key, clone in clones.items():
             new_key = (self._cache_tag,) + key[1:]
             self.cache.put(new_key, clone.pipeline)
             self._maintainers[new_key] = clone
@@ -901,10 +864,8 @@ class Database:
                 key = (tag, normalized, order_names, eps)
                 self.cache.put(key, pipeline)
                 seeded += 1
-                if (
-                    self.maintain
-                    and key not in self._maintainers
-                    and supports_maintenance(pipeline)
+                if key not in self._maintainers and supports_maintenance(
+                    pipeline
                 ):
                     self._maintainers[key] = PipelineMaintainer(pipeline)
         return seeded
@@ -991,26 +952,27 @@ class Database:
         if self.structure.version == self._version:
             return
         stale_tag = self._cache_tag
+        self._roll_head_locked()
+        self._maintainers.clear()
+        self.cache.invalidate(stale_tag)
+
+    def _roll_head_locked(self) -> None:
+        """Re-derive the head's fingerprint, cache tag, and version after
+        a mutation; graph templates are structure-derived, so they are
+        dropped and rebuild on demand."""
         self._fingerprint = fingerprint(self.structure)
         self._cache_tag = self._tag(self._fingerprint)
         self._version = self.structure.version
         self._graph_templates.clear()
         with self._locks_guard:
             self._template_locks.clear()
-        self._maintainers.clear()
-        self.cache.invalidate(stale_tag)
 
     def invalidate(self) -> None:
         """Drop every cached pipeline, maintainer, and graph template."""
         with self._state_lock:
-            self._graph_templates.clear()
             self._maintainers.clear()
             self.cache.invalidate()
-            self._fingerprint = fingerprint(self.structure)
-            self._cache_tag = self._tag(self._fingerprint)
-            self._version = self.structure.version
-        with self._locks_guard:
-            self._template_locks.clear()
+            self._roll_head_locked()
 
     # -- shared preprocessing ------------------------------------------
 
@@ -1147,19 +1109,14 @@ class Database:
                         formula,
                         order=variable_order,
                         eps=self.eps,
-                        graph_factory=(
-                            self._graph_factory_for(tag)
-                            if self.share_graphs
-                            else None
-                        ),
+                        graph_factory=self._graph_factory_for(tag),
                     )
                     with self._state_lock:
                         self.cache.put(key, pipeline)
                         self._dirty_plans.add(key[1:])
                 with self._state_lock:
                     if (
-                        self.maintain
-                        and structure is self.structure
+                        structure is self.structure
                         and tag == self._cache_tag
                         and key not in self._maintainers
                         and supports_maintenance(pipeline)

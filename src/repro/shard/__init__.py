@@ -12,7 +12,7 @@ Public surface:
 * :class:`ShardedDatabase` / :class:`ShardedQuery` — the session-style
   front-end with transactional, ownership-split updates
   (:mod:`repro.shard.database`);
-* :class:`ShardGatherBackend` — the gather strategies
+* :class:`ShardGatherBackend` — the order-exact stream gather
   (:mod:`repro.shard.backend`);
 * :func:`shard_blockers` — why a query must stay unsharded.
 """

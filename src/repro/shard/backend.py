@@ -7,32 +7,24 @@ at plan-build time (one derived pipeline per region), so the backend's
 job is the *gather* — producing the exact global answer stream from the
 per-shard pieces.
 
-Two gather strategies:
+Single-block branches are merged **without ever materializing a
+shard**: each shard contributes a lazy iterator over its branch list,
+and a ``heapq.merge`` keyed by the domain rank of the node's seed
+element interleaves them into precisely the merged pipeline's node
+order (seeds are unique to one shard, so there are no cross-shard ties;
+within a shard, list order is already nondecreasing in seed rank).
+Multi-block branches — whose answers may combine clusters from
+*different* shards — run on the merged pipeline, which exists for
+exactly this purpose.  Counting uses the same split: per-shard branch
+counts sum exactly for single-block branches (the lists partition),
+merged counts cover the rest.
 
-``stream``
-    Single-block branches are merged **without ever materializing a
-    shard**: each shard contributes a lazy iterator over its branch
-    list, and a ``heapq.merge`` keyed by the domain rank of the node's
-    seed element interleaves them into precisely the merged pipeline's
-    node order (seeds are unique to one shard, so there are no
-    cross-shard ties; within a shard, list order is already
-    nondecreasing in seed rank).  Multi-block branches — whose answers
-    may combine clusters from *different* shards — run on the merged
-    pipeline, which exists for exactly this purpose.  Counting uses the
-    same split: per-shard branch counts sum exactly for single-block
-    branches (the lists partition), merged counts cover the rest.
-
-``engine``
-    Delegates the merged pipeline to the cost-model-driven ``auto``
-    backend, which may fan branches across the worker pool with the
-    shared-memory chunk mailbox streaming results back.
-
-Either way the output is byte-identical to the unsharded serial
-enumeration; the differential suite in ``tests/shard`` enforces it
-configuration by configuration.  When the plan is no longer canonical
-(its shard graphs went stale after an in-place maintenance pass) or was
-never sharded (a trivial pipeline has no graph to shard) both strategies
-hand the merged pipeline to the engine, which *is* maintained.
+The output is byte-identical to the unsharded serial enumeration; the
+differential suite in ``tests/shard`` enforces it configuration by
+configuration.  When the plan is no longer canonical (its shard graphs
+went stale after an in-place maintenance pass) or was never sharded (a
+trivial pipeline has no graph to shard) the merged pipeline — which
+*is* maintained — goes to the cost-model-driven ``auto`` backend.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ from typing import Dict, Hashable, Iterator, List, Tuple
 from repro.core.counting import count_branch_at
 from repro.core.enumeration import enumerate_branch
 from repro.engine.executor import resolve_chunk_rows
-from repro.errors import EngineError
 from repro.session.backends import AUTO, ExecutionPlan
 
 Element = Hashable
@@ -57,15 +48,11 @@ MERGED = -1
 class ShardGatherBackend:
     """Gather per-shard branch streams into the global answer order."""
 
-    def __init__(self, state, rank, gather: str = "stream"):
-        if gather not in ("stream", "engine"):
-            raise EngineError(
-                f"gather must be 'stream' or 'engine', got {gather!r}"
-            )
-        self.name = f"shard-{gather}"
+    name = "shard-stream"
+
+    def __init__(self, state, rank):
         self._state = state
         self._rank = rank
-        self._gather = gather
 
     # -- protocol ------------------------------------------------------
 
@@ -96,8 +83,6 @@ class ShardGatherBackend:
 
     def _streamable(self, plan: ExecutionPlan) -> bool:
         state = self._state
-        if self._gather != "stream":
-            return False
         if state.shards is None or not state.canonical:
             return False
         # The plan the session built must be over our merged pipeline;

@@ -7,8 +7,7 @@ one pipeline per region from that template, and assembles the derived
 pipelines into a merged pipeline that is — provably, and enforced by the
 differential suite — byte-identical to a cold global build.  Queries
 then execute scatter-gather (:mod:`repro.shard.backend`): per-shard
-branch streams are merged lazily into the exact global answer order, or
-handed to the parallel engine over the merged pipeline.
+branch streams are merged lazily into the exact global answer order.
 
 Sharing the *template* is what makes per-region pipelines sound:
 localization evaluates sentences, materializes derived unary predicates,
@@ -21,13 +20,13 @@ and the plan silently falls back to an ordinary unsharded pipeline —
 wrong answers are never an option.
 
 Updates go through :meth:`ShardedDatabase.apply` with the session
-commit's exact semantics: validation up front, net effects, then a
-pre-reach / apply-once / post-reach / refresh maintenance pass over
-every maintainable cached plan, with the changeset *split by element
-ownership* so each region's substructure is updated in place.  A fact
-whose elements span two shards is a **bridge** — it welds Gaifman
-components together — and triggers a targeted merge of the owning
-shards before anything is answered again.
+commit's exact semantics: validation up front, net effects, then the
+session's one maintenance pass (:func:`repro.core.dynamic.maintain`)
+over every maintainable cached plan, with the changeset *split by
+element ownership* so each region's substructure is updated in the same
+mutation.  A fact whose elements span two shards is a **bridge** — it
+welds Gaifman components together — and triggers a targeted merge of
+the owning shards before anything is answered again.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from typing import (
 from repro.core.dynamic import (
     PipelineMaintainer,
     apply_ops,
+    maintain,
     maintenance_blockers,
     net_effects,
 )
@@ -173,9 +173,7 @@ class ShardedQuery:
         state = db._plan_state(self._key)
         handle = Answers(
             state.merged,
-            backend=ShardGatherBackend(
-                state, db.structure.order.rank, db.gather
-            ),
+            backend=ShardGatherBackend(state, db.structure.order.rank),
             skip_mode=db._skip_mode,
             workers=db._workers,
             pool=db.pool,
@@ -205,7 +203,6 @@ class ShardedQuery:
         state = db._plan_state(self._key)
         report: Dict[str, object] = {
             "formula": str(self._formula),
-            "gather": db.gather,
             "sharded": state.shards is not None,
             "canonical": state.canonical,
             "shard_sizes": list(db.layout.sizes()),
@@ -233,11 +230,8 @@ class ShardedDatabase:
     """Region-sharded structures with scatter-gather query execution.
 
     ``shards`` is the target shard count (see
-    :class:`repro.shard.partition.RegionPartitioner`); ``gather`` picks
-    the default gather strategy (``"stream"`` merges per-shard answer
-    streams lazily in-process, ``"engine"`` hands the merged pipeline to
-    the cost-model-driven parallel engine).  The front-end owns its
-    structure: mutate it only through :meth:`apply` /
+    :class:`repro.shard.partition.RegionPartitioner`).  The front-end
+    owns its structure: mutate it only through :meth:`apply` /
     :meth:`insert_fact` / :meth:`remove_fact`.
     """
 
@@ -248,18 +242,12 @@ class ShardedDatabase:
         eps: float = 0.5,
         workers: Optional[int] = None,
         skip_mode: str = "lazy",
-        gather: str = "stream",
         partitioner: Optional[RegionPartitioner] = None,
     ):
-        if gather not in ("stream", "engine"):
-            raise EngineError(
-                f"gather must be 'stream' or 'engine', got {gather!r}"
-            )
         self._structure = structure
         self._eps = eps
         self._workers = workers
         self._skip_mode = skip_mode
-        self.gather = gather
         self._partitioner = partitioner or RegionPartitioner(shards)
         self._layout = self._partitioner.partition(structure)
         self._substructures = [
@@ -287,8 +275,8 @@ class ShardedDatabase:
 
     @property
     def pool(self) -> WorkerPool:
-        """The lazily-started worker pool (``gather="engine"`` only needs
-        it when the cost model actually picks a parallel mode)."""
+        """The lazily-started worker pool (only started when a plan the
+        stream gather hands to the engine runs in a parallel mode)."""
         with self._lock:
             if self._pool is None:
                 self._pool = WorkerPool(self._workers)
@@ -391,8 +379,8 @@ class ShardedDatabase:
         owning region's substructure.  Ops whose elements span shards
         are bridges: the owning shards are merged in the layout and all
         cached plans rebuild cold.  Otherwise every maintainable cached
-        plan is refreshed with one local-recomputation pass (the exact
-        session-commit sequence), its shard graphs are retired
+        plan is refreshed with one local-recomputation pass
+        (:func:`repro.core.dynamic.maintain`), its shard graphs are retired
         (``canonical`` drops — the maintained merged pipeline answers
         until a fresh plan is built), and non-maintainable plans are
         evicted.
@@ -464,8 +452,8 @@ class ShardedDatabase:
         return 0
 
     def _commit_in_place(self, effective, per_shard: Dict[int, List]) -> int:
-        """The session commit's pre-reach/apply/post-reach/refresh pass,
-        extended with per-region substructure application."""
+        """The session's maintenance pass; the mutation also applies each
+        region's share of the ops to its substructure."""
         maintainers: List[_ShardPlan] = []
         evict = []
         for key, plan in self._plans.items():
@@ -475,17 +463,14 @@ class ShardedDatabase:
                 maintainers.append(plan)
             else:
                 evict.append(key)
-        touched = tuple(
-            {element for _, _, elements in effective for element in elements}
-        )
-        regions = [plan.maintainer.reach(touched) for plan in maintainers]
-        apply_ops(self._structure, effective)
-        for index, ops in per_shard.items():
-            apply_ops(self._substructures[index], ops)
-        for plan, region in zip(maintainers, regions):
-            plan.maintainer.refresh(
-                touched, region | plan.maintainer.reach(touched)
-            )
+
+        def mutate():
+            apply_ops(self._structure, effective)
+            for index, ops in per_shard.items():
+                apply_ops(self._substructures[index], ops)
+
+        maintain([plan.maintainer for plan in maintainers], effective, mutate)
+        for plan in maintainers:
             # Maintenance renumbers nothing: the merged graph stays
             # correct but is no longer the cold build's numbering, and
             # the (unmaintained) shard graphs are stale — retire them.

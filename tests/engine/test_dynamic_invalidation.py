@@ -16,12 +16,14 @@ from repro.core.enumeration import enumerate_answers
 from repro.errors import GuardedStructureError
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
-from repro.fo.syntax import Var
+from repro.fo.syntax import CountCmp, Var
 from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
 
 EXAMPLE = "B(x) & R(y) & ~E(x,y)"
 x, y = Var("x"), Var("y")
+# A counting atom blocks local maintenance: commits invalidate this plan.
+UNMAINTAINABLE = CountCmp("B", 1, (x,), ">=", 1)
 
 
 @pytest.fixture
@@ -31,7 +33,7 @@ def structure():
 
 @pytest.fixture
 def db(structure):
-    with Database(structure, maintain=False) as session:
+    with Database(structure) as session:
         yield session
 
 
@@ -94,10 +96,11 @@ class TestRebuildAfterUpdate:
         assert before != after or sorted(before) == want
 
     def test_cache_invalidated(self, db):
-        first = db.query(EXAMPLE).pipeline
+        first = db.query(UNMAINTAINABLE).pipeline
         assert db.stats()["graph_templates"] == 1
+        assert db.stats()["maintained_plans"] == 0
         db.insert_fact("B", missing_unary_fact(db.structure))
-        second = db.query(EXAMPLE).pipeline
+        second = db.query(UNMAINTAINABLE).pipeline
         assert second is not first, "stale pipeline served after an update"
         # Old entries were dropped, not just shadowed.
         assert db.stats()["entries"] == 1

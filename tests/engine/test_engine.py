@@ -320,11 +320,17 @@ class TestSharedPreprocessing:
         assert small_db.stats()["misses"] == 2
 
     def test_shared_graph_answers_match_unshared(self, medium_colored):
+        from repro.core.pipeline import Pipeline
+
         texts = (EXAMPLE, "B(x) & R(y) & E(x,y)")
-        with Database(medium_colored, share_graphs=True) as shared:
-            want = [shared.query(text).answers().all() for text in texts]
-        with Database(medium_colored, share_graphs=False) as unshared:
-            got = [unshared.query(text).answers().all() for text in texts]
+        with Database(medium_colored) as shared:
+            got = [shared.query(text).answers().all() for text in texts]
+            assert shared.stats()["graph_templates"] == 1
+        # A plain pipeline builds its own colored graph (no template).
+        want = [
+            list(enumerate_answers(Pipeline(medium_colored, parse(text))))
+            for text in texts
+        ]
         assert got == want
 
     def test_pipelines_do_not_share_colors(self, small_db):
@@ -597,9 +603,8 @@ class TestTriviallyTrue:
             assert (stats.chunks, stats.rows) == (3, 0)
             assert not encoded.pinned
 
-    @pytest.mark.parametrize("gather", ["stream", "engine"])
-    def test_sharded_query(self, structure, expected, gather):
-        with ShardedDatabase(structure.copy(), shards=2, gather=gather) as sdb:
+    def test_sharded_query(self, structure, expected):
+        with ShardedDatabase(structure.copy(), shards=2) as sdb:
             query = sdb.query("B(x) | ~B(x)", order=(Var("x"),))
             assert query.answers().all() == expected
             assert query.count() == len(expected)

@@ -418,28 +418,6 @@ class TestDynamicUpdates:
             assert sorted(q.answers().all()) == oracle(structure)
             assert db.stats()["maintained_plans"] == 1  # re-attached on rebuild
 
-    def test_agrees_with_legacy_dynamic_query(self):
-        structure_a = random_colored_graph(20, max_degree=3, seed=13)
-        structure_b = structure_a.copy()
-        from repro.core.dynamic import DynamicQuery
-
-        with pytest.warns(DeprecationWarning):
-            legacy = DynamicQuery(structure_b, EXAMPLE)
-        with Database(structure_a) as db:
-            q = db.query(EXAMPLE)
-            for action, fact in [
-                ("insert", ("E", 0, 5)),
-                ("insert", ("B", 7)),
-                ("delete", ("E", 0, 5)),
-            ]:
-                if action == "insert":
-                    db.insert_fact(*fact)
-                    legacy.insert_fact(*fact)
-                else:
-                    db.remove_fact(*fact)
-                    legacy.delete_fact(*fact)
-                assert sorted(q.answers().all()) == sorted(legacy.answers())
-
 
 class TestLifecycle:
     def test_close_rejects_new_queries(self, structure):

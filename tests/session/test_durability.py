@@ -274,6 +274,29 @@ class TestWarmForkDegradation:
             )
             snap.close()
 
+    def test_reach_failure_warns_and_commits_cold(self, monkeypatch):
+        from repro.core.dynamic import PipelineMaintainer
+
+        with Database(fresh_structure()) as db:
+            db.query(EXAMPLE)
+            snap = db.snapshot()
+
+            def explode(self, touched):
+                raise RuntimeError("injected reach failure")
+
+            monkeypatch.setattr(PipelineMaintainer, "reach", explode)
+            with pytest.warns(MaintenanceWarning, match="cloning"):
+                result = db.apply(
+                    [("insert", "B", (missing_unary(db.structure),))]
+                )
+            monkeypatch.undo()
+            assert result.forked and result.changed
+            assert result.maintained_plans == 0
+            assert sorted(db.query(EXAMPLE).answers().all()) == oracle(
+                db.structure
+            )
+            snap.close()
+
     def test_refresh_failure_warns_and_commits_cold(self, monkeypatch):
         from repro.core.dynamic import PipelineMaintainer
 

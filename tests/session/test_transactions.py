@@ -249,6 +249,99 @@ class TestCommitSemantics:
             assert db.stats()["maintained_plans"] == 1
 
 
+class TestCommitFailures:
+    """The unpinned (in-place) commit's failure policy: a failure before
+    or during the op application reverts and keeps the maintained plans;
+    a failed refresh reverts and drops them (a half-refreshed plan
+    matches neither version)."""
+
+    def test_refresh_failure_reverts_and_drops_maintained_plans(
+        self, structure, monkeypatch
+    ):
+        from repro.core.dynamic import PipelineMaintainer
+
+        with Database(structure) as db:
+            db.query(EXAMPLE).count()
+            assert db.stats()["maintained_plans"] == 1
+            fp = db.structure_fingerprint
+            blue = missing_unary(structure)
+
+            def explode(self, touched, region):
+                raise RuntimeError("injected refresh failure")
+
+            monkeypatch.setattr(PipelineMaintainer, "refresh", explode)
+            with pytest.raises(RuntimeError, match="injected refresh"):
+                db.apply([("insert", "B", (blue,))])
+            monkeypatch.undo()
+            # The version counter is monotonic (the revert itself bumps
+            # it); the content fingerprint is what must come back.
+            assert db.structure_fingerprint == fp
+            assert not structure.has_fact("B", blue)
+            assert db.stats()["maintained_plans"] == 0
+            misses = db.stats()["misses"]
+            assert sorted(db.query(EXAMPLE).answers().all()) == oracle(
+                structure
+            )
+            assert db.stats()["misses"] == misses + 1, "expected a rebuild"
+
+    def test_reach_failure_applies_nothing_and_keeps_plans(
+        self, structure, monkeypatch
+    ):
+        from repro.core.dynamic import PipelineMaintainer
+
+        with Database(structure) as db:
+            q = db.query(EXAMPLE)
+            q.count()
+            fp = db.structure_fingerprint
+            blue = missing_unary(structure)
+
+            def explode(self, touched):
+                raise RuntimeError("injected reach failure")
+
+            monkeypatch.setattr(PipelineMaintainer, "reach", explode)
+            with pytest.raises(RuntimeError, match="injected reach"):
+                db.apply([("insert", "B", (blue,))])
+            monkeypatch.undo()
+            assert not structure.has_fact("B", blue)
+            assert db.structure_fingerprint == fp
+            assert db.stats()["maintained_plans"] == 1
+            assert db.apply([("insert", "B", (blue,))]).maintained_plans == 1
+            assert sorted(q.answers().all()) == oracle(structure)
+
+    def test_apply_failure_reverts_applied_ops_and_keeps_plans(
+        self, structure, monkeypatch
+    ):
+        from repro.structures.structure import Structure
+
+        with Database(structure) as db:
+            q = db.query(EXAMPLE)
+            q.count()
+            maintainer = next(iter(db._maintainers.values()))
+            passes = maintainer.updates_applied
+            fp = db.structure_fingerprint
+            first, second = [
+                e for e in structure.domain if not structure.has_fact("B", e)
+            ][:2]
+            original = Structure.add_fact
+
+            def flaky(self, relation, *elements):
+                if relation == "B" and elements == (second,):
+                    raise RuntimeError("injected apply failure")
+                return original(self, relation, *elements)
+
+            monkeypatch.setattr(Structure, "add_fact", flaky)
+            with pytest.raises(RuntimeError, match="injected apply"):
+                db.apply([("insert", "B", (first,)), ("insert", "B", (second,))])
+            monkeypatch.undo()
+            assert not structure.has_fact("B", first), "applied op not reverted"
+            assert db.structure_fingerprint == fp
+            assert db.stats()["maintained_plans"] == 1
+            assert maintainer.updates_applied == passes
+            result = db.apply([("insert", "B", (first,))])
+            assert result.maintained_plans == 1
+            assert sorted(q.answers().all()) == oracle(structure)
+
+
 class TestChangeset:
     def test_standalone_changeset_applies(self, structure):
         with Database(structure) as db:

@@ -87,6 +87,23 @@ def test_maintained_apply_matches_warm_plain_session():
             )
 
 
+def test_one_refresh_per_plan_per_commit():
+    db = islands([6, 5, 4, 3], seed=9)
+    with ShardedDatabase(db.copy(), shards=3) as sdb:
+        for query in (QUERY, WITNESS):
+            sdb.query(query).answers().all()
+        ops = effective_ops(sdb.structure)
+        assert len(ops) > 1
+        result = sdb.apply(ops)
+        assert result.ops_effective == len(ops)
+        plans = list(sdb._plans.values())
+        assert len(plans) == result.maintained_plans == 2
+        passes = [plan.maintainer.updates_applied for plan in plans]
+        assert passes == [1, 1], "one local-recomputation pass per plan"
+        sdb.apply([(True, "E", ops[2][2]), (False, "B", ops[0][2])])
+        assert [plan.maintainer.updates_applied for plan in plans] == [2, 2]
+
+
 def test_split_ops_keep_substructures_in_sync():
     db = islands([5, 4, 3, 2], seed=1)
     with ShardedDatabase(db.copy(), shards=3) as sdb:

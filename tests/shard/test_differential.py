@@ -5,7 +5,7 @@ fixed corpus, ternary signatures, nested quantifiers, and Hypothesis
 random multi-component structures — a :class:`ShardedDatabase` must
 produce *byte-identical* enumeration order, exact-equal counts, and
 identical test verdicts versus an unsharded serial :class:`Database`,
-for every shard count and both gather strategies.
+for every shard count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ TERNARY_CORPUS = [
 ]
 
 
-def assert_sharded_matches_serial(structure, query, shards, gather):
+def assert_sharded_matches_serial(structure, query, shards):
     """The full three-way contract on one configuration."""
     with Database(structure.copy()) as plain:
         oracle = plain.query(query, backend="serial")
@@ -60,31 +60,29 @@ def assert_sharded_matches_serial(structure, query, shards, gather):
             plain.query(query, backend="serial").test(probe)
             for probe in probes
         ]
-    with ShardedDatabase(structure.copy(), shards=shards, gather=gather) as sdb:
+    with ShardedDatabase(structure.copy(), shards=shards) as sdb:
         sharded = sdb.query(query)
         assert sharded.answers().all() == expected
         assert sharded.count() == expected_count
         assert [sharded.test(probe) for probe in probes] == verdicts
 
 
-@pytest.mark.parametrize("gather", ["stream", "engine"])
 @pytest.mark.parametrize("shards", [1, 3, 5])
-def test_corpus_on_disconnected_islands(shards, gather):
+def test_corpus_on_disconnected_islands(shards):
     db = islands([6, 5, 4, 3, 2, 1], seed=3)
     for query in CORPUS:
-        assert_sharded_matches_serial(db, query, shards, gather)
+        assert_sharded_matches_serial(db, query, shards)
 
 
 @pytest.mark.parametrize("shards", [1, 4])
 def test_corpus_on_random_colored_graph(small_colored, shards):
     for query in CORPUS:
-        assert_sharded_matches_serial(small_colored, query, shards, "stream")
+        assert_sharded_matches_serial(small_colored, query, shards)
 
 
-@pytest.mark.parametrize("gather", ["stream", "engine"])
-def test_ternary_corpus(ternary_structure, gather):
+def test_ternary_corpus(ternary_structure):
     for query in TERNARY_CORPUS:
-        assert_sharded_matches_serial(ternary_structure, query, 3, gather)
+        assert_sharded_matches_serial(ternary_structure, query, 3)
 
 
 @given(db=disconnected_structures(), formula=formulas(max_quantifiers=1))
@@ -160,7 +158,6 @@ def test_explain_reports_layout_and_runtime():
         report = sharded.explain()
         assert report["sharded"] is True
         assert report["canonical"] is True
-        assert report["gather"] == "stream"
         assert sorted(report["shard_sizes"], reverse=True) == [6, 5, 4]
         assert "runtime" not in report  # nothing ran yet
         answers = sharded.answers().all()

@@ -40,13 +40,19 @@ class TestExports:
             repro.errors.NoSuchError
 
     def test_removed_front_ends_are_gone(self):
-        for name in ("prepare", "QueryBatch", "AsyncQueryBatch", "ResultCancelledError"):
+        import repro.core
+        import repro.core.dynamic
+
+        for name in (
+            "prepare",
+            "QueryBatch",
+            "AsyncQueryBatch",
+            "ResultCancelledError",
+            "DynamicQuery",
+        ):
             assert not hasattr(repro, name), name
-
-    def test_dynamic_query_lazy_import(self):
-        from repro.core.dynamic import DynamicQuery
-
-        assert repro.DynamicQuery is DynamicQuery
+        assert not hasattr(repro.core, "DynamicQuery")
+        assert not hasattr(repro.core.dynamic, "DynamicQuery")
 
     def test_session_exports_lazy_import(self):
         from repro.session import Answers, Database, Query, QueryPlan

@@ -1,10 +1,18 @@
 """Tests for the benchmark harness helpers (benchmarks/workloads.py)."""
 
 import math
+import os
+import sys
 
 import pytest
 
-from workloads import (
+BENCHMARKS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
+)
+if BENCHMARKS not in sys.path:  # benchmarks/ is a script directory
+    sys.path.insert(0, BENCHMARKS)
+
+from workloads import (  # noqa: E402
     EXAMPLE_23,
     colored_graph,
     consume,
