@@ -19,7 +19,9 @@ Two entry points:
      unsharded serial oracle for every shard count;
   2. with the streaming mailbox enabled, the heaviest work unit's first
      chunk arrives before that unit — and before the slowest unit —
-     finishes producing (``TransferStats`` per-source timestamps);
+     finishes producing.  This is proven from byte counts, not
+     timestamps: the unit publishes more than its ring can hold, and a
+     ring holds everything a worker published before the first take;
   3. a changeset applied through :meth:`ShardedDatabase.apply` (split
      per shard, one maintenance pass per plan) leaves the structure,
      every region substructure, and every warm query byte-identical to
@@ -45,7 +47,7 @@ if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e16_sharding.py`
     sys.path.insert(0, REPO_SRC)
 
 from repro.engine.executor import parallel_enumerate  # noqa: E402
-from repro.engine.mailbox import mailbox_available  # noqa: E402
+from repro.engine.mailbox import mailbox_available, mailbox_capacity  # noqa: E402
 from repro.engine.pool import WorkerPool  # noqa: E402
 from repro.engine.transport import TransferStats  # noqa: E402
 from repro.session import Database  # noqa: E402
@@ -62,6 +64,9 @@ QUERIES = (
     "exists z. (E(x,z) & B(z)) & R(x)",       # nested witness
 )
 STREAM_QUERY = "B(x) & R(y) & ~E(x,y)"
+# Small chunks keep every ring at its minimum capacity, which the
+# heaviest unit's output then exceeds (gate 2).
+STREAM_CHUNK_ROWS = 4
 DEFAULT_JSON = "BENCH_sharding.json"
 
 
@@ -145,36 +150,30 @@ def check_streaming_first_page(structure, workers, report, failures):
                     mode="process",
                     pool=pool,
                     transfer_stats=stats,
-                    # 64-row chunks size each ring at the 4 KiB minimum:
-                    # forced backpressure.
-                    chunk_rows=64,
+                    chunk_rows=STREAM_CHUNK_ROWS,
                 )
             )
             elapsed = time.perf_counter() - started
     if streamed != serial:
         failures.append("mailboxed process run diverges from serial")
-    timed = {
-        label: entry
-        for label, entry in stats.per_source.items()
-        if entry["first_at"] is not None and entry["done_at"] is not None
-    }
-    if not timed:
-        failures.append("no per-source transfer timestamps were recorded")
+    if not stats.per_source:
+        failures.append("no per-source transfer was recorded")
         return
-    heaviest_label = max(timed, key=lambda label: timed[label]["rows"])
-    heaviest = timed[heaviest_label]
-    slowest_done = max(entry["done_at"] for entry in timed.values())
-    overlap = heaviest["done_at"] - heaviest["first_at"]
-    if heaviest["first_at"] >= heaviest["done_at"]:
+    heaviest_label = max(
+        stats.per_source, key=lambda label: stats.per_source[label]["rows"]
+    )
+    heaviest = stats.per_source[heaviest_label]
+    # Nothing is read off a ring before the first take, so at that
+    # moment the worker has published at most the ring's capacity.  A
+    # unit whose output exceeds it was still producing (blocked on
+    # backpressure), and so was the slowest unit, which finishes no
+    # earlier.  The bound is the executor's ring size with the widest
+    # (8-byte) element ids; mailbox_capacity is monotone.
+    ring_bytes = mailbox_capacity(STREAM_CHUNK_ROWS * merged.arity * 8 + 64)
+    if heaviest["bytes"] <= ring_bytes:
         failures.append(
-            f"heaviest unit {heaviest_label} did not stream: first chunk at "
-            f"{heaviest['first_at']:.6f} but enumeration done at "
-            f"{heaviest['done_at']:.6f}"
-        )
-    if heaviest["first_at"] >= slowest_done:
-        failures.append(
-            f"heaviest unit {heaviest_label}'s first page waited for the "
-            f"slowest unit to finish"
+            f"heaviest unit {heaviest_label} did not stream: its "
+            f"{heaviest['bytes']} bytes fit in a {ring_bytes}-byte ring"
         )
     report["streaming"] = {
         "answers": len(streamed),
@@ -183,13 +182,14 @@ def check_streaming_first_page(structure, workers, report, failures):
         "bytes_received": stats.bytes_received,
         "heaviest_unit": heaviest_label,
         "heaviest_rows": heaviest["rows"],
-        "overlap_seconds": overlap,
+        "heaviest_bytes": heaviest["bytes"],
+        "ring_bytes": ring_bytes,
         "sources": len(stats.per_source),
     }
     print(
         f"streaming: {len(streamed)} answers over {stats.chunks} chunks; "
         f"heaviest unit {heaviest_label} ({heaviest['rows']} rows) "
-        f"first page {overlap:.4f}s before its own finish"
+        f"published {heaviest['bytes']} bytes into a {ring_bytes}-byte ring"
     )
 
 

@@ -21,6 +21,14 @@ Cost per update: ``O(d^{h(|q|)})`` — independent of ``n`` up to the list
 splicing (kept sorted with bisect), versus full re-preprocessing at
 ``O(n^{1+eps})``.
 
+The surgery never writes shared state.  A maintained graph is usually a
+clone of a session template or a fork of a pinned head's graph, and
+:class:`repro.core.colored_graph.ColoredGraph` is copy-on-write: removed
+nodes become colourless tombstones, new nodes get their colours through
+``set_colors``, and an edge write copies the touched adjacency entry
+first.  So a maintainer needs no private copy of the graph up front, and
+the template, the pinned head and every sibling clone stay as they were.
+
 **Supported fragment.**  Queries whose localization introduced *no
 derived predicates and no counting atoms* — i.e. the localized formula is
 built from atoms, distance atoms and relativized quantifiers.  Counting
@@ -44,6 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Hashable, List, Sequence, Set, Tuple
 
+from repro.core.colored_graph import cluster_keys
 from repro.core.pipeline import Pipeline
 from repro.errors import UnsupportedQueryError
 from repro.fo.syntax import CountCmp, subformulas
@@ -120,6 +129,42 @@ def apply_ops(structure: Structure, ops: Sequence[UpdateOp]) -> None:
             structure.remove_fact(relation, *elements)
 
 
+def maintain_in_place(
+    maintainers: Sequence[PipelineMaintainer],
+    targets: Sequence[Tuple[Structure, Sequence[UpdateOp]]],
+    drop: Callable[[], None],
+) -> List[bool]:
+    """:func:`maintain` over ``(structure, ops)`` targets mutated in place:
+    the first is the structure the maintainers read, any others (shard
+    substructures) take their share of the ops along.
+
+    If anything raises, the applied ops are undone newest first and every
+    version counter is put back, so the next logged commit's
+    ``version_before`` is still the last logged ``version_after``.  If
+    the mutation had completed, a refresh may have run part-way, so
+    ``drop()`` discards the maintained plans before the error propagates.
+    """
+    versions = [(structure, structure.version) for structure, _ in targets]
+    applied: List[Tuple[Structure, UpdateOp]] = []
+
+    def mutate():
+        for structure, ops in targets:
+            for op in ops:
+                apply_ops(structure, [op])
+                applied.append((structure, op))
+
+    try:
+        return maintain(maintainers, targets[0][1], mutate)
+    except BaseException:
+        for structure, (insert, relation, elements) in reversed(applied):
+            apply_ops(structure, [(not insert, relation, elements)])
+        for structure, version in versions:
+            structure._restore_lineage(version, structure.generation)
+        if len(applied) == sum(len(ops) for _, ops in targets):
+            drop()
+        raise
+
+
 def maintain(
     maintainers: Sequence[PipelineMaintainer],
     effective: Sequence[UpdateOp],
@@ -138,9 +183,8 @@ def maintain(
     differs between them lies within the query radius of a changed fact
     in one of the two Gaifman graphs.
 
-    Exceptions propagate unchanged, so each caller keeps its own failure
-    policy: whether ``mutate`` ran tells a reach/refresh failure from a
-    failed mutation.
+    Exceptions propagate unchanged: :func:`maintain_in_place` undoes an
+    in-place commit, and the forked commit falls back to a cold head.
     """
     touched = tuple(
         {element for _, _, elements in effective for element in elements}
@@ -171,8 +215,6 @@ class PipelineMaintainer:
             )
         self.pipeline = pipeline
         self.structure: Structure = pipeline.structure
-        if pipeline.graph is not None:
-            pipeline.graph.make_mutable()
         self.updates_applied = 0
 
     def reach(self, touched: Sequence[Element]) -> Set[Element]:
@@ -243,7 +285,7 @@ class PipelineMaintainer:
                     position = bisect_left(bucket, node_id)
                     if position < len(bucket) and bucket[position] == node_id:
                         del bucket[position]
-            graph.remove_node(node_id)
+        graph.remove_nodes(dead)
 
         # 2. Re-enumerate cluster tuples around the region.  Tuples
         #    intersecting it have their first component within
@@ -259,51 +301,23 @@ class PipelineMaintainer:
         return bool(dead) or bool(new_ids)
 
     def _regenerate_nodes(self, seeds, region) -> List[int]:
-        """Steps 3 of Prop 3.4, restricted to tuples meeting the region."""
-        from itertools import combinations, product
-
+        """Step 3 of Prop 3.4, restricted to tuples meeting the region."""
         pipeline = self.pipeline
         graph = pipeline.graph
         assert graph is not None
-        evaluator = pipeline.evaluator
-        k = pipeline.arity
-        link = pipeline.link_radius
-        order_rank = self.structure.order.rank
-
-        def link_neighbors(element):
-            # Sorted like build_colored_graph: regenerated node ids must
-            # not depend on hash-seed set order.
-            return sorted(
-                (
-                    other
-                    for other in evaluator.ball(element, link)
-                    if other != element
-                ),
-                key=order_rank,
-            )
-
-        from repro.util.itertools2 import connected_subsets
-
-        position_sets = {
-            size: list(combinations(range(k), size)) for size in range(1, k + 1)
-        }
         new_ids: List[int] = []
-        ordered_seeds = sorted(seeds, key=order_rank)
-        for seed in ordered_seeds:
-            for members in connected_subsets(seed, link_neighbors, k):
-                if not (members & region):
-                    continue  # untouched tuples are still alive
-                ordered_members = tuple(sorted(members, key=order_rank))
-                for length in range(len(members), k + 1):
-                    for rest in product(ordered_members, repeat=length - 1):
-                        if set(rest) | {seed} != members:
-                            continue
-                        elements = (seed,) + rest
-                        for positions in position_sets[length]:
-                            before = graph.node_count
-                            node_id = graph.add_node(elements, positions)
-                            if graph.node_count > before:
-                                new_ids.append(node_id)
+        for elements, positions in cluster_keys(
+            self.structure,
+            pipeline.evaluator,
+            pipeline.arity,
+            pipeline.link_radius,
+            sorted(seeds, key=self.structure.order.rank),
+            region,
+        ):
+            before = graph.node_count
+            node_id = graph.add_node(elements, positions)
+            if graph.node_count > before:
+                new_ids.append(node_id)
         return new_ids
 
     def _attach_node(self, node_id: int) -> None:
@@ -313,23 +327,15 @@ class PipelineMaintainer:
         assert graph is not None
         node = graph.node(node_id)
         graph.connect_node(node_id, pipeline.evaluator)
+        colors = {}
         for plan in pipeline.plans:
             for block_index, block in enumerate(plan.partition):
                 if block != node.positions:
                     continue
-                if plan.constant is not None:
-                    vector: Tuple[bool, ...] = ()
-                else:
-                    assignment = {
-                        pipeline.variables[position]: element
-                        for position, element in zip(node.positions, node.elements)
-                    }
-                    vector = tuple(
-                        pipeline.evaluator.holds(plan.units[unit_index], assignment)
-                        for unit_index in plan.block_units[block_index]
-                    )
-                node.unit_values[plan.index] = vector
+                vector = pipeline.unit_vector(plan, block_index, node)
+                colors[plan.index] = vector
                 key = (plan.index, block, vector)
                 bucket = pipeline.block_vector_index.setdefault(key, [])
                 insort(bucket, node_id)
-
+        if colors:
+            graph.set_colors(node_id, colors)

@@ -26,7 +26,7 @@ quantifier-free form ``psi = psi_1 and psi_2`` of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, QueryError, UnsupportedQueryError
@@ -281,31 +281,38 @@ class Pipeline:
     # Steps 3-4: colors (unit vectors per node)
     # ------------------------------------------------------------------
 
+    def unit_vector(self, plan: PartitionPlan, block_index: int, node) -> SignVector:
+        """The colour of ``node`` for block ``block_index`` of ``plan``:
+        the truth values of the block's units at the node's cluster."""
+        if plan.constant is not None:
+            return ()
+        assignment = {
+            self.variables[position]: element
+            for position, element in zip(node.positions, node.elements)
+        }
+        return tuple(
+            self.evaluator.holds(plan.units[unit_index], assignment)
+            for unit_index in plan.block_units[block_index]
+        )
+
     def _attach_unit_vectors(self) -> None:
-        # block (as position tuple) -> [(plan_index, block_index)]
-        block_usage: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        # block (as position tuple) -> [(plan, block_index)]
+        block_usage: Dict[Tuple[int, ...], List[Tuple[PartitionPlan, int]]] = {}
         for plan in self.plans:
             for block_index, block in enumerate(plan.partition):
-                block_usage.setdefault(block, []).append((plan.index, block_index))
-        assert self.graph is not None
-        for node in self.graph.nodes[1:]:
+                block_usage.setdefault(block, []).append((plan, block_index))
+        graph = self.graph
+        assert graph is not None
+        for node in graph.nodes[1:]:
             usages = block_usage.get(node.positions)
-            if not usages:
-                continue
-            for plan_index, block_index in usages:
-                plan = self.plans[plan_index]
-                if plan.constant is not None:
-                    node.unit_values[plan_index] = ()
-                    continue
-                assignment = {
-                    self.variables[position]: element
-                    for position, element in zip(node.positions, node.elements)
-                }
-                vector = tuple(
-                    self.evaluator.holds(plan.units[unit_index], assignment)
-                    for unit_index in plan.block_units[block_index]
+            if usages:
+                graph.set_colors(
+                    node.node_id,
+                    {
+                        plan.index: self.unit_vector(plan, block_index, node)
+                        for plan, block_index in usages
+                    },
                 )
-                node.unit_values[plan_index] = vector
 
     # ------------------------------------------------------------------
     # Branches (the mutually exclusive (P, t) pairs)
@@ -313,9 +320,7 @@ class Pipeline:
 
     def _build_branches(self) -> None:
         assert self.graph is not None
-        # Index nodes by (plan, block position tuple, unit vector).  The
-        # index lists are *shared* with the branches referencing them, so
-        # dynamic updates (repro.core.dynamic) can patch both at once.
+        # Index nodes by (plan, block position tuple, unit vector).
         by_block_vector: Dict[Tuple[int, Tuple[int, ...], SignVector], List[int]] = {}
         for node in self.graph.nodes[1:]:
             for plan_index, vector in node.unit_values.items():
@@ -324,27 +329,27 @@ class Pipeline:
         for node_list in by_block_vector.values():
             node_list.sort()
         self.block_vector_index = by_block_vector
+        self._wire_branches()
+
+    def _wire_branches(self) -> None:
+        """One branch per (plan, clause) whose lists ARE the index buckets
+        (shared, so :mod:`repro.core.dynamic` patches both at once)."""
+        index = self.block_vector_index
+        self.branches = []
         for plan in self.plans:
             if plan.constant is False:
                 continue
-            if plan.constant is True:
-                clauses: List[SignVector] = [()]
-            else:
-                clauses = plan.clauses
+            clauses = [()] if plan.constant is True else plan.clauses
             for signs in clauses:
                 lists: List[List[int]] = []
                 for block_index, block in enumerate(plan.partition):
-                    if plan.constant is True:
-                        required: SignVector = ()
-                    else:
-                        required = tuple(
-                            signs[unit_index]
-                            for unit_index in plan.block_units[block_index]
-                        )
+                    required = tuple(
+                        signs[unit_index]
+                        for unit_index in plan.block_units[block_index]
+                    )
                     key = (plan.index, block, required)
-                    lists.append(by_block_vector.setdefault(key, []))
-                branch = Branch(plan, signs, lists)
-                self.branches.append(branch)
+                    lists.append(index.setdefault(key, []))
+                self.branches.append(Branch(plan, signs, lists))
 
     @property
     def branch_count(self) -> int:
@@ -409,65 +414,35 @@ class Pipeline:
         copy-on-write fork of ``self.structure`` with identical content.
 
         Shares everything immutable (plans, partition index, intern
-        table, the localized formula) and copies exactly what dynamic
-        maintenance mutates: the colored graph *with* its unit-vector
-        colors, the block-vector index buckets, and the branch objects —
-        preserving the invariant that branch lists ARE the index
-        buckets, so :class:`repro.core.dynamic.PipelineMaintainer` can
-        patch both sides independently.  A fresh evaluator binds to the
-        fork so ball/unary caches never read the old head.  The session
-        layer uses this so a commit that overlaps a live pin keeps both
-        heads' plans warm instead of rebuilding the new head cold.
+        table, the localized formula) and the colored graph itself
+        through :meth:`ColoredGraph.clone`, which copies containers only:
+        nodes and adjacency entries stay shared until maintenance on
+        either side replaces or writes them.  The block-vector index
+        buckets and the branch objects are copied, preserving the
+        invariant that branch lists ARE the index buckets, so
+        :class:`repro.core.dynamic.PipelineMaintainer` can patch both
+        sides independently.  A fresh evaluator binds to the fork so
+        ball/unary caches never read the old head.  The session layer
+        uses this so a commit that overlaps a live pin keeps both heads'
+        plans warm instead of rebuilding the new head cold.
         """
-        twin = Pipeline.__new__(Pipeline)
-        twin.structure = structure
-        twin.query = self.query
-        twin.eps = self.eps
-        twin.budget = self.budget
-        twin._intern = self._intern
-        twin.variables = self.variables
-        twin.arity = self.arity
-        evaluator = LocalEvaluator(structure, self.localized.extra_unary)
-        twin.localized = replace(
-            self.localized, structure=structure, evaluator=evaluator
-        )
-        twin.evaluator = evaluator
-        twin.radius = self.radius
-        twin.link_radius = self.link_radius
-        twin.trivial = self.trivial
-        twin.plans = self.plans
-        twin._partition_index = self._partition_index
-        twin.branches = []
-        if self.graph is None:
-            twin.graph = None
-            return twin
-        graph = self.graph.clone(copy_colors=True)
-        graph.structure = structure
-        twin.graph = graph
-        index = {
-            key: list(bucket) for key, bucket in self.block_vector_index.items()
-        }
-        twin.block_vector_index = index
-        for branch in self.branches:
-            plan = branch.plan
-            lists: List[List[int]] = []
-            for block_index, block in enumerate(plan.partition):
-                if plan.constant is True:
-                    required: SignVector = ()
-                else:
-                    required = tuple(
-                        branch.signs[unit_index]
-                        for unit_index in plan.block_units[block_index]
-                    )
-                lists.append(index.setdefault((plan.index, block, required), []))
-            twin.branches.append(Branch(plan, branch.signs, lists))
+        twin = self._derive_header(structure, self._intern)
+        if self.graph is not None:
+            twin.graph = self.graph.clone()
+            twin.graph.structure = structure
+            twin.block_vector_index = {
+                key: list(bucket)
+                for key, bucket in self.block_vector_index.items()
+            }
+            twin._wire_branches()
         return twin
 
     def _derive_header(self, structure: Structure, intern) -> "Pipeline":
-        """Shared scaffolding of :meth:`derive` / :meth:`merge`: a pipeline
-        bound to ``structure`` that reuses this template's localization,
-        plans, and partition index (all structure-independent once the
-        global content is baked in), with a fresh evaluator."""
+        """Shared scaffolding of :meth:`fork` / :meth:`derive` /
+        :meth:`merge`: a pipeline bound to ``structure`` that reuses this
+        template's localization, plans, and partition index (all
+        structure-independent once the global content is baked in), with
+        a fresh evaluator."""
         twin = Pipeline.__new__(Pipeline)
         twin.structure = structure
         twin.query = self.query
@@ -564,7 +539,7 @@ class Pipeline:
             *sources, key=lambda entry: entry[0]
         ):
             new_id = graph.add_node(node.elements, node.positions)
-            graph.nodes[new_id].unit_values = dict(node.unit_values)
+            graph.set_colors(new_id, node.unit_values)
             id_maps[shard_index][node.node_id] = new_id
             origins.append((shard_index, node.node_id))
         adjacency: List[FrozenSet[int]] = [frozenset()]

@@ -203,6 +203,17 @@ class Answers:
                 f"(version {self._version} -> {self._structure.version}); "
                 "re-run the query"
             )
+        if (
+            self._pin is None
+            and self._version_source is not None
+            and self._version_source() != self._source_version
+        ):
+            # An un-pinned handle whose plan a failed commit dropped: the
+            # revert put the version back, the database's epoch moved.
+            raise StaleResultError(
+                "a failed commit dropped the plan this handle streams; "
+                "re-run the query"
+            )
 
     @property
     def stale(self) -> bool:

@@ -41,6 +41,7 @@ from repro.core.dynamic import (
     PipelineMaintainer,
     apply_ops,
     maintain,
+    maintain_in_place,
     net_effects,
     supports_maintenance,
 )
@@ -200,6 +201,10 @@ class Database:
         self._maintainers: Dict[CacheKey, PipelineMaintainer] = {}
         self._fingerprint = fingerprint(structure)
         self._version = structure.version
+        # Moves when a failed commit drops its maintained plans.  The
+        # revert puts the version back, so a held Query compares this
+        # too before it reuses the pipeline it resolved.
+        self._epoch = 0
         # Cache keys use a *generation-tagged* fingerprint.  The
         # generation (carried by the structure, bumped on every
         # copy-on-write fork, persisted by the serializer) makes entries
@@ -391,8 +396,11 @@ class Database:
                 # anymore: its pipelines are unreachable — purge them.
                 self.cache.invalidate(tag)
 
-    def _pin_current(self, expected_version: int) -> Optional[_VersionPin]:
-        """Pin the head iff it is still at ``expected_version``.
+    def _pin_current(
+        self, expected_version: int, expected_epoch: int
+    ) -> Optional[_VersionPin]:
+        """Pin the head iff it is still at ``expected_version`` and no
+        failed commit has dropped maintained plans since ``expected_epoch``.
 
         Atomic with respect to commits (both sides hold ``_state_lock``),
         so an :class:`Answers` handle that wins a pin is guaranteed its
@@ -400,7 +408,10 @@ class Database:
         """
         with self._state_lock:
             self._refresh_locked()
-            if self.structure.version != expected_version:
+            if (
+                self.structure.version != expected_version
+                or self._epoch != expected_epoch
+            ):
                 return None
             return self._retain(self._cache_tag)
 
@@ -539,46 +550,22 @@ class Database:
         finally:
             self._structure_lock.release_write()
 
-    def _revert_ops_locked(self, applied) -> None:
-        """Undo applied ops (reverse order); restore fingerprint tracking.
-
-        The rolling fact accumulator makes the reverted fingerprint equal
-        the pre-commit one by construction; re-sync ``_version`` so the
-        next access does not mistake the revert for an external mutation.
-        """
-        for insert, relation, elements in reversed(applied):
-            if insert:
-                self.structure.remove_fact(relation, *elements)
-            else:
-                self.structure.add_fact(relation, *elements)
-        self._version = self.structure.version
-
     def _commit_in_place_locked(self, effective) -> int:
         """The fast path: nothing pins the current version, so cached
         plans are maintained *in place* — one local-recomputation pass
         per maintained plan for the whole batch (:func:`maintain`) — and
         the cache re-keys to the new fingerprint."""
         self._prune_maintainers()
-        applied = []
 
-        def mutate():
-            for op in effective:
-                apply_ops(self.structure, [op])
-                applied.append(op)
+        def drop():
+            for key in self._maintainers:
+                self.cache.discard(key)
+            self._maintainers.clear()
+            self._epoch += 1
 
-        try:
-            dirty = maintain(list(self._maintainers.values()), effective, mutate)
-        except BaseException:
-            self._revert_ops_locked(applied)
-            if len(applied) == len(effective):
-                # The ops went through and a refresh failed: a
-                # half-refreshed maintained plan cannot be trusted against
-                # either version, so drop exactly the maintained entries
-                # (untouched cache entries stay valid).
-                for key in self._maintainers:
-                    self.cache.discard(key)
-                self._maintainers.clear()
-            raise
+        dirty = maintain_in_place(
+            list(self._maintainers.values()), [(self.structure, effective)], drop
+        )
         for key, changed in zip(self._maintainers, dirty):
             if changed:
                 self._dirty_plans.add(key[1:])
@@ -608,10 +595,11 @@ class Database:
         cache entries stay retained until the last pin drops.
 
         Both heads stay **warm**: every maintained pipeline is cloned
-        onto the fork (:meth:`Pipeline.fork` — copy-on-write-shared
-        plans, private graph/branch state) and refreshed with the same
-        one-pass batch maintenance the in-place path uses, so the new
-        head's first query is a cache hit instead of a cold rebuild.
+        onto the fork (:meth:`Pipeline.fork` — shared plans, a
+        copy-on-write colored graph, private branch state) and
+        refreshed with the same one-pass batch maintenance the in-place
+        path uses, so the new head's first query is a cache hit instead
+        of a cold rebuild.
         The clone work happens strictly before the fork is published;
         any failure degrades to the old cold-rebuild behavior without
         touching the pinned head.

@@ -196,6 +196,7 @@ class Query:
         if chunk_rows is not None and chunk_rows < 1:
             raise EngineError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self._chunk_rows = chunk_rows
+        self._resolved_epoch = database._epoch
         if snapshot is not None:
             # The query holds its own version pin: it must keep serving
             # the snapshot's version even after the snapshot itself is
@@ -232,11 +233,19 @@ class Query:
         """
         if self._snapshot is not None:
             return self._pipeline
-        if self._db.structure.version != self._resolved_version:
-            self._pipeline, self._key = self._db._prepare(
+        db = self._db
+        if (
+            db.structure.version != self._resolved_version
+            or db._epoch != self._resolved_epoch
+        ):
+            # Read the epoch first: a failed commit that lands during
+            # _prepare then leaves it stale, and the next call retries.
+            epoch = db._epoch
+            self._pipeline, self._key = db._prepare(
                 self._formula, order=self._order, budget=self._budget
             )
             self._resolved_version = self._pipeline.structure.version
+            self._resolved_epoch = epoch
         return self._pipeline
 
     @property
@@ -257,7 +266,7 @@ class Query:
             return self._resolve(), self._snapshot._pin_for_handle()
         while True:
             pipeline = self._resolve()
-            pin = self._db._pin_current(self._resolved_version)
+            pin = self._db._pin_current(self._resolved_version, self._resolved_epoch)
             if pin is not None:
                 return pipeline, pin
 

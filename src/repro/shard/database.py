@@ -45,7 +45,7 @@ from typing import (
 from repro.core.dynamic import (
     PipelineMaintainer,
     apply_ops,
-    maintain,
+    maintain_in_place,
     maintenance_blockers,
     net_effects,
 )
@@ -177,7 +177,7 @@ class ShardedQuery:
             skip_mode=db._skip_mode,
             workers=db._workers,
             pool=db.pool,
-            version_source=lambda: db.structure.version,
+            version_source=lambda: (db.structure.version, db._epoch),
             row_budget=limit,
             project_columns=(
                 tuple(project_columns) if project_columns is not None else None
@@ -255,6 +255,9 @@ class ShardedDatabase:
             for shard in self._layout.shards
         ]
         self._plans: Dict[object, _ShardPlan] = {}
+        # Moves when a failed commit drops its maintained plans (the
+        # revert puts the version back; see Database._epoch).
+        self._epoch = 0
         self._pool: Optional[WorkerPool] = None
         self._lock = threading.RLock()
         self._closed = False
@@ -453,24 +456,36 @@ class ShardedDatabase:
 
     def _commit_in_place(self, effective, per_shard: Dict[int, List]) -> int:
         """The session's maintenance pass; the mutation also applies each
-        region's share of the ops to its substructure."""
-        maintainers: List[_ShardPlan] = []
+        region's share of the ops to its substructure.
+
+        Failures follow the in-place policy of
+        :func:`repro.core.dynamic.maintain_in_place`: the ops are reverted
+        everywhere, versions included, and once the mutation had completed
+        the maintained plans are dropped and ``_epoch`` moves, so a handle
+        still streaming one of them goes stale.
+        """
+        maintained: Dict[object, _ShardPlan] = {}
         evict = []
         for key, plan in self._plans.items():
             if plan.maintainable:
                 if plan.maintainer is None:
                     plan.maintainer = PipelineMaintainer(plan.merged)
-                maintainers.append(plan)
+                maintained[key] = plan
             else:
                 evict.append(key)
+        targets = [(self._structure, effective)] + [
+            (self._substructures[index], ops) for index, ops in per_shard.items()
+        ]
 
-        def mutate():
-            apply_ops(self._structure, effective)
-            for index, ops in per_shard.items():
-                apply_ops(self._substructures[index], ops)
+        def drop():
+            for key in maintained:
+                del self._plans[key]
+            self._epoch += 1
 
-        maintain([plan.maintainer for plan in maintainers], effective, mutate)
-        for plan in maintainers:
+        maintain_in_place(
+            [plan.maintainer for plan in maintained.values()], targets, drop
+        )
+        for plan in maintained.values():
             # Maintenance renumbers nothing: the merged graph stays
             # correct but is no longer the cold build's numbering, and
             # the (unmaintained) shard graphs are stale — retire them.
@@ -479,7 +494,7 @@ class ShardedDatabase:
             plan.canonical = False
         for key in evict:
             del self._plans[key]
-        return len(maintainers)
+        return len(maintained)
 
     # -- layout management ---------------------------------------------
 

@@ -30,12 +30,13 @@ snapshot-plus-write-ahead-log design:
     Optional spill of the warm pipeline cache (preprocessing output) so
     a reopened database answers its first query without re-running
     Proposition 3.4.  Strictly an accelerator: it is validated against
-    the manifest lineage and silently ignored when stale or unreadable.
-    Since format 2 the spill is *incremental*: each cached pipeline is
-    pickled into its own blob (with the head structure factored out via
-    a pickle persistent id), and a checkpoint re-pickles only the plans
-    whose durable state changed since the last one — clean plans reuse
-    their previous blob byte-for-byte.
+    the manifest lineage and silently ignored when stale, unreadable or
+    of another format (``WARM_FORMAT``; format 3 pickles the immutable
+    colored-graph nodes).  The spill is *incremental*: each cached
+    pipeline is pickled into its own blob (with the head structure
+    factored out via a pickle persistent id), and a checkpoint
+    re-pickles only the plans whose durable state changed since the last
+    one — clean plans reuse their previous blob byte-for-byte.
 
 The crash-safety contract: a commit is durable once ``db.apply()`` /
 ``Transaction.commit()`` returns.  Kill the process at any byte of any
@@ -80,7 +81,7 @@ UpdateOp = Tuple[bool, str, Tuple[Element, ...]]
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"  # pre-segmentation log, still read for old stores
 FORMAT_VERSION = 1
-WARM_FORMAT = 2
+WARM_FORMAT = 3
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_RE = re.compile(r"^wal\.(\d{5,})\.jsonl$")
@@ -285,7 +286,7 @@ class DurableStore:
         # so stats() stays O(1) on the append path.
         self._wal_records: Optional[int] = None
         # Incremental spill: (normalized, order, eps) -> last pickled
-        # blob, seeded from a format-2 warm file on restore and refreshed
+        # blob, seeded from the warm file on restore and refreshed
         # per checkpoint; clean plans reuse their blob byte-for-byte.
         self._warm_blobs: Dict[tuple, bytes] = {}
 
@@ -458,7 +459,7 @@ class DurableStore:
         dirty_keys: Optional[set],
         fingerprint: str,
     ) -> Tuple[Optional[str], int, int]:
-        """Write the incremental (format 2) warm spill; returns
+        """Write the incremental warm spill; returns
         ``(file name or None, entries spilled, blobs reused)``."""
         if not warm_entries:
             self._warm_blobs.clear()
@@ -822,32 +823,28 @@ class DurableStore:
         try:
             with open(warm_path, "rb") as handle:
                 bundle = pickle.load(handle)
+            # Another format pickles another graph layout: ignored like a
+            # stale spill.
             if (
-                bundle["fingerprint"] != manifest["fingerprint"]
+                bundle.get("format") != WARM_FORMAT
+                or bundle["fingerprint"] != manifest["fingerprint"]
                 or bundle["version"] != manifest["version"]
                 or bundle["generation"] != manifest["generation"]
             ):
                 return None, ()
-            if bundle.get("format") == WARM_FORMAT:
-                structure = pickle.loads(bundle["structure"])
-                if structure.content_fingerprint() != manifest["fingerprint"]:
-                    return None, ()
-                entries = []
-                blobs: Dict[tuple, bytes] = {}
-                for normalized, order_names, eps, blob in bundle["entries"]:
-                    pipeline = _loads_with_head(blob, structure)
-                    entries.append((normalized, order_names, eps, pipeline))
-                    blobs[(normalized, order_names, eps)] = blob
-                # Seed the reuse cache: plans that stay clean keep these
-                # exact bytes at the next checkpoint.
-                self._warm_blobs = blobs
-                return structure, tuple(entries)
-            # Format 1 (pre-segmentation builds): one bundle holding the
-            # live structure and entries directly.
-            structure = bundle["structure"]
+            structure = pickle.loads(bundle["structure"])
             if structure.content_fingerprint() != manifest["fingerprint"]:
                 return None, ()
-            return structure, tuple(bundle["entries"])
+            entries = []
+            blobs: Dict[tuple, bytes] = {}
+            for normalized, order_names, eps, blob in bundle["entries"]:
+                pipeline = _loads_with_head(blob, structure)
+                entries.append((normalized, order_names, eps, pipeline))
+                blobs[(normalized, order_names, eps)] = blob
+            # Seed the reuse cache: plans that stay clean keep these
+            # exact bytes at the next checkpoint.
+            self._warm_blobs = blobs
+            return structure, tuple(entries)
         except Exception as error:
             # Spill corruption must never block recovery — anything can
             # go wrong inside pickle.load of a damaged file (OSError,

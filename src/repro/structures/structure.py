@@ -236,10 +236,11 @@ class Structure:
         """Adopt a persisted ``(version, generation)`` lineage position.
 
         Only for deserialization/recovery (:mod:`repro.structures.serialize`,
-        :mod:`repro.storage.wal`): a freshly loaded structure re-counted its
-        versions while re-adding facts, which would let a reopened database
-        alias version pins and generation-tagged cache keys from the
-        pre-restart lineage.  The persisted position is authoritative in
+        :mod:`repro.storage.wal`) and for undoing a failed commit
+        (:func:`repro.core.dynamic.maintain_in_place`): a freshly loaded
+        structure re-counted its versions while re-adding facts, which
+        would let a reopened database alias version pins and
+        generation-tagged cache keys from the pre-restart lineage.  The persisted position is authoritative in
         both directions — it may be *below* the re-count (``copy()`` resets
         the counter without clearing facts, so a dumped structure can carry
         more facts than version ticks).

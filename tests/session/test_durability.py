@@ -177,6 +177,33 @@ class TestWarmReopen:
             assert sorted(query.answers().all()) == want
 
 
+class TestFailedCommitKeepsTheLogContiguous:
+    def test_refresh_failure_then_commit_then_reopen(self, tmp_path, monkeypatch):
+        from repro.core.dynamic import PipelineMaintainer
+
+        path = tmp_path / "db"
+        with Database.open(path, structure=fresh_structure()) as db:
+            db.query(EXAMPLE)
+
+            def explode(self, touched, region):
+                raise RuntimeError("injected refresh failure")
+
+            monkeypatch.setattr(PipelineMaintainer, "refresh", explode)
+            version = db.version
+            with pytest.raises(RuntimeError, match="injected refresh failure"):
+                db.insert_fact("B", missing_unary(db.structure))
+            monkeypatch.undo()
+            assert db.version == version, "a reverted commit leaves no version"
+            db.insert_fact("B", missing_unary(db.structure))
+            version = db.version
+            fingerprint = db.structure_fingerprint
+            want = oracle(db.structure)
+        with Database.open(path) as db:
+            assert db.version == version
+            assert db.structure_fingerprint == fingerprint
+            assert sorted(db.query(EXAMPLE).answers().all()) == want
+
+
 class TestBrokenStore:
     def test_failed_append_fails_the_commit_and_latches(
         self, tmp_path, monkeypatch
@@ -228,18 +255,36 @@ class TestWarmForks:
             snap.close()
 
     def test_warm_fork_chain_stays_correct(self):
+        """Every earlier pin stays open.  With ``pin_every=2`` every other
+        commit runs in place on a graph that shares nodes and adjacency
+        entries with the still-pinned older heads."""
+        for pin_every in (1, 2):
+            self._check_fork_chain(pin_every)
+
+    @staticmethod
+    def _check_fork_chain(pin_every):
         with Database(fresh_structure()) as db:
             db.query(EXAMPLE)
             pins = []
-            for _ in range(3):
-                pins.append(db.snapshot())
-                element = missing_unary(db.structure)
-                result = db.apply([("insert", "B", (element,))])
-                assert result.forked and result.maintained_plans >= 1
+            for step in range(6):
+                pinned = step % pin_every == 0
+                if pinned:
+                    pin = db.snapshot()
+                    pins.append((pin, sorted(pin.query(EXAMPLE).answers().all())))
+                if step % 3 == 1:
+                    edge = next(iter(db.structure.facts("E")))
+                    op = ("remove", "E", edge)
+                else:
+                    relation = "R" if step % 3 else "B"
+                    op = ("insert", relation, (missing_unary(db.structure, relation),))
+                result = db.apply([op])
+                assert result.forked == pinned and result.maintained_plans >= 1
                 assert sorted(db.query(EXAMPLE).answers().all()) == oracle(
                     db.structure
                 )
-            for pin in pins:
+                for pin, answers in pins:
+                    assert sorted(pin.query(EXAMPLE).answers().all()) == answers
+            for pin, _ in pins:
                 pin.close()
 
 

@@ -264,6 +264,7 @@ class TestCommitFailures:
             db.query(EXAMPLE).count()
             assert db.stats()["maintained_plans"] == 1
             fp = db.structure_fingerprint
+            version = db.version
             blue = missing_unary(structure)
 
             def explode(self, touched, region):
@@ -273,9 +274,9 @@ class TestCommitFailures:
             with pytest.raises(RuntimeError, match="injected refresh"):
                 db.apply([("insert", "B", (blue,))])
             monkeypatch.undo()
-            # The version counter is monotonic (the revert itself bumps
-            # it); the content fingerprint is what must come back.
+            # Content, fingerprint and version all come back.
             assert db.structure_fingerprint == fp
+            assert db.version == version
             assert not structure.has_fact("B", blue)
             assert db.stats()["maintained_plans"] == 0
             misses = db.stats()["misses"]
@@ -283,6 +284,44 @@ class TestCommitFailures:
                 structure
             )
             assert db.stats()["misses"] == misses + 1, "expected a rebuild"
+
+    def test_held_query_rebuilds_after_a_partial_refresh(
+        self, structure, monkeypatch
+    ):
+        # The first plan is refreshed to the commit's content, the second
+        # refresh raises, and the revert puts the version back: a Query
+        # held across the failure must not go on serving the dropped,
+        # refreshed pipeline just because the version matches again.
+        from repro.core.dynamic import PipelineMaintainer
+
+        with Database(structure) as db:
+            q = db.query(EXAMPLE)
+            q.count()
+            other = "R(x) & E(x,y)"
+            db.query(other).count()
+            assert db.stats()["maintained_plans"] == 2
+            version = db.version
+            blue = missing_unary(structure)
+            original = PipelineMaintainer.refresh
+            calls = []
+
+            def second_explodes(self, touched, region):
+                calls.append(self)
+                if len(calls) == 2:
+                    raise RuntimeError("injected refresh failure")
+                return original(self, touched, region)
+
+            monkeypatch.setattr(PipelineMaintainer, "refresh", second_explodes)
+            with pytest.raises(RuntimeError, match="injected refresh"):
+                db.apply([("insert", "B", (blue,))])
+            monkeypatch.undo()
+            assert calls[0].pipeline is q._pipeline, "q's plan was not refreshed"
+            assert db.version == version
+            assert sorted(q.answers().all()) == oracle(structure)
+            assert q.count() == len(oracle(structure))
+            assert sorted(db.query(other).answers().all()) == oracle(
+                structure, other
+            )
 
     def test_reach_failure_applies_nothing_and_keeps_plans(
         self, structure, monkeypatch

@@ -238,3 +238,68 @@ def test_closed_database_rejects_everything():
     with pytest.raises(EngineError):
         sdb.repartition()
     sdb.close()  # idempotent
+
+
+def test_failed_refresh_reverts_the_commit_and_drops_maintained_plans(
+    monkeypatch,
+):
+    from repro.core.dynamic import PipelineMaintainer
+
+    db = islands([6, 5, 4, 3], seed=9)
+    with ShardedDatabase(db.copy(), shards=3) as sdb:
+        before = sdb.query(QUERY).answers().all()
+        version = sdb.structure.version
+        prints = [fingerprint(sdb.structure)] + [
+            fingerprint(substructure) for substructure in sdb.substructures
+        ]
+        op = effective_ops(sdb.structure)[0]
+
+        def explode(self, touched, region):
+            raise RuntimeError("injected refresh failure")
+
+        monkeypatch.setattr(PipelineMaintainer, "refresh", explode)
+        with pytest.raises(RuntimeError, match="injected refresh failure"):
+            sdb.apply([op])
+        monkeypatch.undo()
+        # Structure and every substructure are back at the pre-commit
+        # state, and no stale plan survives to serve.
+        assert sdb.structure.version == version
+        assert [fingerprint(sdb.structure)] + [
+            fingerprint(substructure) for substructure in sdb.substructures
+        ] == prints
+        assert sdb.stats()["cached_plans"] == 0
+        with Database(sdb.structure.copy()) as fresh:
+            oracle = fresh.query(QUERY, backend="serial").answers().all()
+        assert sdb.query(QUERY).answers().all() == oracle == before
+        # The same commit, retried, lands (maintained, so compared as a
+        # set: maintenance renumbers nothing).
+        assert sdb.apply([op]).maintained_plans == 1
+        with Database(sdb.structure.copy()) as fresh:
+            oracle = fresh.query(QUERY, backend="serial").answers().all()
+        assert len(oracle) == 83
+        assert sorted(sdb.query(QUERY).answers().all()) == sorted(oracle)
+
+
+def test_failed_refresh_makes_a_streaming_handle_stale(monkeypatch):
+    # The revert puts the version back, so only the epoch tells an
+    # un-pinned handle that the plan it streams was refreshed and dropped.
+    from repro.core.dynamic import PipelineMaintainer
+
+    db = islands([6, 5, 4, 3], seed=9)
+    with ShardedDatabase(db.copy(), shards=3) as sdb:
+        stream = sdb.query(QUERY).answers().stream()
+        next(stream)
+        original = PipelineMaintainer.refresh
+
+        def refresh_then_explode(self, touched, region):
+            original(self, touched, region)
+            raise RuntimeError("injected refresh failure")
+
+        monkeypatch.setattr(PipelineMaintainer, "refresh", refresh_then_explode)
+        version = sdb.structure.version
+        with pytest.raises(RuntimeError, match="injected refresh failure"):
+            sdb.apply([effective_ops(sdb.structure)[0]])
+        monkeypatch.undo()
+        assert sdb.structure.version == version
+        with pytest.raises(StaleResultError, match="failed commit"):
+            next(stream)

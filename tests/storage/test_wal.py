@@ -203,6 +203,33 @@ class TestDurableStore:
         assert restored.warm_entries == ()
         assert restored.structure.content_fingerprint() == result.fingerprint
 
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_other_format_spill_is_ignored_like_a_stale_one(
+        self, tmp_path, old_format
+    ):
+        import pickle
+        import warnings
+
+        path = tmp_path / "db"
+        with Database.open(path, structure=small_structure()) as db:
+            db.query(EXAMPLE)
+            result = db.checkpoint()
+            assert result.warm_entries >= 1
+        warm = path / f"warm-{result.version}.pickle"
+        bundle = pickle.loads(warm.read_bytes())
+        bundle["format"] = old_format
+        warm.write_bytes(pickle.dumps(bundle))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Database.open(path) as db:
+                query = db.query(EXAMPLE)
+                assert db.stats()["misses"] == 1, "plans rebuild cold"
+                formula = parse(EXAMPLE)
+                want = sorted(
+                    naive_answers(formula, db.structure, order=sorted(formula.free))
+                )
+                assert sorted(query.answers().all()) == want
+
 
 class TestWalSegments:
     """Satellite: segment rotation bounds every WAL file."""
