@@ -32,6 +32,12 @@ is copied into a private ``set`` the first time a graph writes it.
 path-copying discipline of Driscoll, Sarnak, Sleator and Tarjan
 ("Making data structures persistent", JCSS 1989), and the per-node
 analogue of :meth:`repro.structures.structure.Structure.fork`.
+
+**Surgery.**  :mod:`repro.core.dynamic` edits a graph by difference: a
+node whose key survives a commit keeps its id, and
+:meth:`ColoredGraph.connect_node` writes only the edges that changed.
+A removed node's id goes on a free list and the next new key reuses it,
+so the id space stays within the largest live graph.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ class ColoredGraph:
         self.adjacency: List[AbstractSet[int]] = []
         self._private: Dict[int, Set[int]] = {}
         self._containing: Dict[Element, List[int]] = {}
+        self._free: List[int] = []  # ids of removed nodes, reused first
 
     # -- construction ---------------------------------------------------
 
@@ -100,8 +107,12 @@ class ColoredGraph:
         existing = self._by_key.get(key)
         if existing is not None:
             return existing
-        node_id = len(self.nodes)
-        self.nodes.append(VNode(node_id, elements, positions, NO_COLORS))
+        if self._free:
+            node_id = self._free.pop()
+            self.nodes[node_id] = VNode(node_id, elements, positions, NO_COLORS)
+        else:
+            node_id = len(self.nodes)
+            self.nodes.append(VNode(node_id, elements, positions, NO_COLORS))
         self._by_key[key] = node_id
         for element in set(elements):
             self._containing.setdefault(element, []).append(node_id)
@@ -148,6 +159,7 @@ class ColoredGraph:
         twin.adjacency = list(self.adjacency)
         self._private = {}
         twin._containing = {element: list(ids) for element, ids in self._containing.items()}
+        twin._free = list(self._free)
         return twin
 
     # -- dynamic surgery (used by repro.core.dynamic) ---------------------
@@ -166,9 +178,10 @@ class ColoredGraph:
     def remove_nodes(self, node_ids: AbstractSet[int]) -> None:
         """Detach nodes: key map, containment index, and adjacency.
 
-        Colourless tombstones stay in ``nodes`` so ids remain stable;
-        callers must have removed the ids from their own lists.  Only
-        the surviving neighbours' entries are written.
+        Each id stays a colourless tombstone in ``nodes`` until
+        :meth:`add_node` reuses it; callers must have removed the ids
+        from their own lists.  Only the surviving neighbours' entries
+        are written.
         """
         for node_id in node_ids:
             node = self.nodes[node_id]
@@ -181,14 +194,21 @@ class ColoredGraph:
             self.adjacency[node_id] = _NO_EDGES
             self._private.pop(node_id, None)
             self.set_colors(node_id, NO_COLORS)
+        self._free.extend(sorted(node_ids, reverse=True))
 
-    def connect_node(self, node_id: int, evaluator: LocalEvaluator) -> None:
-        """(Re)compute one node's edges and insert them symmetrically;
-        grows the adjacency table for freshly appended nodes."""
+    def connect_node(self, node_id: int, evaluator: LocalEvaluator) -> bool:
+        """(Re)compute one node's edges and write only the symmetric
+        difference, on both sides; returns whether an edge changed.
+        Grows the adjacency table for freshly appended nodes."""
         self.adjacency.extend([_NO_EDGES] * (len(self.nodes) - len(self.adjacency)))
+        old = self.adjacency[node_id]
         neighbors = self._neighbors_of(node_id, evaluator)
+        if neighbors == old:
+            return False
+        self._write_each(neighbors - old, set.add, node_id)
+        self._write_each(old - neighbors, set.discard, node_id)
         self.adjacency[node_id] = self._private[node_id] = neighbors
-        self._write_each(neighbors, set.add, node_id)
+        return True
 
     def nodes_containing(self, element: Element):
         """Ids of live nodes having ``element`` as a component."""

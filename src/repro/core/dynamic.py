@@ -12,10 +12,13 @@ recomputing everything from scratch"), solved later by Vigny
   ``rho = k * (2r+1) + 2r + 2`` depends only on the query — because node
   existence (cluster connectivity), node colors (r-local unit formulas),
   and edges (linking distance) are all neighborhood-determined;
-* the update procedure removes every node with a component in that ball,
-  re-enumerates cluster tuples seeded there against the *new* structure,
-  re-evaluates their colors, and splices the branch lists — everything
-  else is untouched.
+* the update procedure *diffs* that ball: it re-enumerates the cluster
+  keys meeting it against the *new* structure, removes the nodes whose
+  key is gone, adds the new keys, rewrites only the edges that changed,
+  and moves a node between branch lists only when its colour changed.
+  A surviving node keeps its id; a commit that leaves the Gaifman graph
+  as it was (a colour flip) skips the keys and edges altogether.
+  Everything else is untouched.
 
 Cost per update: ``O(d^{h(|q|)})`` — independent of ``n`` up to the list
 splicing (kept sorted with bisect), versus full re-preprocessing at
@@ -24,9 +27,9 @@ splicing (kept sorted with bisect), versus full re-preprocessing at
 The surgery never writes shared state.  A maintained graph is usually a
 clone of a session template or a fork of a pinned head's graph, and
 :class:`repro.core.colored_graph.ColoredGraph` is copy-on-write: removed
-nodes become colourless tombstones, new nodes get their colours through
-``set_colors``, and an edge write copies the touched adjacency entry
-first.  So a maintainer needs no private copy of the graph up front, and
+nodes become colourless tombstones whose ids the next new keys reuse, a
+recoloured node is replaced through ``set_colors``, and an edge write
+copies the touched adjacency entry first.  So a maintainer needs no private copy of the graph up front, and
 the template, the pinned head and every sibling clone stay as they were.
 
 **Supported fragment.**  Queries whose localization introduced *no
@@ -52,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Hashable, List, Sequence, Set, Tuple
 
-from repro.core.colored_graph import cluster_keys
+from repro.core.colored_graph import NO_COLORS, cluster_keys
 from repro.core.pipeline import Pipeline
 from repro.errors import UnsupportedQueryError
 from repro.fo.syntax import CountCmp, subformulas
@@ -183,16 +186,27 @@ def maintain(
     differs between them lies within the query radius of a changed fact
     in one of the two Gaifman graphs.
 
+    When the touched elements' Gaifman neighbourhoods are the same after
+    the mutation as before (a colour flip, or an edge parallel to an
+    existing one), no node, edge or ball can have changed, and every
+    refresh only recolours.
+
     Exceptions propagate unchanged: :func:`maintain_in_place` undoes an
     in-place commit, and the forked commit falls back to a cold head.
     """
+    if not maintainers:
+        mutate()
+        return []
+    structure = maintainers[0].structure
     touched = tuple(
         {element for _, _, elements in effective for element in elements}
     )
+    before = [frozenset(structure.neighbors(element)) for element in touched]
     regions = [maintainer.reach(touched) for maintainer in maintainers]
     mutate()
+    rewire = before != [structure.neighbors(element) for element in touched]
     return [
-        maintainer.refresh(touched, region | maintainer.reach(touched))
+        maintainer.refresh(touched, region | maintainer.reach(touched), rewire)
         for maintainer, region in zip(maintainers, regions)
     ]
 
@@ -243,23 +257,31 @@ class PipelineMaintainer:
     # Local recomputation
     # ------------------------------------------------------------------
 
-    def refresh(self, touched: Sequence[Element], region: Set[Element]) -> bool:
-        """Re-derive every neighborhood-determined quantity in ``region``.
+    def refresh(
+        self, touched: Sequence[Element], region: Set[Element], rewire: bool
+    ) -> bool:
+        """Bring every node with a component in ``region`` up to date,
+        writing only what differs.
 
         ``region`` must be the union of :meth:`reach` computed before and
-        after the structure mutation was applied.
+        after the structure mutation was applied.  ``rewire=False``
+        promises that the Gaifman graph did not change (a colour flip):
+        then no node appears or disappears and no edge moves, so only
+        colours are re-evaluated and the evaluator keeps its balls.
 
-        Returns whether the pipeline's *durable* plan state changed —
-        i.e. graph surgery removed or regenerated nodes (cleared memo
-        caches rebuild on demand and do not count).  The session uses
-        this as the dirty flag for incremental checkpoint spills.
+        Returns whether the pipeline's *durable* plan state changed — a
+        node removed or added, an edge or a colour rewritten (cleared
+        memo caches rebuild on demand and do not count).  The session
+        uses this as the dirty flag for incremental checkpoint spills.
         """
         self.updates_applied += 1
         pipeline = self.pipeline
         evaluator = pipeline.evaluator
-        # Stale caches: balls and memoized local evaluations may cross the
-        # modified facts; unary sets change on unary-fact updates.
-        evaluator._ball_cache.clear()
+        # Stale caches: memoized local evaluations may cross the modified
+        # facts, unary sets change on unary-fact updates, and balls change
+        # with the Gaifman graph.
+        if rewire:
+            evaluator._ball_cache.clear()
         evaluator._memo.clear()
         evaluator._unary_cache.clear()
         # Armed enumerators hold skip/reach memos over the old graph.
@@ -269,73 +291,80 @@ class PipelineMaintainer:
             return False
         graph = pipeline.graph
         assert graph is not None
-
-        # 1. Remove every node with a component in the region, splicing it
-        #    out of its (plan, block, vector) buckets before the graph
-        #    surgery clears the stored vectors.
-        dead: Set[int] = set()
-        for element in region:
-            dead.update(graph.nodes_containing(element))
-        for node_id in dead:
+        live = {
+            node_id
+            for element in region
+            for node_id in graph.nodes_containing(element)
+        }
+        changed = False
+        if rewire:
+            live, changed = self._rekey(live, region)
+        for node_id in sorted(live):
             node = graph.node(node_id)
-            for plan_index, vector in node.unit_values.items():
-                key = (plan_index, node.positions, vector)
-                bucket = pipeline.block_vector_index.get(key)
-                if bucket is not None:
-                    position = bisect_left(bucket, node_id)
-                    if position < len(bucket) and bucket[position] == node_id:
-                        del bucket[position]
+            colors = pipeline.node_colors(node)
+            if colors != node.unit_values:
+                self._move_buckets(node, colors)
+                graph.set_colors(node_id, colors)
+                changed = True
+        return changed
+
+    def _rekey(self, live: Set[int], region: Set[Element]) -> Tuple[Set[int], bool]:
+        """Diff the region's node keys against the new structure (Step 3
+        of Prop 3.4, restricted to tuples meeting the region): remove the
+        nodes whose key is gone, add the new keys, and write the edges of
+        new and surviving nodes that changed.  Returns the region's live
+        ids and whether a node or an edge changed."""
+        pipeline = self.pipeline
+        graph = pipeline.graph
+        assert graph is not None
+        # Tuples meeting the region have their first component within
+        # (k-1)*link of it.
+        seeds = ball_of_set(
+            self.structure, region, (pipeline.arity - 1) * pipeline.link_radius
+        )
+        keys = dict.fromkeys(
+            cluster_keys(
+                self.structure,
+                pipeline.evaluator,
+                pipeline.arity,
+                pipeline.link_radius,
+                sorted(seeds, key=self.structure.order.rank),
+                region,
+            )
+        )
+        dead = set()
+        for node_id in live:
+            node = graph.node(node_id)
+            if (node.elements, node.positions) not in keys:
+                dead.add(node_id)
+                self._move_buckets(node, NO_COLORS)
         graph.remove_nodes(dead)
+        survivors = live - dead
+        born = [
+            graph.add_node(*key) for key in keys if graph.node_id(*key) is None
+        ]
+        changed = bool(dead) or bool(born)
+        for node_id in born + sorted(survivors):
+            changed = graph.connect_node(node_id, pipeline.evaluator) or changed
+        return survivors.union(born), changed
 
-        # 2. Re-enumerate cluster tuples around the region.  Tuples
-        #    intersecting it have their first component within
-        #    (k-1)*link of it.
-        k = pipeline.arity
-        link = pipeline.link_radius
-        seeds = ball_of_set(self.structure, region, (k - 1) * link)
-        new_ids = self._regenerate_nodes(seeds, region)
-
-        # 3. Colors, edges, and list membership for the new nodes.
-        for node_id in new_ids:
-            self._attach_node(node_id)
-        return bool(dead) or bool(new_ids)
-
-    def _regenerate_nodes(self, seeds, region) -> List[int]:
-        """Step 3 of Prop 3.4, restricted to tuples meeting the region."""
-        pipeline = self.pipeline
-        graph = pipeline.graph
-        assert graph is not None
-        new_ids: List[int] = []
-        for elements, positions in cluster_keys(
-            self.structure,
-            pipeline.evaluator,
-            pipeline.arity,
-            pipeline.link_radius,
-            sorted(seeds, key=self.structure.order.rank),
-            region,
-        ):
-            before = graph.node_count
-            node_id = graph.add_node(elements, positions)
-            if graph.node_count > before:
-                new_ids.append(node_id)
-        return new_ids
-
-    def _attach_node(self, node_id: int) -> None:
-        """Colors + edges + branch-list membership for one new node."""
-        pipeline = self.pipeline
-        graph = pipeline.graph
-        assert graph is not None
-        node = graph.node(node_id)
-        graph.connect_node(node_id, pipeline.evaluator)
-        colors = {}
-        for plan in pipeline.plans:
-            for block_index, block in enumerate(plan.partition):
-                if block != node.positions:
-                    continue
-                vector = pipeline.unit_vector(plan, block_index, node)
-                colors[plan.index] = vector
-                key = (plan.index, block, vector)
-                bucket = pipeline.block_vector_index.setdefault(key, [])
-                insort(bucket, node_id)
-        if colors:
-            graph.set_colors(node_id, colors)
+    def _move_buckets(self, node, colors) -> None:
+        """Move ``node`` between ``(plan, block, vector)`` buckets (the
+        branch lists) from its stored colours to ``colors``."""
+        index = self.pipeline.block_vector_index
+        old = node.unit_values
+        for plan_index in old.keys() | colors.keys():
+            before, after = old.get(plan_index), colors.get(plan_index)
+            if before == after:
+                continue
+            if before is not None:
+                bucket = index.get((plan_index, node.positions, before))
+                if bucket is not None:
+                    position = bisect_left(bucket, node.node_id)
+                    if position < len(bucket) and bucket[position] == node.node_id:
+                        del bucket[position]
+            if after is not None:
+                insort(
+                    index.setdefault((plan_index, node.positions, after), []),
+                    node.node_id,
+                )

@@ -27,6 +27,7 @@ quantifier-free form ``psi = psi_1 and psi_2`` of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, QueryError, UnsupportedQueryError
@@ -40,7 +41,13 @@ from repro.fo.localize import (
 from repro.fo.normalize import boolean_atoms, exclusive_dnf, simplify
 from repro.fo.semantics import free_tuple
 from repro.fo.syntax import FalseF, Formula, TrueF, Var
-from repro.core.colored_graph import BOTTOM, ColoredGraph, build_colored_graph
+from repro.core.colored_graph import (
+    BOTTOM,
+    NO_COLORS,
+    ColoredGraph,
+    Colors,
+    build_colored_graph,
+)
 from repro.core.partitions import (
     Partition,
     all_partitions,
@@ -281,38 +288,45 @@ class Pipeline:
     # Steps 3-4: colors (unit vectors per node)
     # ------------------------------------------------------------------
 
-    def unit_vector(self, plan: PartitionPlan, block_index: int, node) -> SignVector:
-        """The colour of ``node`` for block ``block_index`` of ``plan``:
-        the truth values of the block's units at the node's cluster."""
-        if plan.constant is not None:
-            return ()
+    @cached_property
+    def block_usage(self) -> Dict[Tuple[int, ...], List[Tuple[PartitionPlan, int]]]:
+        """Block (as a position tuple) -> every ``(plan, block_index)``
+        whose partition has that block."""
+        usage: Dict[Tuple[int, ...], List[Tuple[PartitionPlan, int]]] = {}
+        for plan in self.plans:
+            for block_index, block in enumerate(plan.partition):
+                usage.setdefault(block, []).append((plan, block_index))
+        return usage
+
+    def node_colors(self, node) -> Colors:
+        """Every colour of ``node``: plan index -> the truth values of the
+        units of the plan's block equal to ``node.positions``, at the
+        node's cluster."""
+        usages = self.block_usage.get(node.positions)
+        if not usages:
+            return NO_COLORS
         assignment = {
             self.variables[position]: element
             for position, element in zip(node.positions, node.elements)
         }
-        return tuple(
-            self.evaluator.holds(plan.units[unit_index], assignment)
-            for unit_index in plan.block_units[block_index]
-        )
+        holds = self.evaluator.holds
+        return {
+            plan.index: ()
+            if plan.constant is not None
+            else tuple(
+                holds(plan.units[unit_index], assignment)
+                for unit_index in plan.block_units[block_index]
+            )
+            for plan, block_index in usages
+        }
 
     def _attach_unit_vectors(self) -> None:
-        # block (as position tuple) -> [(plan, block_index)]
-        block_usage: Dict[Tuple[int, ...], List[Tuple[PartitionPlan, int]]] = {}
-        for plan in self.plans:
-            for block_index, block in enumerate(plan.partition):
-                block_usage.setdefault(block, []).append((plan, block_index))
         graph = self.graph
         assert graph is not None
         for node in graph.nodes[1:]:
-            usages = block_usage.get(node.positions)
-            if usages:
-                graph.set_colors(
-                    node.node_id,
-                    {
-                        plan.index: self.unit_vector(plan, block_index, node)
-                        for plan, block_index in usages
-                    },
-                )
+            colors = self.node_colors(node)
+            if colors:
+                graph.set_colors(node.node_id, colors)
 
     # ------------------------------------------------------------------
     # Branches (the mutually exclusive (P, t) pairs)

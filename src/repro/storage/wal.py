@@ -31,12 +31,13 @@ snapshot-plus-write-ahead-log design:
     a reopened database answers its first query without re-running
     Proposition 3.4.  Strictly an accelerator: it is validated against
     the manifest lineage and silently ignored when stale, unreadable or
-    of another format (``WARM_FORMAT``; format 3 pickles the immutable
-    colored-graph nodes).  The spill is *incremental*: each cached
-    pipeline is pickled into its own blob (with the head structure
-    factored out via a pickle persistent id), and a checkpoint
-    re-pickles only the plans whose durable state changed since the last
-    one — clean plans reuse their previous blob byte-for-byte.
+    of another format (``WARM_FORMAT``; format 4 pickles the immutable
+    colored-graph nodes and the graph's free-id list).  The spill is
+    *incremental*: each cached pipeline is pickled into its own blob
+    (with the head structure factored out via a pickle persistent id),
+    and a checkpoint re-pickles only the plans whose durable state
+    changed since the last one — clean plans reuse their previous blob
+    byte-for-byte.
 
 The crash-safety contract: a commit is durable once ``db.apply()`` /
 ``Transaction.commit()`` returns.  Kill the process at any byte of any
@@ -81,7 +82,7 @@ UpdateOp = Tuple[bool, str, Tuple[Element, ...]]
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"  # pre-segmentation log, still read for old stores
 FORMAT_VERSION = 1
-WARM_FORMAT = 3
+WARM_FORMAT = 4
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_RE = re.compile(r"^wal\.(\d{5,})\.jsonl$")

@@ -185,7 +185,7 @@ class TestFailedCommitKeepsTheLogContiguous:
         with Database.open(path, structure=fresh_structure()) as db:
             db.query(EXAMPLE)
 
-            def explode(self, touched, region):
+            def explode(self, touched, region, rewire):
                 raise RuntimeError("injected refresh failure")
 
             monkeypatch.setattr(PipelineMaintainer, "refresh", explode)
@@ -350,7 +350,7 @@ class TestWarmForkDegradation:
             assert db.stats()["maintained_plans"] == 1
             snap = db.snapshot()
 
-            def explode(self, touched, region):
+            def explode(self, touched, region, rewire):
                 raise RuntimeError("injected refresh failure")
 
             monkeypatch.setattr(PipelineMaintainer, "refresh", explode)

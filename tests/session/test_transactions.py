@@ -267,7 +267,7 @@ class TestCommitFailures:
             version = db.version
             blue = missing_unary(structure)
 
-            def explode(self, touched, region):
+            def explode(self, touched, region, rewire):
                 raise RuntimeError("injected refresh failure")
 
             monkeypatch.setattr(PipelineMaintainer, "refresh", explode)
@@ -305,11 +305,11 @@ class TestCommitFailures:
             original = PipelineMaintainer.refresh
             calls = []
 
-            def second_explodes(self, touched, region):
+            def second_explodes(self, touched, region, rewire):
                 calls.append(self)
                 if len(calls) == 2:
                     raise RuntimeError("injected refresh failure")
-                return original(self, touched, region)
+                return original(self, touched, region, rewire)
 
             monkeypatch.setattr(PipelineMaintainer, "refresh", second_explodes)
             with pytest.raises(RuntimeError, match="injected refresh"):

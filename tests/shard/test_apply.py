@@ -254,7 +254,7 @@ def test_failed_refresh_reverts_the_commit_and_drops_maintained_plans(
         ]
         op = effective_ops(sdb.structure)[0]
 
-        def explode(self, touched, region):
+        def explode(self, touched, region, rewire):
             raise RuntimeError("injected refresh failure")
 
         monkeypatch.setattr(PipelineMaintainer, "refresh", explode)
@@ -291,8 +291,8 @@ def test_failed_refresh_makes_a_streaming_handle_stale(monkeypatch):
         next(stream)
         original = PipelineMaintainer.refresh
 
-        def refresh_then_explode(self, touched, region):
-            original(self, touched, region)
+        def refresh_then_explode(self, touched, region, rewire):
+            original(self, touched, region, rewire)
             raise RuntimeError("injected refresh failure")
 
         monkeypatch.setattr(PipelineMaintainer, "refresh", refresh_then_explode)

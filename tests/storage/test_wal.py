@@ -402,6 +402,31 @@ class TestIncrementalCheckpoint:
             )
             assert sorted(db.query(EXAMPLE).answers().all()) == want
 
+    def test_commit_no_plan_sees_keeps_every_blob(self, tmp_path):
+        # G occurs in none of the three plans: the flip rewrites no node,
+        # colour or edge, so the next checkpoint reuses every blob.
+        queries = (EXAMPLE, "B(x) & R(y) & E(x,y)", "B(x) & exists z. (R(z) & E(x,z))")
+        structure = random_colored_graph(40, max_degree=3, colors=("B", "R", "G"), seed=2)
+        path = tmp_path / "db"
+        with Database.open(path, structure=structure.copy()) as db:
+            for text in queries:
+                db.query(text).count()
+            assert db.checkpoint().warm_entries == 3
+            element = next(e for e in db.structure.domain if db.structure.neighbors(e))
+            db.apply([(not db.structure.has_fact("G", element), "G", (element,))])
+            assert db.stats()["dirty_plans"] == 0
+            result = db.checkpoint()
+            assert result.warm_entries == result.warm_reused == 3
+        with Database.open(path) as db:
+            hits_before = db.stats()["hits"]
+            for text in queries:
+                formula = parse(text)
+                want = sorted(
+                    naive_answers(formula, db.structure, order=sorted(formula.free))
+                )
+                assert sorted(db.query(text).answers().all()) == want
+            assert db.stats()["hits"] - hits_before == 3  # warm, not rebuilt
+
 
 class TestCrashPoints:
     """The named fault-injection points in append and checkpoint."""
