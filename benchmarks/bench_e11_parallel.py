@@ -31,12 +31,12 @@ REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e11_parallel.py`
     sys.path.insert(0, REPO_SRC)
 
+from repro.core.enumeration import arm_enumerators  # noqa: E402
 from repro.core.pipeline import Pipeline  # noqa: E402
 from repro.engine import (  # noqa: E402
     WorkerPool,
     branch_works,
     parallel_enumerate,
-    prearm,
     warm_pool,
 )
 from repro.fo.parser import parse  # noqa: E402
@@ -76,7 +76,7 @@ def run_harness(n: int, workers: int, require_speedup: bool) -> int:
     )
 
     # Serial baseline, steady state: arming excluded (it is preprocessing).
-    prearm(pipeline)
+    arm_enumerators(pipeline)
     started = time.perf_counter()
     serial = list(parallel_enumerate(pipeline, mode="serial"))
     serial_elapsed = time.perf_counter() - started

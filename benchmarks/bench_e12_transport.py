@@ -44,11 +44,11 @@ REPO_SRC = os.path.join(
 if REPO_SRC not in sys.path:  # allow `python benchmarks/bench_e12_transport.py`
     sys.path.insert(0, REPO_SRC)
 
+from repro.core.enumeration import arm_enumerators  # noqa: E402
 from repro.core.pipeline import Pipeline  # noqa: E402
 from repro.engine import (  # noqa: E402
     WorkerPool,
     parallel_enumerate,
-    prearm,
     run_branches,
     warm_pool,
 )
@@ -120,7 +120,7 @@ def run_harness(
     print(f"preprocessing: {time.perf_counter() - started:.2f}s; "
           f"branches={pipeline.branch_count}")
 
-    prearm(pipeline)
+    arm_enumerators(pipeline)
     serial = list(parallel_enumerate(pipeline, mode="serial"))
     serial_digest = output_digest(serial)
     print(f"serial: {len(serial)} answers")

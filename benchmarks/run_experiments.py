@@ -349,14 +349,15 @@ def e9_model_checking(sizes):
 
 def e11_parallel(sizes, workers=4) -> None:
     """E11: branch-parallel enumeration with a deterministic merge."""
-    from repro.engine import WorkerPool, parallel_enumerate, prearm, warm_pool
+    from repro.core.enumeration import arm_enumerators
+    from repro.engine import WorkerPool, parallel_enumerate, warm_pool
 
     print(f"## E11 — parallel batch engine vs serial ({workers} workers)\n")
     rows = []
     for n in sizes:
         db = three_colored_graph(n, 4)
         pipeline = Pipeline(db, query(TRIPLE_QUERY))
-        prearm(pipeline)
+        arm_enumerators(pipeline)
         serial_t, serial = timed(
             lambda: list(parallel_enumerate(pipeline, mode="serial"))
         )
@@ -389,8 +390,9 @@ def e11_parallel(sizes, workers=4) -> None:
 
 def e12_transport(sizes, workers=4) -> None:
     """E12: columnar answer transport vs pickling the same chunks."""
+    from repro.core.enumeration import arm_enumerators
     from repro.engine import (
-        WorkerPool, parallel_enumerate, prearm, run_branches, warm_pool,
+        WorkerPool, parallel_enumerate, run_branches, warm_pool,
     )
     from repro.engine.transport import TransferStats
 
@@ -401,7 +403,7 @@ def e12_transport(sizes, workers=4) -> None:
     for n in sizes:
         db = three_colored_graph(n, 4)
         pipeline = Pipeline(db, query(TRIPLE_QUERY))
-        prearm(pipeline)
+        arm_enumerators(pipeline)
         with WorkerPool(workers) as pool:
             warm_pool(pool, pipeline, workers)
             stats = TransferStats()

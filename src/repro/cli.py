@@ -214,7 +214,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return _run_sharded_query(args)
     # One Database per invocation: cache, graph templates, and (if the
     # backend goes parallel) the worker pool all come from this session.
-    with _open_session(args, eps=args.eps, workers=args.workers) as session:
+    with _open_session(args, workers=args.workers) as session:
         db = session.structure
         view = _resolve_view(session, args)
         started = time.perf_counter()
@@ -282,7 +282,6 @@ def _run_sharded_query(args: argparse.Namespace) -> int:
     with ShardedDatabase(
         structure,
         shards=args.shards,
-        eps=args.eps,
         workers=args.workers,
     ) as sdb:
         query = sdb.query(args.query)
@@ -355,7 +354,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # The session owns a long-lived worker pool (lazily started, reused by
     # every query below); the context manager shuts it down at the end —
     # pool lifecycle and stats come from one place for `query` and `batch`.
-    with _open_session(args, eps=args.eps, workers=args.workers) as session:
+    with _open_session(args, workers=args.workers) as session:
         db = session.structure
         view = _resolve_view(session, args)
         print(f"workload: n={db.cardinality}, degree={db.degree}; "
@@ -404,7 +403,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     their cached plans are what the batch maintenance refreshes — and
     re-counted afterwards, showing the update's effect.
     """
-    with _open_session(args, eps=args.eps, workers=args.workers) as session:
+    with _open_session(args, workers=args.workers) as session:
         db = session.structure
         print(f"workload: n={db.cardinality}, degree={db.degree}")
         warmed = []
@@ -442,7 +441,7 @@ def cmd_update(args: argparse.Namespace) -> int:
 def cmd_open(args: argparse.Namespace) -> int:
     """Create a durable database (from ``-w``) or inspect an existing one."""
     started = time.perf_counter()
-    with _open_session(args, eps=args.eps, workers=args.workers) as session:
+    with _open_session(args, workers=args.workers) as session:
         elapsed = time.perf_counter() - started
         structure = session.structure
         stats = session.stats()
@@ -465,7 +464,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
     if not DurableStore(args.db).exists():
         raise ReproError(f"database {args.db!r} does not exist")
-    with Database.open(args.db, eps=args.eps, workers=args.workers) as session:
+    with Database.open(args.db, workers=args.workers) as session:
         started = time.perf_counter()
         # Warm the requested plans first so the rotation spills them and
         # the next open() serves their first query with no preprocessing.
@@ -499,7 +498,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         registry.create(
             args.name,
             parse_workload(args.workload),
-            eps=args.eps,
             workers=args.workers,
         )
         origin = f"workload {args.workload}"
@@ -553,7 +551,7 @@ def cmd_follow(args: argparse.Namespace) -> int:
         client = ServeClient(args.host, args.port, timeout=args.timeout)
         source = ServeSource(client, args.url_name, wait=args.interval)
     follower = FollowerDatabase(
-        source, max_lag=args.max_lag, eps=args.eps, workers=args.workers
+        source, max_lag=args.max_lag, workers=args.workers
     )
     try:
         started = time.perf_counter()
@@ -628,7 +626,7 @@ def _preprocessing_report(pipeline) -> str:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     db = parse_workload(args.workload)
-    with Database(db, eps=args.eps) as session:
+    with Database(db) as session:
         query = session.query(args.query)
         print(_preprocessing_report(query.pipeline))
         print(query.explain().describe())
@@ -641,7 +639,7 @@ def cmd_delay(args: argparse.Namespace) -> int:
     db = parse_workload(args.workload)
     meter = CostMeter()
     produced = 0
-    with Database(db, eps=args.eps) as session:
+    with Database(db) as session:
         query = session.query(args.query)
         started = time.perf_counter()
         # Metered serial enumeration: the same primitive the session's
@@ -692,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
             "-q", "--query", required=True,
             help="FO query text, or a qlang SELECT statement",
         )
-        p.add_argument("--eps", type=float, default=0.5)
 
     def add_db_flag(p):
         p.add_argument(
@@ -758,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument(
         "--queries-file", help="file with one query per line ('#' comments)"
     )
-    batch_parser.add_argument("--eps", type=float, default=0.5)
     batch_parser.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cores)"
     )
@@ -793,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="query to warm before the commit and re-count after (repeatable)",
     )
-    update_parser.add_argument("--eps", type=float, default=0.5)
     update_parser.add_argument(
         "--workers", type=int, default=None, help="pool size (default: cores)"
     )
@@ -810,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=False,
         help="workload spec seeding a fresh store (omit for existing stores)",
     )
-    open_parser.add_argument("--eps", type=float, default=0.5)
     open_parser.add_argument("--workers", type=int, default=None)
     open_parser.set_defaults(handler=cmd_open)
 
@@ -826,7 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query to warm before the rotation so its pipeline is "
         "spilled for the next open (repeatable)",
     )
-    checkpoint_parser.add_argument("--eps", type=float, default=0.5)
     checkpoint_parser.add_argument("--workers", type=int, default=None)
     checkpoint_parser.set_defaults(handler=cmd_checkpoint)
 
@@ -853,7 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         help="idle seconds before an abandoned cursor's pin is reaped",
     )
-    serve_parser.add_argument("--eps", type=float, default=0.5)
     serve_parser.add_argument("--workers", type=int, default=None)
     serve_parser.set_defaults(handler=cmd_serve)
 
@@ -900,7 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     follow_parser.add_argument(
         "--once", action="store_true", help="catch up, report, and exit"
     )
-    follow_parser.add_argument("--eps", type=float, default=0.5)
     follow_parser.add_argument("--workers", type=int, default=None)
     follow_parser.set_defaults(handler=cmd_follow)
 

@@ -32,6 +32,12 @@ follows the paper's two key devices:
 * ``"precompute"``: the paper's strict worst-case-constant-delay variant;
   all reach sets and skip cells are filled during preprocessing (guarded
   by a budget — this is exactly the "huge constants" regime).
+
+Strict mode is core-only: the engine, session and shard layers always
+enumerate lazily, and ``precompute`` is reached only through this
+module (:func:`enumerate_answers`, :func:`enumerate_branch`,
+:func:`arm_enumerator`, :class:`BranchEnumerator`), as the paper's
+reference.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The quantifier-elimination pipeline of Proposition 3.4.
 
-Given a structure ``A``, an FO query ``phi(x-bar)``, and ``eps``, the
-pipeline produces everything the counting / testing / enumeration
-algorithms need:
+Given a structure ``A`` and an FO query ``phi(x-bar)``, the pipeline
+produces everything the counting / testing / enumeration algorithms
+need:
 
 1. **Localization** (Step 1): :func:`repro.fo.localize.localize` rewrites
    ``phi`` into an r-local formula ``phi'`` equivalent on ``A`` (global
@@ -148,14 +148,13 @@ def supports_query(
 
 
 class Pipeline:
-    """Preprocessing output of Proposition 3.4 for one (A, phi, eps)."""
+    """Preprocessing output of Proposition 3.4 for one (A, phi)."""
 
     def __init__(
         self,
         structure: Structure,
         query: Formula,
         order: Optional[Sequence[Var]] = None,
-        eps: float = 0.5,
         budget: Optional[LocalizationBudget] = None,
         max_nodes: int = 5_000_000,
         max_units: int = 16,
@@ -165,7 +164,6 @@ class Pipeline:
     ):
         self.structure = structure
         self.query = query
-        self.eps = eps
         self.budget = budget
         # Dense element<->id table for the columnar answer transport;
         # built lazily from the domain order, or adopted from a rebuild
@@ -392,7 +390,7 @@ class Pipeline:
         return self._intern
 
     def rebuild_spec(self):
-        """The picklable recipe ``(structure, query, order, eps, budget,
+        """The picklable recipe ``(structure, query, order, budget,
         intern_table_or_None)``.
 
         Everything a worker process needs to reconstruct an equivalent
@@ -408,7 +406,6 @@ class Pipeline:
             self.structure,
             self.query,
             self.variables,
-            self.eps,
             self.budget,
             self._intern,
         )
@@ -460,7 +457,6 @@ class Pipeline:
         twin = Pipeline.__new__(Pipeline)
         twin.structure = structure
         twin.query = self.query
-        twin.eps = self.eps
         twin.budget = self.budget
         twin._intern = intern
         twin.variables = self.variables

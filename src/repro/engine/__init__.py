@@ -15,7 +15,7 @@ Layers on top of the paper's pipeline (:mod:`repro.core`):
   columnar codec process-mode answers cross the process boundary in,
   and the shared-memory ring that streams them;
 * :mod:`repro.engine.cache` — LRU pipeline cache keyed by
-  ``(structure fingerprint, normalized formula, order, eps)``, with
+  ``(structure fingerprint, normalized formula, order)``, with
   targeted re-keying for dynamically maintained plans.
 
 The front-end is the session layer::
@@ -50,7 +50,6 @@ _EXPORTS = {
     "parallel_count": ("repro.engine.executor", "parallel_count"),
     "parallel_enumerate": ("repro.engine.executor", "parallel_enumerate"),
     "plan_work_units": ("repro.engine.executor", "plan_work_units"),
-    "prearm": ("repro.engine.executor", "prearm"),
     "resolve_chunk_rows": ("repro.engine.executor", "resolve_chunk_rows"),
     "run_branches": ("repro.engine.executor", "run_branches"),
     "transfer_works": ("repro.engine.executor", "transfer_works"),

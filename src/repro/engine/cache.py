@@ -5,7 +5,7 @@ service answering heavy traffic sees the same (structure, query) pairs
 over and over.  :class:`PipelineCache` memoizes built pipelines under the
 key
 
-    (structure fingerprint, normalized formula text, variable order, eps)
+    (structure fingerprint, normalized formula text, variable order)
 
 * the *fingerprint* (:func:`repro.structures.serialize.fingerprint`) is a
   content hash, so any fact insertion/deletion changes the key and stale
@@ -13,8 +13,8 @@ key
 * the *normalized formula* runs the query text through the parser and
   :func:`repro.fo.normalize.simplify`, so trivially different spellings
   (``B(x) & R(y)`` vs ``(B(x)) & (R(y))``) share one entry;
-* *order* and *eps* complete the key because they change the pipeline's
-  answer order and localization budget respectively.
+* *order* completes the key because it fixes the pipeline's answer
+  order.
 
 Eviction is LRU with a fixed capacity; hits/misses/evictions are counted
 for observability.
@@ -32,7 +32,7 @@ from repro.fo.syntax import Formula, Var
 from repro.structures.serialize import fingerprint
 from repro.structures.structure import Structure
 
-CacheKey = Tuple[str, str, Optional[Tuple[str, ...]], float]
+CacheKey = Tuple[str, str, Optional[Tuple[str, ...]]]
 
 
 def coerce_order(
@@ -52,10 +52,9 @@ def cache_key(
     structure_fingerprint: str,
     query: Formula,
     order: Optional[Tuple[Var, ...]],
-    eps: float,
 ) -> CacheKey:
     order_names = tuple(var.name for var in order) if order is not None else None
-    return (structure_fingerprint, normalize_formula(query), order_names, eps)
+    return (structure_fingerprint, normalize_formula(query), order_names)
 
 
 class PipelineCache:
@@ -142,7 +141,6 @@ class PipelineCache:
         structure: Structure,
         query: Union[Formula, str],
         order: Optional[Sequence[Union[Var, str]]] = None,
-        eps: float = 0.5,
         structure_fingerprint: Optional[str] = None,
         graph_factory=None,
     ) -> Tuple[Pipeline, CacheKey]:
@@ -151,14 +149,13 @@ class PipelineCache:
         variable_order = coerce_order(order)
         if structure_fingerprint is None:
             structure_fingerprint = fingerprint(structure)
-        key = cache_key(structure_fingerprint, formula, variable_order, eps)
+        key = cache_key(structure_fingerprint, formula, variable_order)
         pipeline = self.get(key)
         if pipeline is None:
             pipeline = Pipeline(
                 structure,
                 formula,
                 order=variable_order,
-                eps=eps,
                 graph_factory=graph_factory,
             )
             self.put(key, pipeline)

@@ -84,7 +84,6 @@ class BranchTask:
     spec: tuple
     spec_key: tuple
     branch_index: int
-    skip_mode: str
     start: int = 0
     stop: Optional[int] = None
     # Chunk bound (resolved parent-side; read only by
@@ -119,10 +118,9 @@ _WORKER_PIPELINES: "dict" = {}
 def _worker_pipeline(task: BranchTask) -> Pipeline:
     pipeline = _WORKER_PIPELINES.pop(task.spec_key, None)
     if pipeline is None:
-        structure, query, variables, eps, budget, intern = task.spec
+        structure, query, variables, budget, intern = task.spec
         pipeline = Pipeline(
-            structure, query, order=variables, eps=eps, budget=budget,
-            intern=intern,
+            structure, query, order=variables, budget=budget, intern=intern
         )
         while len(_WORKER_PIPELINES) >= _WORKER_MEMO_CAPACITY:
             _WORKER_PIPELINES.pop(next(iter(_WORKER_PIPELINES)))
@@ -138,14 +136,12 @@ def _project_rows(rows, project: Optional[Tuple[int, ...]]):
     return (tuple(row[i] for i in project) for row in rows)
 
 
-def _unit_rows(pipeline: Pipeline, unit, skip_mode: str, project):
+def _unit_rows(pipeline: Pipeline, unit, project):
     """One work unit's answers, projected (lazily)."""
     branch_index, start, stop = unit
     outer_slice = None if start == 0 and stop is None else (start, stop)
     return _project_rows(
-        enumerate_branch(
-            pipeline, branch_index, skip_mode=skip_mode, outer_slice=outer_slice
-        ),
+        enumerate_branch(pipeline, branch_index, outer_slice=outer_slice),
         project,
     )
 
@@ -170,8 +166,7 @@ def run_branch_task_encoded(task: BranchTask):
     codec = ColumnarCodec(pipeline.intern_table)
     chunk_rows = task.chunk_rows
     rows = _unit_rows(
-        pipeline, (task.branch_index, task.start, task.stop), task.skip_mode,
-        task.project,
+        pipeline, (task.branch_index, task.start, task.stop), task.project
     )
     if task.mailbox is None:
         return encode_answers(rows, codec, chunk_rows)
@@ -226,14 +221,13 @@ def warm_pool(
     pipeline: Pipeline,
     workers: int,
     spec_key: Optional[tuple] = None,
-    skip_mode: str = "lazy",
 ) -> None:
     """Pre-build the pipeline on (up to) every worker of a process pool."""
     if pipeline.trivial is not None:
         return
     if spec_key is None:
         spec_key = _default_spec_key(pipeline)
-    task = BranchTask(pipeline.rebuild_spec(), spec_key, 0, skip_mode)
+    task = BranchTask(pipeline.rebuild_spec(), spec_key, 0)
     futures = [pool.submit("process", warm_task, task) for _ in range(workers)]
     for future in futures:
         future.result()
@@ -389,7 +383,6 @@ def _default_spec_key(pipeline: Pipeline) -> tuple:
         fingerprint(pipeline.structure),
         str(pipeline.query),
         tuple(v.name for v in pipeline.variables),
-        pipeline.eps,
         None if budget is None else (
             budget.max_radius, budget.max_count_split, budget.max_derived
         ),
@@ -420,10 +413,9 @@ def plan_work_units(pipeline: Pipeline, workers: int) -> List[WorkUnit]:
         if work <= target or workers <= 1:
             units.append((branch_index, 0, None))
             continue
-        # Sharding granularity comes from the lazily armed enumerator;
-        # the outer structure (small/big block split, list lengths) is
-        # identical across skip modes, so planning is mode-independent.
-        size = arm_enumerator(pipeline, branch_index, "lazy").outer_size()
+        # Sharding granularity comes from the armed enumerator (the one
+        # the work units then enumerate with).
+        size = arm_enumerator(pipeline, branch_index).outer_size()
         shards = min(-(-work // target), 4 * workers, size)
         if shards <= 1:
             units.append((branch_index, 0, None))
@@ -551,7 +543,6 @@ def _yield_encoded_mailboxed(
 def _process_chunks(
     pipeline: Pipeline,
     workers: int,
-    skip_mode: str,
     spec_key: Optional[tuple],
     pool: Optional[WorkerPool],
     chunk_rows: int,
@@ -586,7 +577,7 @@ def _process_chunks(
                 rings[index] = None
     tasks = [
         BranchTask(
-            spec, spec_key, branch_index, skip_mode, start, stop,
+            spec, spec_key, branch_index, start, stop,
             chunk_rows, project_columns,
             None if ring is None else (ring.name, ring.capacity),
         )
@@ -612,14 +603,14 @@ def _process_chunks(
                     ring.close(unlink=True)
 
 
-def _serial_chunks(pipeline: Pipeline, skip_mode: str, chunk_rows: int, project):
+def _serial_chunks(pipeline: Pipeline, chunk_rows: int, project):
     """Serial mode: enumerate lazily in the caller, one chunk per pull
     (a trivial pipeline's constant answer set included)."""
     if pipeline.trivial is not None:
         sources = [trivial_answers(pipeline)]
     else:
         sources = (
-            enumerate_branch(pipeline, index, skip_mode=skip_mode)
+            enumerate_branch(pipeline, index)
             for index in range(len(pipeline.branches))
         )
     for rows in sources:
@@ -641,7 +632,6 @@ def run_branches(
     pipeline: Pipeline,
     workers: Optional[int] = None,
     mode: Optional[str] = None,
-    skip_mode: str = "lazy",
     spec_key: Optional[tuple] = None,
     pool: Optional[WorkerPool] = None,
     chunk_rows: Optional[int] = None,
@@ -711,11 +701,11 @@ def run_branches(
     )
     if mode == "process":
         stream = _process_chunks(
-            pipeline, workers, skip_mode, spec_key, pool, rows_per_chunk,
+            pipeline, workers, spec_key, pool, rows_per_chunk,
             project_columns, transfer_stats, decode=not encoded,
         )
     else:
-        stream = _serial_chunks(pipeline, skip_mode, rows_per_chunk, project_columns)
+        stream = _serial_chunks(pipeline, rows_per_chunk, project_columns)
         if encoded:
             codec = ColumnarCodec(pipeline.intern_table)
             stream = _encoded(stream, codec, transfer_stats, pool)
@@ -726,7 +716,6 @@ def parallel_enumerate(
     pipeline: Pipeline,
     workers: Optional[int] = None,
     mode: Optional[str] = None,
-    skip_mode: str = "lazy",
     pool: Optional[WorkerPool] = None,
     chunk_rows: Optional[int] = None,
     transfer_stats: Optional[TransferStats] = None,
@@ -742,7 +731,6 @@ def parallel_enumerate(
         pipeline,
         workers=workers,
         mode=mode,
-        skip_mode=skip_mode,
         pool=pool,
         chunk_rows=chunk_rows,
         transfer_stats=transfer_stats,
@@ -783,14 +771,8 @@ def parallel_count(
     with _pool_scope(pool, workers) as active:
         futures = [
             active.submit(
-                "process", count_branch_task, BranchTask(spec, spec_key, i, "lazy")
+                "process", count_branch_task, BranchTask(spec, spec_key, i)
             )
             for i in range(len(pipeline.branches))
         ]
         return sum(future.result() for future in futures)
-
-
-def prearm(pipeline: Pipeline, skip_mode: str = "lazy") -> None:
-    """Arm every branch up front (preprocessing, not delay)."""
-    for branch_index in range(len(pipeline.branches)):
-        arm_enumerator(pipeline, branch_index, skip_mode)

@@ -85,7 +85,6 @@ class Answers:
         self,
         pipeline: Pipeline,
         backend: Optional[ExecutionBackend] = None,
-        skip_mode: str = "lazy",
         workers: Optional[int] = None,
         spec_key: Optional[tuple] = None,
         pool: Optional[WorkerPool] = None,
@@ -129,7 +128,6 @@ class Answers:
         self._backend = resolve_backend(backend)
         self._plan = ExecutionPlan(
             pipeline,
-            skip_mode=skip_mode,
             workers=workers,
             spec_key=spec_key,
             pool=pool,
@@ -659,7 +657,6 @@ class EncodedAnswers:
     def __init__(
         self,
         pipeline: Pipeline,
-        skip_mode: str = "lazy",
         workers: Optional[int] = None,
         spec_key: Optional[tuple] = None,
         pool: Optional[WorkerPool] = None,
@@ -667,7 +664,6 @@ class EncodedAnswers:
         pin=None,
     ):
         self._pipeline = pipeline
-        self._skip_mode = skip_mode
         self._workers = workers
         self._spec_key = spec_key
         self._pool = pool
@@ -734,7 +730,6 @@ class EncodedAnswers:
             self._source = run_branches(
                 self._pipeline,
                 workers=self._workers,
-                skip_mode=self._skip_mode,
                 spec_key=self._spec_key,
                 pool=self._pool,
                 chunk_rows=self._requested_chunk_rows,

@@ -60,7 +60,6 @@ class ExecutionPlan:
     """
 
     pipeline: Pipeline
-    skip_mode: str = "lazy"
     workers: Optional[int] = None
     spec_key: Optional[tuple] = None
     pool: Optional[WorkerPool] = None
@@ -128,7 +127,6 @@ class PoolBackend:
             plan.pipeline,
             workers=workers,
             mode=mode,
-            skip_mode=plan.skip_mode,
             spec_key=plan.spec_key,
             pool=plan.pool,
             chunk_rows=plan.chunk_rows,

@@ -3,7 +3,7 @@
 A ``Database`` owns, for one structure:
 
 * the **pipeline cache** (:class:`repro.engine.cache.PipelineCache`),
-  keyed by ``(structure fingerprint, normalized formula, order, eps)``;
+  keyed by ``(structure fingerprint, normalized formula, order)``;
 * the shared **colored-graph templates** (cluster enumeration depends
   only on ``(arity, link radius)``, so equal-shape queries clone one
   template instead of re-enumerating);
@@ -178,9 +178,7 @@ class Database:
     def __init__(
         self,
         structure: Structure,
-        eps: float = 0.5,
         workers: Optional[int] = None,
-        skip_mode: str = "lazy",
         cache_capacity: int = 64,
         retention_budget: int = 64,
     ):
@@ -191,9 +189,7 @@ class Database:
                 f"retention_budget must be >= 1, got {retention_budget}"
             )
         self.structure = structure
-        self.eps = eps
         self.workers = workers
-        self.skip_mode = skip_mode
         self.pool = WorkerPool(workers)
         self.cache = PipelineCache(cache_capacity)
         # Keyed by (structure fingerprint, arity, link_radius).
@@ -222,7 +218,7 @@ class Database:
         # checkpoint re-establishes a consistent on-disk base.
         self._store: Optional[DurableStore] = None
         self._store_broken = False
-        # Incremental checkpoints: (normalized, order, eps) triples whose
+        # Incremental checkpoints: (normalized, order) pairs whose
         # plan state changed since the last checkpoint — new builds,
         # refreshes that performed graph surgery, and every plan cloned
         # by a fork.  checkpoint() spills only these; clean plans reuse
@@ -266,7 +262,6 @@ class Database:
         query: Union[Formula, str],
         order: Optional[Sequence[Union[Var, str]]] = None,
         backend=None,
-        skip_mode: Optional[str] = None,
         workers: Optional[int] = None,
         budget=None,
         chunk_rows: Optional[int] = None,
@@ -300,7 +295,6 @@ class Database:
                 parse_select(query),
                 self,
                 backend=backend,
-                skip_mode=skip_mode,
                 workers=workers,
                 budget=budget,
                 chunk_rows=chunk_rows,
@@ -310,7 +304,6 @@ class Database:
             coerce_formula(query),
             order=coerce_order(order),
             backend=backend,
-            skip_mode=skip_mode,
             workers=workers,
             budget=budget,
             chunk_rows=chunk_rows,
@@ -789,7 +782,7 @@ class Database:
             with self._state_lock:
                 self._refresh_locked()
                 entries = [
-                    (key[1], key[2], key[3], pipeline)
+                    (key[1], key[2], pipeline)
                     for key, pipeline in self.cache.entries_for(self._cache_tag)
                     if pipeline.structure is self.structure
                 ]
@@ -836,7 +829,7 @@ class Database:
         }
 
     def _seed_warm_entries(self, entries) -> int:
-        """Adopt spilled ``(formula, order, eps, pipeline)`` entries as
+        """Adopt spilled ``(formula, order, pipeline)`` entries as
         head cache entries, re-attaching dynamic maintainers so replayed
         WAL commits maintain them instead of invalidating them."""
         seeded = 0
@@ -844,12 +837,12 @@ class Database:
             tag = self._cache_tag
             for entry in entries:
                 try:
-                    normalized, order_names, eps, pipeline = entry
+                    normalized, order_names, pipeline = entry
                 except (TypeError, ValueError):
                     continue
-                if eps != self.eps or pipeline.structure is not self.structure:
+                if pipeline.structure is not self.structure:
                     continue
-                key = (tag, normalized, order_names, eps)
+                key = (tag, normalized, order_names)
                 self.cache.put(key, pipeline)
                 seeded += 1
                 if key not in self._maintainers and supports_maintenance(
@@ -1081,11 +1074,10 @@ class Database:
                 structure,
                 formula,
                 order=variable_order,
-                eps=self.eps,
                 budget=budget,
             )
             return pipeline, None
-        key = cache_key(tag, formula, variable_order, self.eps)
+        key = cache_key(tag, formula, variable_order)
         build_lock = self._lease_build_lock(key)
         try:
             with build_lock:
@@ -1096,7 +1088,6 @@ class Database:
                         structure,
                         formula,
                         order=variable_order,
-                        eps=self.eps,
                         graph_factory=self._graph_factory_for(tag),
                     )
                     with self._state_lock:

@@ -179,7 +179,6 @@ class Query:
         formula: Formula,
         order: Optional[Tuple[Var, ...]] = None,
         backend=None,
-        skip_mode: Optional[str] = None,
         workers: Optional[int] = None,
         budget=None,
         chunk_rows: Optional[int] = None,
@@ -190,7 +189,6 @@ class Query:
         self._formula = formula
         self._order = order
         self._backend = resolve_backend(backend)
-        self._skip_mode = skip_mode or database.skip_mode
         self._workers = workers if workers is not None else database.workers
         self._budget = budget
         if chunk_rows is not None and chunk_rows < 1:
@@ -310,7 +308,6 @@ class Query:
     def _execution_plan(self, pipeline, limit: Optional[int] = None) -> ExecutionPlan:
         return ExecutionPlan(
             pipeline,
-            skip_mode=self._skip_mode,
             workers=self._workers,
             spec_key=self._key,
             pool=self._db.pool,
@@ -374,7 +371,6 @@ class Query:
         handle = Answers(
             pipeline,
             backend=self._backend,
-            skip_mode=self._skip_mode,
             workers=self._workers,
             spec_key=self._key,
             pool=self._db.pool,
@@ -401,7 +397,6 @@ class Query:
         pipeline, pin = self._pin_resolved()
         return EncodedAnswers(
             pipeline,
-            skip_mode=self._skip_mode,
             workers=self._workers,
             spec_key=self._key,
             pool=self._db.pool,

@@ -112,7 +112,6 @@ class Snapshot:
         query: Union[Formula, str],
         order: Optional[Sequence[Union[Var, str]]] = None,
         backend=None,
-        skip_mode: Optional[str] = None,
         workers: Optional[int] = None,
         budget=None,
         chunk_rows: Optional[int] = None,
@@ -138,8 +137,7 @@ class Snapshot:
                 parse_select(query),
                 self,
                 backend=backend,
-                skip_mode=skip_mode,
-                workers=workers,
+                    workers=workers,
                 budget=budget,
                 chunk_rows=chunk_rows,
             )
@@ -148,7 +146,6 @@ class Snapshot:
             coerce_formula(query),
             order=coerce_order(order),
             backend=backend,
-            skip_mode=skip_mode,
             workers=workers,
             budget=budget,
             chunk_rows=chunk_rows,

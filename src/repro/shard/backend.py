@@ -99,9 +99,7 @@ class ShardGatherBackend:
         for index in range(len(merged.branches)):
             chunk: List[Answer] = []
             shard_rows: Dict[int, int] = {}
-            for answer, shard_index in self._branch_stream(
-                index, plan.skip_mode
-            ):
+            for answer, shard_index in self._branch_stream(index):
                 if columns is not None:
                     answer = tuple(answer[i] for i in columns)
                 chunk.append(answer)
@@ -131,9 +129,7 @@ class ShardGatherBackend:
             )
             stats.record(0, rows, source=source)
 
-    def _branch_stream(
-        self, index: int, skip_mode: str
-    ) -> Iterator[Tuple[Answer, int]]:
+    def _branch_stream(self, index: int) -> Iterator[Tuple[Answer, int]]:
         """One branch's answers in global order, tagged with their shard.
 
         Single-block branches merge per-shard streams lazily; branches
@@ -143,7 +139,7 @@ class ShardGatherBackend:
         """
         merged = self._state.merged
         if len(merged.branches[index].lists) != 1:
-            for answer in enumerate_branch(merged, index, skip_mode=skip_mode):
+            for answer in enumerate_branch(merged, index):
                 yield answer, MERGED
             return
         rank = self._rank

@@ -174,7 +174,6 @@ class ShardedQuery:
         handle = Answers(
             state.merged,
             backend=ShardGatherBackend(state, db.structure.order.rank),
-            skip_mode=db._skip_mode,
             workers=db._workers,
             pool=db.pool,
             version_source=lambda: (db.structure.version, db._epoch),
@@ -239,15 +238,11 @@ class ShardedDatabase:
         self,
         structure: Structure,
         shards: int = 4,
-        eps: float = 0.5,
         workers: Optional[int] = None,
-        skip_mode: str = "lazy",
         partitioner: Optional[RegionPartitioner] = None,
     ):
         self._structure = structure
-        self._eps = eps
         self._workers = workers
-        self._skip_mode = skip_mode
         self._partitioner = partitioner or RegionPartitioner(shards)
         self._layout = self._partitioner.partition(structure)
         self._substructures = [
@@ -340,11 +335,7 @@ class ShardedDatabase:
         self, formula: Formula, order: Optional[Tuple[Var, ...]]
     ) -> _ShardPlan:
         template = Pipeline(
-            self._structure,
-            formula,
-            order=order,
-            eps=self._eps,
-            build_graph=False,
+            self._structure, formula, order=order, build_graph=False
         )
         if template.trivial is not None:
             # Localization collapsed the query to a constant; there is no
@@ -352,9 +343,7 @@ class ShardedDatabase:
             return _ShardPlan(formula, None, None, template, False, ())
         blockers = tuple(shard_blockers(template))
         if blockers or not self._layout.shards:
-            merged = Pipeline(
-                self._structure, formula, order=order, eps=self._eps
-            )
+            merged = Pipeline(self._structure, formula, order=order)
             return _ShardPlan(formula, None, None, merged, False, blockers)
         shard_pipelines = [
             template.derive(substructure)

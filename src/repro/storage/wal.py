@@ -31,7 +31,8 @@ snapshot-plus-write-ahead-log design:
     a reopened database answers its first query without re-running
     Proposition 3.4.  Strictly an accelerator: it is validated against
     the manifest lineage and silently ignored when stale, unreadable or
-    of another format (``WARM_FORMAT``; format 4 pickles the immutable
+    of another format (``WARM_FORMAT``; format 5 keys each pipeline by
+    ``(normalized formula, order)`` and pickles the immutable
     colored-graph nodes and the graph's free-id list).  The spill is
     *incremental*: each cached pipeline is pickled into its own blob
     (with the head structure factored out via a pickle persistent id),
@@ -82,7 +83,7 @@ UpdateOp = Tuple[bool, str, Tuple[Element, ...]]
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"  # pre-segmentation log, still read for old stores
 FORMAT_VERSION = 1
-WARM_FORMAT = 4
+WARM_FORMAT = 5
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_RE = re.compile(r"^wal\.(\d{5,})\.jsonl$")
@@ -286,7 +287,7 @@ class DurableStore:
         # Records since the last checkpoint; lazily seeded from the files
         # so stats() stays O(1) on the append path.
         self._wal_records: Optional[int] = None
-        # Incremental spill: (normalized, order, eps) -> last pickled
+        # Incremental spill: (normalized, order) -> last pickled
         # blob, seeded from the warm file on restore and refreshed
         # per checkpoint; clean plans reuse their blob byte-for-byte.
         self._warm_blobs: Dict[tuple, bytes] = {}
@@ -403,9 +404,9 @@ class DurableStore:
         or below the snapshot version; recovery skips them by version
         interval.
 
-        ``warm_entries`` are ``(normalized, order, eps, pipeline)``
-        tuples; ``dirty_keys`` names the ``(normalized, order, eps)``
-        triples whose plan state changed since the previous checkpoint —
+        ``warm_entries`` are ``(normalized, order, pipeline)`` tuples;
+        ``dirty_keys`` names the ``(normalized, order)`` pairs whose
+        plan state changed since the previous checkpoint —
         everything else reuses its previous blob.  ``None`` (the default
         for legacy callers) re-pickles everything.
         """
@@ -494,7 +495,7 @@ class DurableStore:
         dropped = 0
         for entry in warm_entries:
             try:
-                normalized, order_names, eps, pipeline = entry
+                normalized, order_names, pipeline = entry
             except (TypeError, ValueError):
                 dropped += 1
                 warnings.warn(
@@ -504,7 +505,7 @@ class DurableStore:
                     stacklevel=3,
                 )
                 continue
-            key = (normalized, order_names, eps)
+            key = (normalized, order_names)
             blob = None
             if (
                 dirty_keys is not None
@@ -533,7 +534,7 @@ class DurableStore:
                     )
                     continue
             blobs[key] = blob
-            entries.append([normalized, order_names, eps, blob])
+            entries.append([normalized, order_names, blob])
         self._warm_blobs = blobs
         if not entries:
             return None, 0, 0
@@ -838,10 +839,10 @@ class DurableStore:
                 return None, ()
             entries = []
             blobs: Dict[tuple, bytes] = {}
-            for normalized, order_names, eps, blob in bundle["entries"]:
+            for normalized, order_names, blob in bundle["entries"]:
                 pipeline = _loads_with_head(blob, structure)
-                entries.append((normalized, order_names, eps, pipeline))
-                blobs[(normalized, order_names, eps)] = blob
+                entries.append((normalized, order_names, pipeline))
+                blobs[(normalized, order_names)] = blob
             # Seed the reuse cache: plans that stay clean keep these
             # exact bytes at the next checkpoint.
             self._warm_blobs = blobs

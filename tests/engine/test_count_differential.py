@@ -54,7 +54,7 @@ def task_count(pipeline):
     """The per-branch worker tasks, run in this process and summed."""
     spec, key = pipeline.rebuild_spec(), _default_spec_key(pipeline)
     return sum(
-        count_branch_task(BranchTask(spec, key, index, "lazy"))
+        count_branch_task(BranchTask(spec, key, index))
         for index in range(len(pipeline.branches))
     )
 

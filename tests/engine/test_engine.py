@@ -91,29 +91,23 @@ class TestPipelineCache:
         second, _ = cache.get_or_build(small_colored, "(B(x)) & (R(y))")
         assert first is second
 
-    def test_distinct_eps_distinct_entries(self, small_colored):
-        cache = PipelineCache()
-        first, _ = cache.get_or_build(small_colored, EXAMPLE, eps=0.5)
-        second, _ = cache.get_or_build(small_colored, EXAMPLE, eps=0.25)
-        assert first is not second
-
     def test_retained_entries_never_evicted_and_never_starve_head(self):
         # Regression: with retained entries at/over capacity, put() must
         # neither evict a pinned entry nor the entry it just inserted —
         # the capacity budget applies to the unpinned population only.
         cache = PipelineCache(capacity=2)
         cache.retain("old")
-        cache.put(("old", "q1", None, 0.5), "pinned-1")
-        cache.put(("old", "q2", None, 0.5), "pinned-2")
-        cache.put(("head", "q1", None, 0.5), "fresh")
-        assert cache.get(("head", "q1", None, 0.5)) == "fresh", (
+        cache.put(("old", "q1", None), "pinned-1")
+        cache.put(("old", "q2", None), "pinned-2")
+        cache.put(("head", "q1", None), "fresh")
+        assert cache.get(("head", "q1", None)) == "fresh", (
             "the just-inserted head entry was evicted"
         )
-        assert cache.get(("old", "q1", None, 0.5)) == "pinned-1"
-        assert cache.get(("old", "q2", None, 0.5)) == "pinned-2"
+        assert cache.get(("old", "q1", None)) == "pinned-1"
+        assert cache.get(("old", "q2", None)) == "pinned-2"
         # Unpinned population is still bounded by capacity.
         for index in range(5):
-            cache.put(("head", f"extra{index}", None, 0.5), index)
+            cache.put(("head", f"extra{index}", None), index)
         unpinned = sum(1 for k in cache._entries if k[0] == "head")
         assert unpinned <= 2
         # Releasing the pin restores plain LRU behavior.
@@ -511,7 +505,7 @@ class TestBudgetPropagation:
         budget = LocalizationBudget(max_derived=10_000)
         pipeline = plan(small_colored, EXAMPLE, budget=budget)
         spec = pipeline.rebuild_spec()
-        assert spec[4] is budget
+        assert spec[3] is budget
         from repro.engine.executor import _default_spec_key
 
         keyed = _default_spec_key(pipeline)

@@ -56,7 +56,7 @@ def unit_rows(pipeline, workers):
     return [
         row
         for unit in plan_work_units(pipeline, workers)
-        for row in _unit_rows(pipeline, unit, "lazy", None)
+        for row in _unit_rows(pipeline, unit, None)
     ]
 
 
@@ -170,13 +170,12 @@ class TestWorkUnits:
             stop is not None for _, _, stop in plan_work_units(pipeline, 4)
         ), "the workload must slice a heavy branch"
         assert_units_match(pipeline, serial)
-        for skip_mode in ("lazy", "precompute"):
-            rows = [
-                row
-                for unit in plan_work_units(pipeline, 3)
-                for row in _unit_rows(pipeline, unit, skip_mode, (2, 0))
-            ]
-            assert rows == [(z, x) for x, _, z in serial], skip_mode
+        rows = [
+            row
+            for unit in plan_work_units(pipeline, 3)
+            for row in _unit_rows(pipeline, unit, (2, 0))
+        ]
+        assert rows == [(z, x) for x, _, z in serial]
 
 
 class TestProcessMode:

@@ -285,14 +285,13 @@ class TestWorkerSpecCarriesIntern:
 
         pipeline = Pipeline(small_colored, parse("B(x) & R(y)"))
         # Lazy: paths that never move answers ship None...
-        assert pipeline.rebuild_spec()[5] is None
+        assert pipeline.rebuild_spec()[4] is None
         table = pipeline.intern_table
         # ...but once the transport built it, every spec carries it.
         spec = pipeline.rebuild_spec()
-        assert spec[5] is table
+        assert spec[4] is table
         rebuilt = Pipeline(
-            spec[0], spec[1], order=spec[2], eps=spec[3], budget=spec[4],
-            intern=spec[5],
+            spec[0], spec[1], order=spec[2], budget=spec[3], intern=spec[4]
         )
         assert rebuilt.intern_table is table
 

@@ -97,11 +97,6 @@ class TestQueryOptions:
             assert structure.has_fact("R", answer[0])
             assert structure.has_fact("B", answer[1])
 
-    def test_skip_mode_override(self, db):
-        lazy = db.query(EXAMPLE, skip_mode="lazy").answers().all()
-        strict = db.query(EXAMPLE, skip_mode="precompute").answers().all()
-        assert lazy == strict
-
     def test_stats(self, db, structure):
         stats = db.query(EXAMPLE).stats()
         assert stats["arity"] == 2

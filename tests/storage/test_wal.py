@@ -177,7 +177,7 @@ class TestDurableStore:
         with pytest.warns(DurabilityWarning, match="warm spill"):
             result = store.checkpoint(
                 structure,
-                warm_entries=[("key", None, 0.5, lambda: None)],
+                warm_entries=[("key", None, lambda: None)],
             )
         # Durability is intact; only the accelerator was dropped.
         assert result.warm_entries == 0
@@ -203,7 +203,7 @@ class TestDurableStore:
         assert restored.warm_entries == ()
         assert restored.structure.content_fingerprint() == result.fingerprint
 
-    @pytest.mark.parametrize("old_format", [1, 2])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
     def test_other_format_spill_is_ignored_like_a_stale_one(
         self, tmp_path, old_format
     ):
@@ -218,6 +218,12 @@ class TestDurableStore:
         warm = path / f"warm-{result.version}.pickle"
         bundle = pickle.loads(warm.read_bytes())
         bundle["format"] = old_format
+        if old_format >= 2:
+            # Formats 2-4 keyed each blob by (normalized, order, eps).
+            bundle["entries"] = [
+                [normalized, order_names, 0.5, blob]
+                for normalized, order_names, blob in bundle["entries"]
+            ]
         warm.write_bytes(pickle.dumps(bundle))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

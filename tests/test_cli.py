@@ -133,6 +133,15 @@ class TestCommands:
             assert exit_info.value.code == 2
             assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    def test_eps_is_not_an_option(self, capsys):
+        # No query option depends on the paper's epsilon (only the
+        # storing trie takes it), so no subcommand accepts --eps.
+        for command in ("query", "check", "explain", "delay"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "-w", "colored:n=20,d=2", "-q", "B(x)", "--eps", "0.5"])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --eps 0.5" in capsys.readouterr().err
+
     def test_bad_tuple_component(self, capsys):
         code = main(
             [
