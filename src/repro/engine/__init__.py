@@ -6,7 +6,8 @@ Layers on top of the paper's pipeline (:mod:`repro.core`):
   counting* of one pipeline across a process pool, with a
   deterministic merge that reproduces the serial answer order
   byte-for-byte (and, for :func:`parallel_count`, the exact serial
-  count); every mode yields one stream of bounded answer chunks;
+  count); answers come as one demand-sized row stream, cut into
+  bounded chunks only where they cross a process or wire boundary;
 * :mod:`repro.engine.pool` — :class:`WorkerPool`, the long-lived,
   lazily-started, crash-restarting worker pool each
   :class:`repro.session.Database` owns (and the only place executors

@@ -26,11 +26,8 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.pipeline import Pipeline
-from repro.fo import coerce_formula
 from repro.fo.normalize import simplify
 from repro.fo.syntax import Formula, Var
-from repro.structures.serialize import fingerprint
-from repro.structures.structure import Structure
 
 CacheKey = Tuple[str, str, Optional[Tuple[str, ...]]]
 
@@ -135,31 +132,6 @@ class PipelineCache:
 
     def retained(self, structure_fingerprint: str) -> bool:
         return structure_fingerprint in self._retained
-
-    def get_or_build(
-        self,
-        structure: Structure,
-        query: Union[Formula, str],
-        order: Optional[Sequence[Union[Var, str]]] = None,
-        structure_fingerprint: Optional[str] = None,
-        graph_factory=None,
-    ) -> Tuple[Pipeline, CacheKey]:
-        """Return the cached pipeline for the key, building on a miss."""
-        formula = coerce_formula(query)
-        variable_order = coerce_order(order)
-        if structure_fingerprint is None:
-            structure_fingerprint = fingerprint(structure)
-        key = cache_key(structure_fingerprint, formula, variable_order)
-        pipeline = self.get(key)
-        if pipeline is None:
-            pipeline = Pipeline(
-                structure,
-                formula,
-                order=variable_order,
-                graph_factory=graph_factory,
-            )
-            self.put(key, pipeline)
-        return pipeline, key
 
     def rekey(self, old_fingerprint: str, new_fingerprint: str, keep) -> int:
         """Targeted invalidation after an in-session dynamic update.

@@ -17,12 +17,16 @@ Pool selection follows the cost-model heuristic
   from a picklable spec (memoized per process) and enumeration scales
   past the GIL.
 
-:func:`run_branches` is the one producer of answer chunks: every mode,
-trivial pipelines, row budgets and projection included, yields one
-stream of chunks of at most :func:`resolve_chunk_rows` rows (decoded
-rows, or the encoded columnar buffers with ``encoded=True``); every
-submission goes through a :class:`~repro.engine.pool.WorkerPool` (the
-caller's, or one scoped to the call).
+:func:`parallel_enumerate` is the one producer of answer rows: in
+serial mode it chains the lazy branch generators, so a consumer that
+reads ``k`` rows enumerates ``k``.  :func:`run_branches` is the one
+producer of answer chunks, for the places where bytes cross a
+boundary (process workers, and the encoded wire with
+``encoded=True``): every mode, trivial pipelines, row budgets and
+projection included, yields one stream of chunks of at most
+:func:`resolve_chunk_rows` rows.  Every submission goes through a
+:class:`~repro.engine.pool.WorkerPool` (the caller's, or one scoped to
+the call).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Generator, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.counting import count_answers, count_branch_at
@@ -603,9 +608,9 @@ def _process_chunks(
                     ring.close(unlink=True)
 
 
-def _serial_chunks(pipeline: Pipeline, chunk_rows: int, project):
-    """Serial mode: enumerate lazily in the caller, one chunk per pull
-    (a trivial pipeline's constant answer set included)."""
+def _serial_sources(pipeline: Pipeline, project):
+    """Serial mode: each branch's lazy, projected row stream, in branch
+    order (a trivial pipeline's constant answer set is one source)."""
     if pipeline.trivial is not None:
         sources = [trivial_answers(pipeline)]
     else:
@@ -613,8 +618,28 @@ def _serial_chunks(pipeline: Pipeline, chunk_rows: int, project):
             enumerate_branch(pipeline, index)
             for index in range(len(pipeline.branches))
         )
-    for rows in sources:
-        yield from split_chunks(_project_rows(rows, project), chunk_rows)
+    return (_project_rows(rows, project) for rows in sources)
+
+
+def _serial_chunks(pipeline: Pipeline, chunk_rows: int, project):
+    """Serial mode cut into chunks, one chunk enumerated per pull."""
+    for rows in _serial_sources(pipeline, project):
+        yield from split_chunks(rows, chunk_rows)
+
+
+def _flatten(chunks: Generator) -> Iterator[Answer]:
+    """The rows of a chunk stream.  Closing the rows closes ``chunks``,
+    which cancels every process work unit nobody will read."""
+    try:
+        for chunk in chunks:
+            yield from chunk
+    finally:
+        chunks.close()
+
+
+def _check_row_budget(row_budget: Optional[int]) -> None:
+    if row_budget is not None and row_budget < 0:
+        raise EngineError(f"row_budget must be >= 0, got {row_budget}")
 
 
 def _encoded(chunks, codec, transfer_stats, pool) -> Iterator[bytes]:
@@ -687,9 +712,8 @@ def run_branches(
     identical either way.
     """
     rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
+    _check_row_budget(row_budget)
     if row_budget is not None:
-        if row_budget < 0:
-            raise EngineError(f"row_budget must be >= 0, got {row_budget}")
         if encoded:
             raise EngineError("row_budget does not combine with encoded chunks")
         if row_budget == 0:
@@ -720,23 +744,37 @@ def parallel_enumerate(
     chunk_rows: Optional[int] = None,
     transfer_stats: Optional[TransferStats] = None,
     row_budget: Optional[int] = None,
+    spec_key: Optional[tuple] = None,
+    project_columns: Optional[Tuple[int, ...]] = None,
 ) -> Iterator[Answer]:
-    """Enumerate ``q(A)`` using the branch-parallel engine.
+    """Enumerate ``q(A)`` as one row stream, using the branch-parallel
+    engine.
 
     Same answers, same order as the serial
     :func:`repro.core.enumeration.enumerate_answers` — only the wall
-    clock (and, in process mode, the wire format) differs.
+    clock (and, in process mode, the wire format) differs.  This is the
+    one row producer, and it is demand-sized in-process: serial mode
+    chains the lazy per-branch generators, so pulling ``k`` rows
+    enumerates ``k`` rows.  Process mode flattens the decoded chunks of
+    :func:`run_branches`; the chunk is what crosses the process
+    boundary, so ``chunk_rows`` bounds those chunks only.  The
+    arguments mean what they mean for :func:`run_branches`; closing the
+    stream cancels the work units it will never read.
     """
-    for chunk in run_branches(
-        pipeline,
-        workers=workers,
-        mode=mode,
-        pool=pool,
-        chunk_rows=chunk_rows,
-        transfer_stats=transfer_stats,
-        row_budget=row_budget,
-    ):
-        yield from chunk
+    _check_row_budget(row_budget)
+    resolve_chunk_rows(pipeline, chunk_rows)  # validated in every mode
+    mode, workers = decide_mode(
+        pipeline, workers, budget_mode(pipeline, mode, row_budget, chunk_rows)
+    )
+    if mode == "process":
+        return _flatten(
+            run_branches(
+                pipeline, workers, mode, spec_key, pool, chunk_rows,
+                transfer_stats, row_budget, project_columns,
+            )
+        )
+    rows = chain.from_iterable(_serial_sources(pipeline, project_columns))
+    return rows if row_budget is None else islice(rows, row_budget)
 
 
 def parallel_count(

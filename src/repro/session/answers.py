@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import weakref
+from itertools import islice
 from typing import (
     AsyncIterator,
     Hashable,
@@ -73,12 +74,13 @@ DEFAULT_PAGE_SIZE = 100
 class Answers:
     """Unified access to one prepared query's answer sequence.
 
-    The *merge* is lazy — pages pull only as many answer chunks (at
-    most ``chunk_rows`` rows each) as they need.  In serial mode partial
-    consumption only pays for the chunks it touched; in process mode
+    Pulls are demand-sized: the handle reads the backend's row stream
+    and takes only the rows a request needs, so ``page(i, s)``
+    enumerates at most ``(i + 1) * s`` rows in-process (serial and
+    sharded runs) and ``page(0, 1)`` enumerates one.  In process mode
     every work unit is submitted to the pool on first access (they
-    compute concurrently), and laziness governs only when results are
-    drained.
+    compute concurrently) and ship ``chunk_rows``-bounded chunks;
+    laziness governs only when those are drained.
     """
 
     def __init__(
@@ -137,7 +139,7 @@ class Answers:
             project_columns=project_columns,
         )
         self._answers: List[Answer] = []
-        self._source: Optional[Iterator[List[Answer]]] = None
+        self._source: Optional[Iterator[Answer]] = None
         self._count: Optional[int] = None
         self._done = False
         self._sealed = False
@@ -256,28 +258,32 @@ class Answers:
             self._source = self._backend.run(self._plan)
 
     def _pull(self, needed: Optional[int]) -> None:
-        """Materialize branch chunks until ``needed`` answers (or all)."""
+        """Materialize answers until ``needed`` are held (``None``: all);
+        the source enumerates only the rows taken."""
         self._ensure_source()
-        while not self._done and (
-            needed is None or len(self._answers) < needed
-        ):
-            assert self._source is not None
-            try:
-                chunk = next(self._source)
-            except StopIteration:
-                self._done = True
-                self._source = None
-                self._seal()
-            except BaseException:
-                # A worker failure mid-production leaves a dead generator
-                # and an unusable prefix; reset so a retry re-executes
-                # from scratch instead of serving partial answers as if
-                # they were complete.
-                self._source = None
-                self._answers = []
-                raise
-            else:
-                self._answers.extend(chunk)
+        if self._done:
+            return
+        wanted = None if needed is None else needed - len(self._answers)
+        if wanted is not None and wanted <= 0:
+            return
+        assert self._source is not None
+        before = len(self._answers)
+        try:
+            self._answers.extend(
+                self._source if wanted is None else islice(self._source, wanted)
+            )
+        except BaseException:
+            # A worker failure mid-production leaves a dead generator
+            # and an unusable prefix; reset so a retry re-executes
+            # from scratch instead of serving partial answers as if
+            # they were complete.
+            self._source = None
+            self._answers = []
+            raise
+        if wanted is None or len(self._answers) - before < wanted:
+            self._done = True
+            self._source = None
+            self._seal()
 
     def _seal(self) -> None:
         """Exhaustion makes the handle self-contained: release the pin.
@@ -316,20 +322,24 @@ class Answers:
         return self._answers[index * size : (index + 1) * size]
 
     def stream(self) -> Iterator[Answer]:
-        """Yield answers one by one; staleness is re-checked per answer."""
+        """Yield answers one by one; staleness is re-checked per answer.
+
+        Production runs at most :data:`DEFAULT_PAGE_SIZE` rows ahead of
+        the consumer: each pull materializes one batch, which starts at
+        one row (the first answer costs one row of enumeration) and
+        doubles up to that bound.
+        """
         position = 0
         while True:
             self._check_live()
             if position < len(self._answers):
                 yield self._answers[position]
                 position += 1
-                continue
-            if self._done:
+            elif self._done:
                 return
-            before = len(self._answers)
-            self._pull(before + 1)
-            if len(self._answers) == before and self._done:
-                return
+            else:
+                batch = min(max(position, 1), DEFAULT_PAGE_SIZE)
+                self._pull(position + batch)
 
     def all(self) -> List[Answer]:
         """Materialize and return every answer (serial order)."""

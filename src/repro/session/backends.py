@@ -20,7 +20,7 @@ event loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Hashable, Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.pipeline import Pipeline
 from repro.engine.executor import (
@@ -28,7 +28,7 @@ from repro.engine.executor import (
     decide_count_mode,
     decide_mode,
     parallel_count,
-    run_branches,
+    parallel_enumerate,
 )
 from repro.engine.pool import WorkerPool
 from repro.engine.transport import TransferStats
@@ -43,9 +43,10 @@ class ExecutionPlan:
     """Everything a backend needs to run one prepared query.
 
     ``pool`` is the session-owned :class:`WorkerPool` (lazily started).
-    ``chunk_rows`` bounds the rows of every answer chunk (``None`` =
-    cost-model default); ``transfer_stats`` collects the process path's
-    received-bytes accounting.  ``used_mode`` / ``used_count_mode`` /
+    ``chunk_rows`` bounds the rows of every chunk a process worker ships
+    back (``None`` = cost-model default); in-process runs cut no chunks.
+    ``transfer_stats`` collects the process path's received-bytes
+    accounting.  ``used_mode`` / ``used_count_mode`` /
     ``used_transport`` record what actually ran (the transport is
     ``"columnar"`` in process mode, ``"none"`` in-process), for
     :meth:`repro.session.Query.explain` and the differential suite.
@@ -78,17 +79,18 @@ class ExecutionPlan:
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """The strategy protocol: produce branch chunks, and count.
+    """The strategy protocol: produce answer rows, and count.
 
-    ``run`` must yield per-branch answer lists in branch-index order
-    (shards in slice order) so the merged stream equals the serial
-    enumeration; ``count`` must return exactly
+    ``run`` must return an iterator over the answer rows in branch-index
+    order (shards in slice order), so the stream equals the serial
+    enumeration, and should enumerate no further than its consumer
+    reads; ``count`` must return exactly
     :func:`repro.core.counting.count_answers`.
     """
 
     name: str
 
-    def run(self, plan: ExecutionPlan) -> Iterator[List[Answer]]: ...
+    def run(self, plan: ExecutionPlan) -> Iterator[Answer]: ...
 
     def count(self, plan: ExecutionPlan) -> int: ...
 
@@ -119,11 +121,11 @@ class PoolBackend:
         """The concrete ``(mode, workers)`` counting would use."""
         return decide_count_mode(plan.pipeline, plan.workers, self._mode)
 
-    def run(self, plan: ExecutionPlan) -> Iterator[List[Answer]]:
+    def run(self, plan: ExecutionPlan) -> Iterator[Answer]:
         mode, workers = self.resolve(plan)
         plan.used_mode = mode
         plan.used_transport = "columnar" if mode == "process" else "none"
-        return run_branches(
+        return parallel_enumerate(
             plan.pipeline,
             workers=workers,
             mode=mode,

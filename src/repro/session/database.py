@@ -274,8 +274,9 @@ class Database:
         ``"auto"`` lets the cost model decide per plan.  ``budget`` (a
         :class:`repro.fo.localize.LocalizationBudget`) bypasses the cache
         — budgets change pipeline shape and are not part of the cache
-        key.  ``chunk_rows`` bounds the rows of every answer chunk
-        (default: cost-model chunk size).
+        key.  ``chunk_rows`` bounds the rows of every chunk a process
+        worker or the encoded wire ships (default: cost-model chunk
+        size); in-process pulls cut no chunks.
 
         A string starting with the ``SELECT`` keyword is a qlang
         statement (``SELECT x, y WHERE <FO formula> ...``): it is

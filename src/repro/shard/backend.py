@@ -30,11 +30,10 @@ trivial pipeline has no graph to shard) the merged pipeline — which
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterator, Tuple
 
 from repro.core.counting import count_branch_at
 from repro.core.enumeration import enumerate_branch
-from repro.engine.executor import resolve_chunk_rows
 from repro.session.backends import AUTO, ExecutionPlan
 
 Element = Hashable
@@ -56,7 +55,7 @@ class ShardGatherBackend:
 
     # -- protocol ------------------------------------------------------
 
-    def run(self, plan: ExecutionPlan) -> Iterator[List[Answer]]:
+    def run(self, plan: ExecutionPlan) -> Iterator[Answer]:
         if not self._streamable(plan):
             return AUTO.run(plan)
         plan.used_mode = "shard-stream"
@@ -89,35 +88,34 @@ class ShardGatherBackend:
         # anything else (a foreign pipeline) goes through the engine.
         return plan.pipeline is state.merged
 
-    def _stream(self, plan: ExecutionPlan) -> Iterator[List[Answer]]:
+    def _stream(self, plan: ExecutionPlan) -> Iterator[Answer]:
+        """The gathered rows, one pull per row.  Per-source row counts
+        are flushed into ``plan.transfer_stats`` after each branch and
+        when the stream ends or is closed."""
         merged = self._state.merged
-        chunk_rows = resolve_chunk_rows(merged, plan.chunk_rows)
         columns = plan.project_columns
         budget = plan.row_budget
         stats = plan.transfer_stats
+        if budget == 0:
+            return
         produced = 0
-        for index in range(len(merged.branches)):
-            chunk: List[Answer] = []
-            shard_rows: Dict[int, int] = {}
-            for answer, shard_index in self._branch_stream(index):
-                if columns is not None:
-                    answer = tuple(answer[i] for i in columns)
-                chunk.append(answer)
-                shard_rows[shard_index] = shard_rows.get(shard_index, 0) + 1
-                produced += 1
-                if len(chunk) >= chunk_rows:
-                    self._account(stats, shard_rows)
-                    yield chunk
-                    chunk = []
-                    shard_rows = {}
-                if budget is not None and produced >= budget:
-                    if chunk:
-                        self._account(stats, shard_rows)
-                        yield chunk
-                    return
-            if chunk:
+        shard_rows: Dict[int, int] = {}
+        try:
+            for index in range(len(merged.branches)):
+                for answer, shard_index in self._branch_stream(index):
+                    shard_rows[shard_index] = shard_rows.get(shard_index, 0) + 1
+                    yield (
+                        answer
+                        if columns is None
+                        else tuple(answer[i] for i in columns)
+                    )
+                    produced += 1
+                    if produced == budget:
+                        return
                 self._account(stats, shard_rows)
-                yield chunk
+                shard_rows = {}
+        finally:
+            self._account(stats, shard_rows)
 
     @staticmethod
     def _account(stats, shard_rows: Dict[int, int]) -> None:

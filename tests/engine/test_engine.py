@@ -11,7 +11,13 @@ import pytest
 from repro.core.enumeration import arm_enumerator, enumerate_answers, enumerate_branch
 from repro.engine import WorkerPool, parallel_enumerate, run_branches
 from repro.engine import executor
-from repro.engine.cache import PipelineCache, normalize_formula
+from repro.core.pipeline import Pipeline
+from repro.engine.cache import (
+    PipelineCache,
+    cache_key,
+    coerce_order,
+    normalize_formula,
+)
 from repro.engine.executor import (
     branch_works,
     budget_mode,
@@ -76,19 +82,32 @@ class TestFingerprint:
         assert tiny_graph.version == version + 1
 
 
+def cached_pipeline(cache, structure, query, order=None):
+    """The session's lookup: ``get`` under ``cache_key``, build and
+    ``put`` on a miss."""
+    formula = parse(query)
+    variable_order = coerce_order(order)
+    key = cache_key(fingerprint(structure), formula, variable_order)
+    pipeline = cache.get(key)
+    if pipeline is None:
+        pipeline = Pipeline(structure, formula, order=variable_order)
+        cache.put(key, pipeline)
+    return pipeline, key
+
+
 class TestPipelineCache:
     def test_hit_returns_same_pipeline(self, small_colored):
         cache = PipelineCache()
-        first, key1 = cache.get_or_build(small_colored, EXAMPLE)
-        second, key2 = cache.get_or_build(small_colored, EXAMPLE)
+        first, key1 = cached_pipeline(cache, small_colored, EXAMPLE)
+        second, key2 = cached_pipeline(cache, small_colored, EXAMPLE)
         assert first is second
         assert key1 == key2
         assert cache.stats()["hits"] == 1
 
     def test_normalization_merges_spellings(self, small_colored):
         cache = PipelineCache()
-        first, _ = cache.get_or_build(small_colored, "B(x) & R(y)")
-        second, _ = cache.get_or_build(small_colored, "(B(x)) & (R(y))")
+        first, _ = cached_pipeline(cache, small_colored, "B(x) & R(y)")
+        second, _ = cached_pipeline(cache, small_colored, "(B(x)) & (R(y))")
         assert first is second
 
     def test_retained_entries_never_evicted_and_never_starve_head(self):
@@ -116,19 +135,19 @@ class TestPipelineCache:
 
     def test_distinct_order_distinct_entries(self, small_colored):
         cache = PipelineCache()
-        first, _ = cache.get_or_build(small_colored, EXAMPLE, order=["x", "y"])
-        second, _ = cache.get_or_build(small_colored, EXAMPLE, order=["y", "x"])
+        first, _ = cached_pipeline(cache, small_colored, EXAMPLE, order=["x", "y"])
+        second, _ = cached_pipeline(cache, small_colored, EXAMPLE, order=["y", "x"])
         assert first is not second
 
     def test_lru_eviction(self, small_colored):
         cache = PipelineCache(capacity=2)
-        cache.get_or_build(small_colored, "B(x)")
-        cache.get_or_build(small_colored, "R(x)")
-        cache.get_or_build(small_colored, "B(x) & R(y)")
+        cached_pipeline(cache, small_colored, "B(x)")
+        cached_pipeline(cache, small_colored, "R(x)")
+        cached_pipeline(cache, small_colored, "B(x) & R(y)")
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
         # "B(x)" was evicted; rebuilding is a miss.
-        cache.get_or_build(small_colored, "B(x)")
+        cached_pipeline(cache, small_colored, "B(x)")
         assert cache.stats()["misses"] == 4
 
     def test_normalize_formula_text(self):
@@ -562,7 +581,7 @@ class TestTriviallyTrue:
         with Database(structure) as db:
             query = self.query(db)
             plan_ = ExecutionPlan(query.pipeline, chunk_rows=6)
-            assert [row for chunk in AUTO.run(plan_) for row in chunk] == expected
+            assert list(AUTO.run(plan_)) == expected
             assert plan_.used_mode == "serial"
             assert AUTO.count(ExecutionPlan(query.pipeline)) == len(expected)
             handle = query.answers()
