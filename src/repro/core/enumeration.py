@@ -216,7 +216,8 @@ class BranchEnumerator:
         self,
         meter: Optional[CostMeter] = None,
         first_slice: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> Iterator[Tuple[int, ...]]:
+        marks: bool = False,
+    ) -> Iterator[Optional[Tuple[int, ...]]]:
         """Jointly compatible assignments of the small blocks, by DFS.
 
         Every small list has at most ``sum of other blocks' max degrees``
@@ -230,6 +231,7 @@ class BranchEnumerator:
         small block's candidate list — shards rooted at disjoint list
         slices walk disjoint DFS subtrees, so sharded enumeration does no
         redundant work and slice-order concatenation is exact.
+        ``marks=True`` yields ``None`` after each first-block candidate.
         """
         if not self.small_blocks:
             yield ()
@@ -252,6 +254,8 @@ class BranchEnumerator:
                 chosen.append(candidate)
                 yield from extend(depth + 1)
                 chosen.pop()
+                if marks and depth == 0:
+                    yield None
 
         yield from extend(0)
 
@@ -290,7 +294,8 @@ class BranchEnumerator:
         self,
         meter: Optional[CostMeter] = None,
         outer_slice: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> Iterator[Tuple[int, ...]]:
+        marks: bool = False,
+    ) -> Iterator[Optional[Tuple[int, ...]]]:
         """Yield block assignments (node id per block, in block order).
 
         ``outer_slice=(start, stop)`` restricts the outermost iteration
@@ -299,10 +304,17 @@ class BranchEnumerator:
         concatenating them in slice order reproduces the unrestricted
         enumeration exactly, because the outermost loop advances in a
         fixed order regardless of what the inner levels produce.
+
+        ``marks=True`` also yields ``None`` after each outermost
+        position, answers or not, so a consumer can stop on a position
+        boundary and resume from the next position with
+        ``outer_slice`` — the engine's serial head.  Lazy mode only.
         """
         start, stop = outer_slice if outer_slice is not None else (0, None)
         assignment: List[Optional[int]] = [None] * self.block_count
         if self.small_blocks:
+            if marks and self.small_table is not None:
+                raise ValueError("position marks need skip_mode='lazy'")
             if self.small_table is not None:
                 if outer_slice is None:
                     small_source: Iterator[Tuple[int, ...]] = iter(self.small_table)
@@ -318,9 +330,12 @@ class BranchEnumerator:
                     )
             else:
                 small_source = self._small_assignments(
-                    meter, first_slice=outer_slice
+                    meter, first_slice=outer_slice, marks=marks
                 )
             for small_assignment in small_source:
+                if small_assignment is None:
+                    yield None
+                    continue
                 tick(meter, "enum.small_advance")
                 for block, node in zip(self.small_blocks, small_assignment):
                     assignment[block] = node
@@ -333,6 +348,8 @@ class BranchEnumerator:
             if start == 0:
                 tick(meter, "enum.output")
                 yield tuple(assignment)  # type: ignore[arg-type]
+                if marks:
+                    yield None
             return
         # No small blocks: the outermost level is the first big block's
         # list, walked in list order (the prefix is empty there, so the
@@ -346,6 +363,8 @@ class BranchEnumerator:
             assignment[block] = candidate
             yield from self._extend(1, assignment, [candidate], meter)
             assignment[block] = None
+            if marks:
+                yield None
 
     def _extend(
         self,
@@ -426,7 +445,8 @@ def enumerate_branch(
     skip_mode: str = "lazy",
     validate: bool = False,
     outer_slice: Optional[Tuple[int, Optional[int]]] = None,
-) -> Iterator[Tuple[Element, ...]]:
+    marks: bool = False,
+) -> Iterator[Optional[Tuple[Element, ...]]]:
     """Enumerate the answers of one branch ``(P, t)``, decoded.
 
     Branches are mutually exclusive, so the branch answer sets partition
@@ -435,12 +455,18 @@ def enumerate_branch(
     :mod:`repro.engine` distributes across a pool; ``outer_slice``
     additionally shards *within* the branch (see
     :meth:`BranchEnumerator.enumerate`) so one heavy branch can feed
-    many workers.
+    many workers.  ``marks=True`` passes the enumerator's outer-position
+    marks (``None``) through (see :meth:`BranchEnumerator.enumerate`).
     """
     assert pipeline.graph is not None
     enumerator = arm_enumerator(pipeline, branch_index, skip_mode)
     plan_index = enumerator.branch.plan.index
-    for node_ids in enumerator.enumerate(meter, outer_slice=outer_slice):
+    nodes = enumerator.enumerate(meter, outer_slice=outer_slice, marks=marks)
+    if marks:
+        for node_ids in nodes:
+            yield None if node_ids is None else pipeline.decode(plan_index, node_ids)
+        return
+    for node_ids in nodes:
         if validate:
             _validate_assignment(pipeline.graph, node_ids)
         yield pipeline.decode(plan_index, node_ids)

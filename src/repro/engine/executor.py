@@ -9,7 +9,9 @@ consumed in branch-index order, so the merged stream is byte-identical
 to the serial :func:`repro.core.enumeration.enumerate_answers` order.
 
 Pool selection follows the cost-model heuristic
-(:func:`repro.storage.cost_model.choose_execution_mode`):
+(:func:`repro.storage.cost_model.choose_execution_mode`), applied to an
+automatic run only once its serial *head* (its first chunk of rows) has
+been served:
 
 * ``serial`` — small and medium workloads, and any workload whose
   answer transfer would eat the speedup; enumeration runs in the caller;
@@ -19,8 +21,10 @@ Pool selection follows the cost-model heuristic
 
 :func:`parallel_enumerate` is the one producer of answer rows: in
 serial mode it chains the lazy branch generators, so a consumer that
-reads ``k`` rows enumerates ``k``.  :func:`run_branches` is the one
-producer of answer chunks, for the places where bytes cross a
+reads ``k`` rows enumerates ``k``.  An automatic run serves its head
+serially too and, when the heuristic says ``process``, hands the pool
+only the rest, from where the head stopped.  :func:`run_branches` is
+the one producer of answer chunks, for the places where bytes cross a
 boundary (process workers, and the encoded wire with
 ``encoded=True``): every mode, trivial pipelines, row budgets and
 projection included, yields one stream of chunks of at most
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Generator, Hashable, Iterator, List, Optional, Tuple
@@ -312,13 +317,17 @@ def resolve_chunk_rows(pipeline: Pipeline, chunk_rows: Optional[int]) -> int:
     return default_chunk_rows(pipeline.arity, id_width)
 
 
-def _resolve_mode(pipeline, workers, mode, works_fn, transfer_fn=None) -> Tuple[str, int]:
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
+def _check_mode(workers: Optional[int], mode: Optional[str]) -> None:
+    if workers is not None and workers < 1:
         raise EngineError(f"workers must be >= 1, got {workers}")
     if mode is not None and mode not in MODES:
         raise EngineError(f"unknown execution mode {mode!r}; choose from {MODES}")
+
+
+def _resolve_mode(pipeline, workers, mode, works_fn, transfer_fn=None) -> Tuple[str, int]:
+    _check_mode(workers, mode)
+    if workers is None:
+        workers = default_workers()
     if pipeline.trivial is not None:
         # A constant query has no branches to split: its answers (all
         # tuples, or none) come straight from the parent.
@@ -364,22 +373,6 @@ def decide_count_mode(
     return _resolve_mode(pipeline, workers, mode, count_works)
 
 
-def budget_mode(
-    pipeline: Pipeline,
-    mode: Optional[str],
-    row_budget: Optional[int],
-    chunk_rows: Optional[int] = None,
-) -> Optional[str]:
-    """The LIMIT rule: an automatic (``mode=None``) run whose row budget
-    fits one chunk stays serial — constant delay bounds its useful work
-    to O(budget) rows, so pool startup would dominate.  A forced mode is
-    kept (the budget still truncates it)."""
-    if mode is None and row_budget is not None:
-        if row_budget <= resolve_chunk_rows(pipeline, chunk_rows):
-            return "serial"
-    return mode
-
-
 def _default_spec_key(pipeline: Pipeline) -> tuple:
     from repro.structures.serialize import fingerprint
 
@@ -397,7 +390,9 @@ def _default_spec_key(pipeline: Pipeline) -> tuple:
 WorkUnit = Tuple[int, int, Optional[int]]  # (branch_index, start, stop)
 
 
-def plan_work_units(pipeline: Pipeline, workers: int) -> List[WorkUnit]:
+def plan_work_units(
+    pipeline: Pipeline, workers: int, start: Tuple[int, int] = (0, 0)
+) -> List[WorkUnit]:
     """Split the pipeline's branches into balanced shards.
 
     Branch-level splitting alone load-balances poorly: on symmetric
@@ -408,28 +403,40 @@ def plan_work_units(pipeline: Pipeline, workers: int) -> List[WorkUnit]:
     the ordered merge stays exact.  Units are returned in
     ``(branch, start)`` order — concatenating their outputs reproduces
     the serial answer order.
+
+    ``start=(branch, position)`` plans only the work from that outer
+    position of that branch on — where an ``auto`` run's serial head
+    stopped — so the units continue the serial order without repeating
+    a row of the head.
     """
+    first_branch, first_position = start
     works = branch_works(pipeline)
-    total = sum(works)
+    if first_position:
+        # Only the rest of the resumed branch is left to do.
+        size = arm_enumerator(pipeline, first_branch).outer_size()
+        works[first_branch] = works[first_branch] * (size - first_position) // size
+    total = sum(works[first_branch:])
     units: List[WorkUnit] = []
     # Aim for ~2 units per worker so stragglers back-fill.
     target = max(total // (2 * workers), 1)
-    for branch_index, work in enumerate(works):
+    for branch_index in range(first_branch, len(works)):
+        work = works[branch_index]
+        low = first_position if branch_index == first_branch else 0
         if work <= target or workers <= 1:
-            units.append((branch_index, 0, None))
+            units.append((branch_index, low, None))
             continue
         # Sharding granularity comes from the armed enumerator (the one
         # the work units then enumerate with).
         size = arm_enumerator(pipeline, branch_index).outer_size()
-        shards = min(-(-work // target), 4 * workers, size)
+        shards = min(-(-work // target), 4 * workers, size - low)
         if shards <= 1:
-            units.append((branch_index, 0, None))
+            units.append((branch_index, low, None))
             continue
-        bound = 0
+        bound = low
         for shard in range(shards):
-            start = bound
-            bound = size * (shard + 1) // shards
-            units.append((branch_index, start, bound))
+            begin = bound
+            bound = low + (size - low) * (shard + 1) // shards
+            units.append((branch_index, begin, bound))
     return units
 
 
@@ -460,6 +467,26 @@ def _budgeted(chunks: Generator, budget: int) -> Iterator[List[Answer]]:
                 yield chunk
     finally:
         chunks.close()
+
+
+def _row_budgeted(rows: Generator, budget: int) -> Iterator[Answer]:
+    """The first ``budget`` rows; then close the source, which cancels
+    the work units nobody will read."""
+    try:
+        yield from islice(rows, budget)
+    finally:
+        rows.close()
+
+
+def _unit_result(future):
+    """A work unit's result; raises the worker's error, and
+    :class:`EngineError` for a unit a pool shutdown cancelled."""
+    try:
+        return future.result()
+    except CancelledError:
+        raise EngineError(
+            "the worker pool was closed while this stream was open"
+        ) from None
 
 
 # Parent-side poll cadence while a mailbox is empty but its unit is
@@ -511,13 +538,20 @@ def _yield_encoded_mailboxed(
                 if ring.done:
                     # `done` is set after the final head advance, so one
                     # more poll round has already proven the ring empty.
-                    summary = future.result() if future.done() else None
+                    summary = _unit_result(future) if future.done() else None
                     if isinstance(summary, dict):
                         finished_at = summary.get("finished")
                     break
                 if future.done():
-                    result = future.result()  # raises worker errors
+                    result = _unit_result(future)
                     if isinstance(result, dict):
+                        if ring.abandoned:
+                            # Only a pool shutdown abandons a ring the
+                            # drain still reads: the unit stopped early.
+                            raise EngineError(
+                                "the worker pool was closed while this "
+                                "stream was open"
+                            )
                         # Summary without the done flag visible yet: loop —
                         # the flag write precedes the future's resolution.
                         finished_at = result.get("finished")
@@ -535,7 +569,7 @@ def _yield_encoded_mailboxed(
                 time.sleep(delay)
                 delay = min(delay * 2, _DRAIN_POLL_MAX)
             if ring is None:
-                for buf in future.result():
+                for buf in _unit_result(future):
                     yield account(buf, label)
             if transfer_stats is not None:
                 transfer_stats.note_done(label, at=finished_at)
@@ -554,11 +588,13 @@ def _process_chunks(
     project_columns: Optional[Tuple[int, ...]],
     transfer_stats: Optional[TransferStats],
     decode: bool,
+    start: Tuple[int, int] = (0, 0),
 ):
     """Process mode: ship the picklable spec, let each worker rebuild the
     pipeline (memoized per process under ``spec_key``) and encode its
     unit's answers; yield decoded row chunks (``decode``) or the encoded
-    buffers themselves, in unit order."""
+    buffers themselves, in unit order, from the outer position
+    ``start=(branch, position)`` on (see :func:`plan_work_units`)."""
     if spec_key is None:
         spec_key = _default_spec_key(pipeline)
     # Force the intern table BEFORE cutting the spec: the table then
@@ -566,7 +602,7 @@ def _process_chunks(
     # (counting never builds it).
     codec = ColumnarCodec(pipeline.intern_table)
     spec = pipeline.rebuild_spec()
-    units = plan_work_units(pipeline, workers)
+    units = plan_work_units(pipeline, workers, start)
     # Streaming transfer: one ring per work unit (a unit whose ring
     # cannot be created rides its future).
     rings: List[Optional[ChunkMailbox]] = [None] * len(units)
@@ -591,7 +627,9 @@ def _process_chunks(
     with _pool_scope(pool, workers) as active:
         # The rings are abandoned before a call-scoped pool joins its
         # workers, however the drain ends: a worker blocked on a full
-        # ring only returns once its ring is abandoned.
+        # ring only returns once its ring is abandoned.  A session pool
+        # watches them, so closing it abandons a stream left open.
+        active.watch(rings)
         try:
             futures = [
                 active.submit("process", run_branch_task_encoded, task)
@@ -602,29 +640,92 @@ def _process_chunks(
                 entries, codec if decode else None, transfer_stats, active
             )
         finally:
+            active.unwatch(rings)
             for ring in rings:
                 if ring is not None:
                     ring.abandon()
                     ring.close(unlink=True)
 
 
-def _serial_sources(pipeline: Pipeline, project):
+def _serial_sources(pipeline: Pipeline, project, start: Tuple[int, int] = (0, 0)):
     """Serial mode: each branch's lazy, projected row stream, in branch
-    order (a trivial pipeline's constant answer set is one source)."""
+    order, from the outer position ``start=(branch, position)`` on (a
+    trivial pipeline's constant answer set is one source)."""
     if pipeline.trivial is not None:
-        sources = [trivial_answers(pipeline)]
-    else:
-        sources = (
-            enumerate_branch(pipeline, index)
-            for index in range(len(pipeline.branches))
+        return [_project_rows(trivial_answers(pipeline), project)]
+    first_branch, first_position = start
+    return (
+        _project_rows(
+            enumerate_branch(
+                pipeline,
+                index,
+                outer_slice=(
+                    (first_position, None)
+                    if index == first_branch and first_position
+                    else None
+                ),
+            ),
+            project,
         )
-    return (_project_rows(rows, project) for rows in sources)
+        for index in range(first_branch, len(pipeline.branches))
+    )
 
 
 def _serial_chunks(pipeline: Pipeline, chunk_rows: int, project):
     """Serial mode cut into chunks, one chunk enumerated per pull."""
     for rows in _serial_sources(pipeline, project):
         yield from split_chunks(rows, chunk_rows)
+
+
+def _serial_head(pipeline: Pipeline, head_rows: int, project, workers, handover: list):
+    """An automatic run's in-process rows.
+
+    Rows are served serially, with the outer-position marks of
+    :func:`enumerate_branch`, so the run knows where each outer position
+    ends.  At the first (branch, position) boundary at or after
+    ``head_rows`` rows the cost model decides (:func:`decide_mode`):
+    ``serial`` serves the rest here too; ``process`` appends ``(start,
+    rows served, workers)`` to ``handover`` and stops, and the work
+    units continue from ``start`` (:func:`plan_work_units`).  Nothing
+    past the head is decided or enumerated before the consumer pulls
+    past it.
+    """
+    served = 0
+    branches = len(pipeline.branches)
+    for branch_index in range(branches):
+        position = 0
+        for row in enumerate_branch(pipeline, branch_index, marks=True):
+            if row is not None:
+                served += 1
+                yield row if project is None else tuple(row[i] for i in project)
+                continue
+            position += 1
+            if served < head_rows:
+                continue
+            start = (branch_index, position)
+            if position == arm_enumerator(pipeline, branch_index).outer_size():
+                if branch_index + 1 == branches:
+                    return
+                start = (branch_index + 1, 0)
+            mode, workers = decide_mode(pipeline, workers)
+            if mode == "process":
+                handover.append((start, served, workers))
+                return
+            for rows in _serial_sources(pipeline, project, start):
+                yield from rows
+            return
+
+
+def _then_pool(head: Iterator, handover: list, pooled, transfer_stats):
+    """``head``'s items, then — when the serial head handed over —
+    those of ``pooled(start, workers)``, the work units from where it
+    stopped.  The handover is recorded as ``transfer_stats.head_rows``."""
+    yield from head
+    if handover:
+        start, served, workers = handover[0]
+        if transfer_stats is not None:
+            transfer_stats.head_rows = served
+        yield from pooled(start, workers)
 
 
 def _flatten(chunks: Generator) -> Iterator[Answer]:
@@ -677,19 +778,27 @@ def run_branches(
     enumerates lazily, one chunk per pull; process mode ships columnar
     chunks that are decoded here.  Trivial pipelines always run serial.
 
+    An automatic run (``mode=None``) first serves a serial *head*
+    in-process: its first ``chunk_rows`` rows, up to the end of the
+    outer position the last of them falls in.  Only when the consumer
+    pulls past the head does the cost model decide (:func:`decide_mode`);
+    ``process`` starts work units that continue from where the head
+    stopped (:func:`plan_work_units` ``start``), so no row is enumerated
+    twice and a ``row_budget`` within the head never reaches the pool.
+
     ``pool`` is the session-owned :class:`~repro.engine.pool.WorkerPool`:
     long-lived, lazily started, restarted after worker crashes; its
     per-process pipeline memos amortize rebuilds across every query of
     the same structure.  Without one, a pool is created and torn down
     per call.  ``transfer_stats`` receives per-chunk byte/row accounting
-    for the process path (observability; the bench uses it).
+    for the process path (observability; the bench uses it), and the
+    head's row count when an automatic run hands over to the pool.
 
     ``row_budget`` is the early-stop path (the qlang ``LIMIT`` fusion):
     the stream ends after exactly ``min(total, row_budget)`` answers,
     and closing it cancels every work unit the consumer will never
     read.  The budgeted prefix is byte-identical to the unbudgeted
-    stream's prefix in every mode; an automatic run whose budget fits
-    one chunk stays serial (:func:`budget_mode`).
+    stream's prefix in every mode.
 
     ``project_columns`` keeps only those answer columns (duplicates
     preserved; rows stay 1:1 with the enumeration).  Process-mode
@@ -699,10 +808,10 @@ def run_branches(
     ``encoded=True`` yields the *encoded* columnar buffers instead of
     row lists — the serve tier's wire path.  In process mode a
     worker-encoded chunk crosses the parent without ever being decoded
-    (``transfer_stats`` records every chunk with ``rows=0``); in serial
-    mode the parent-side encode is the only encode.  Every buffer
-    decodes with ``ColumnarCodec(pipeline.intern_table)``.  Row budgets
-    cut decoded rows, so they do not combine with ``encoded``.
+    (``transfer_stats`` records every chunk with ``rows=0``); serial
+    chunks, the head's included, are encoded in the parent.  Every
+    buffer decodes with ``ColumnarCodec(pipeline.intern_table)``.  Row
+    budgets cut decoded rows, so they do not combine with ``encoded``.
 
     Process-mode units stream their chunks through a shared-memory
     :class:`~repro.engine.mailbox.ChunkMailbox` when the platform
@@ -711,8 +820,9 @@ def run_branches(
     unavailable the chunks ride the future.  Answer bytes and order are
     identical either way.
     """
-    rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
+    head_rows = rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
     _check_row_budget(row_budget)
+    _check_mode(workers, mode)
     if row_budget is not None:
         if encoded:
             raise EngineError("row_budget does not combine with encoded chunks")
@@ -720,19 +830,31 @@ def run_branches(
             return
         # Never enumerate more than one chunk past the budget.
         rows_per_chunk = min(rows_per_chunk, row_budget)
-    mode, workers = decide_mode(
-        pipeline, workers, budget_mode(pipeline, mode, row_budget, chunk_rows)
-    )
-    if mode == "process":
-        stream = _process_chunks(
-            pipeline, workers, spec_key, pool, rows_per_chunk,
-            project_columns, transfer_stats, decode=not encoded,
+    codec = ColumnarCodec(pipeline.intern_table) if encoded else None
+
+    def pooled(start, unit_workers):
+        return _process_chunks(
+            pipeline, unit_workers, spec_key, pool, rows_per_chunk,
+            project_columns, transfer_stats, decode=not encoded, start=start,
         )
-    else:
-        stream = _serial_chunks(pipeline, rows_per_chunk, project_columns)
+
+    if mode is None and pipeline.trivial is None:
+        handover: list = []
+        head = split_chunks(
+            _serial_head(pipeline, head_rows, project_columns, workers, handover),
+            rows_per_chunk,
+        )
         if encoded:
-            codec = ColumnarCodec(pipeline.intern_table)
-            stream = _encoded(stream, codec, transfer_stats, pool)
+            head = _encoded(head, codec, transfer_stats, pool)
+        stream = _then_pool(head, handover, pooled, transfer_stats)
+    else:
+        mode, workers = decide_mode(pipeline, workers, mode)
+        if mode == "process":
+            stream = pooled((0, 0), workers)
+        else:
+            stream = _serial_chunks(pipeline, rows_per_chunk, project_columns)
+            if encoded:
+                stream = _encoded(stream, codec, transfer_stats, pool)
     yield from (stream if row_budget is None else _budgeted(stream, row_budget))
 
 
@@ -755,26 +877,38 @@ def parallel_enumerate(
     clock (and, in process mode, the wire format) differs.  This is the
     one row producer, and it is demand-sized in-process: serial mode
     chains the lazy per-branch generators, so pulling ``k`` rows
-    enumerates ``k`` rows.  Process mode flattens the decoded chunks of
-    :func:`run_branches`; the chunk is what crosses the process
-    boundary, so ``chunk_rows`` bounds those chunks only.  The
+    enumerates ``k`` rows.  Process mode flattens the decoded worker
+    chunks; the chunk is what crosses the process boundary, so
+    ``chunk_rows`` bounds those chunks only.  An automatic run serves its
+    head serially, row by row, and hands only the rest to the pool when
+    the cost model says ``process`` (see :func:`run_branches`).  The
     arguments mean what they mean for :func:`run_branches`; closing the
     stream cancels the work units it will never read.
     """
     _check_row_budget(row_budget)
-    resolve_chunk_rows(pipeline, chunk_rows)  # validated in every mode
-    mode, workers = decide_mode(
-        pipeline, workers, budget_mode(pipeline, mode, row_budget, chunk_rows)
-    )
-    if mode == "process":
+    _check_mode(workers, mode)
+    head_rows = resolve_chunk_rows(pipeline, chunk_rows)  # validated in every mode
+
+    def pooled(start, unit_workers):
         return _flatten(
-            run_branches(
-                pipeline, workers, mode, spec_key, pool, chunk_rows,
-                transfer_stats, row_budget, project_columns,
+            _process_chunks(
+                pipeline, unit_workers, spec_key, pool,
+                head_rows if row_budget is None else min(head_rows, row_budget),
+                project_columns, transfer_stats, decode=True, start=start,
             )
         )
-    rows = chain.from_iterable(_serial_sources(pipeline, project_columns))
-    return rows if row_budget is None else islice(rows, row_budget)
+
+    if mode is None and pipeline.trivial is None:
+        handover: list = []
+        head = _serial_head(pipeline, head_rows, project_columns, workers, handover)
+        rows = _then_pool(head, handover, pooled, transfer_stats)
+    else:
+        mode, workers = decide_mode(pipeline, workers, mode)
+        if mode == "serial":
+            rows = chain.from_iterable(_serial_sources(pipeline, project_columns))
+            return rows if row_budget is None else islice(rows, row_budget)
+        rows = pooled((0, 0), workers)
+    return rows if row_budget is None else _row_budgeted(rows, row_budget)
 
 
 def parallel_count(

@@ -18,7 +18,10 @@ needs:
   whole service;
 * **explicit shutdown** — idempotent :meth:`close` (also via the context
   manager protocol) joins every worker process, so tests can assert no
-  leaks.
+  leaks.  It first abandons the mailboxes of every stream still open on
+  the pool (see :meth:`watch`): a worker blocked on the full ring of a
+  stream nobody reads would otherwise never return, and the join would
+  hang.
 
 There is no thread executor: CPython's GIL keeps threads from splitting
 CPU-bound enumeration, so parallel work goes to processes or stays
@@ -56,6 +59,8 @@ class WorkerPool:
         self._submits = 0
         self._restarts = 0
         self._bytes_received = 0
+        # Mailboxes of the process streams in flight (see watch()).
+        self._rings: set = set()
 
     # -- introspection -------------------------------------------------
 
@@ -150,15 +155,37 @@ class WorkerPool:
             # The executor is already broken; don't wait on dead workers.
             broken.shutdown(wait=False, cancel_futures=True)
 
+    def watch(self, rings) -> None:
+        """Register the mailboxes of a stream in flight, so :meth:`close`
+        can abandon them; the stream calls :meth:`unwatch` before it
+        closes them."""
+        with self._lock:
+            self._rings.update(ring for ring in rings if ring is not None)
+
+    def unwatch(self, rings) -> None:
+        with self._lock:
+            self._rings.difference_update(rings)
+
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the executor, joining every worker.  Idempotent."""
+        """Shut down the executor, joining every worker.  Idempotent.
+
+        The mailboxes of streams still open are abandoned first (their
+        workers stop at their next chunk), so a stream that was dropped
+        without being closed cannot hang the join; reading such a stream
+        afterwards raises :class:`~repro.errors.EngineError`.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             process, self._process = self._process, None
+            # Under the lock: a stream unwatches before it closes a ring,
+            # so every ring here is still open.
+            for ring in self._rings:
+                ring.abandon()
+            self._rings.clear()
         if process is not None:
             process.shutdown(wait=True, cancel_futures=True)
 

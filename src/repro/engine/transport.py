@@ -108,6 +108,10 @@ class TransferStats:
     end otherwise).  ``first_chunk_at < done_at`` for a source is the
     observable signature of true streaming transfer: the first page
     arrived while that unit was still enumerating.
+
+    ``head_rows`` is the number of rows an automatic run served
+    in-process, as its serial head, before it handed the rest to the
+    pool; it stays ``None`` while the run has not handed over.
     """
 
     __slots__ = (
@@ -117,6 +121,7 @@ class TransferStats:
         "first_chunk_at",
         "last_chunk_at",
         "per_source",
+        "head_rows",
     )
 
     def __init__(self) -> None:
@@ -127,6 +132,7 @@ class TransferStats:
         self.last_chunk_at: Optional[float] = None
         # source label -> {chunks, bytes, rows, first_at, last_at, done_at}
         self.per_source: Dict[str, dict] = {}
+        self.head_rows: Optional[int] = None
 
     def _source_entry(self, source: str) -> dict:
         entry = self.per_source.get(source)
@@ -177,6 +183,7 @@ class TransferStats:
             "rows": self.rows,
             "first_chunk_at": self.first_chunk_at,
             "last_chunk_at": self.last_chunk_at,
+            "head_rows": self.head_rows,
             "sources": {
                 source: dict(entry) for source, entry in self.per_source.items()
             },

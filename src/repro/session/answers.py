@@ -69,6 +69,8 @@ Element = Hashable
 Answer = Tuple[Element, ...]
 
 DEFAULT_PAGE_SIZE = 100
+# The largest batch one stream() pull materializes (a power of two).
+STREAM_BATCH = 64
 
 
 class Answers:
@@ -77,10 +79,12 @@ class Answers:
     Pulls are demand-sized: the handle reads the backend's row stream
     and takes only the rows a request needs, so ``page(i, s)``
     enumerates at most ``(i + 1) * s`` rows in-process (serial and
-    sharded runs) and ``page(0, 1)`` enumerates one.  In process mode
-    every work unit is submitted to the pool on first access (they
-    compute concurrently) and ship ``chunk_rows``-bounded chunks;
-    laziness governs only when those are drained.
+    sharded runs) and ``page(0, 1)`` enumerates one.  An ``auto`` handle
+    serves its first ``chunk_rows`` rows in-process too, whatever the
+    cost model says.  Once a process run reaches the pool, every work
+    unit is submitted at once (they compute concurrently) and ships
+    ``chunk_rows``-bounded chunks; laziness governs only when those
+    are drained.
     """
 
     def __init__(
@@ -324,10 +328,13 @@ class Answers:
     def stream(self) -> Iterator[Answer]:
         """Yield answers one by one; staleness is re-checked per answer.
 
-        Production runs at most :data:`DEFAULT_PAGE_SIZE` rows ahead of
-        the consumer: each pull materializes one batch, which starts at
-        one row (the first answer costs one row of enumeration) and
-        doubles up to that bound.
+        Production runs at most :data:`STREAM_BATCH` rows ahead of the
+        consumer: each pull materializes one batch, which starts at one
+        row (the first answer costs one row of enumeration) and doubles
+        up to that bound.  The bound is a power of two, so the pulls end
+        at rows 1, 2, 4, ..., 64 and then every 64 rows: a consumer that
+        takes a power-of-two prefix (a served cursor's 256-row page)
+        enumerates exactly that many rows.
         """
         position = 0
         while True:
@@ -338,7 +345,7 @@ class Answers:
             elif self._done:
                 return
             else:
-                batch = min(max(position, 1), DEFAULT_PAGE_SIZE)
+                batch = min(max(position, 1), STREAM_BATCH)
                 self._pull(position + batch)
 
     def all(self) -> List[Answer]:

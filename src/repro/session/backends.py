@@ -9,7 +9,8 @@ count.
 
 The default is :data:`AUTO`, which applies the cost-model heuristics
 (:func:`repro.engine.executor.decide_mode` /
-:func:`~repro.engine.executor.decide_count_mode`) per plan; callers force
+:func:`~repro.engine.executor.decide_count_mode`) per plan, enumeration
+only after a serial head of one chunk has been served; callers force
 a strategy with ``db.query(..., backend="process")`` or by passing any
 object implementing the protocol.  Asyncio is not a pool mode but a
 front-end property: every :class:`repro.session.Answers` handle exposes
@@ -24,11 +25,11 @@ from typing import Hashable, Iterator, Optional, Protocol, Tuple, runtime_checka
 
 from repro.core.pipeline import Pipeline
 from repro.engine.executor import (
-    budget_mode,
     decide_count_mode,
     decide_mode,
     parallel_count,
     parallel_enumerate,
+    resolve_chunk_rows,
 )
 from repro.engine.pool import WorkerPool
 from repro.engine.transport import TransferStats
@@ -49,7 +50,10 @@ class ExecutionPlan:
     accounting.  ``used_mode`` / ``used_count_mode`` /
     ``used_transport`` record what actually ran (the transport is
     ``"columnar"`` in process mode, ``"none"`` in-process), for
-    :meth:`repro.session.Query.explain` and the differential suite.
+    :meth:`repro.session.Query.explain` and the differential suite: an
+    ``auto`` run reads ``"serial"`` / ``"none"`` while it serves its
+    serial head and ``"process"`` / ``"columnar"`` once it has handed
+    the rest to the pool (``transfer_stats.head_rows`` set).
 
     Snapshot contract: ``pipeline`` (and ``pipeline.structure``) may
     belong to a *pinned* version whose structure is frozen — a commit
@@ -72,9 +76,31 @@ class ExecutionPlan:
     # process workers drop the rest before encoding).
     project_columns: Optional[Tuple[int, ...]] = None
     transfer_stats: Optional[TransferStats] = field(default=None, compare=False)
-    used_mode: Optional[str] = field(default=None, compare=False)
     used_count_mode: Optional[str] = field(default=None, compare=False)
-    used_transport: Optional[str] = field(default=None, compare=False)
+    _used_mode: Optional[str] = field(default=None, compare=False, init=False)
+    _used_transport: Optional[str] = field(
+        default=None, compare=False, init=False
+    )
+
+    def _handed_over(self) -> bool:
+        stats = self.transfer_stats
+        return stats is not None and stats.head_rows is not None
+
+    @property
+    def used_mode(self) -> Optional[str]:
+        return "process" if self._handed_over() else self._used_mode
+
+    @used_mode.setter
+    def used_mode(self, mode: Optional[str]) -> None:
+        self._used_mode = mode
+
+    @property
+    def used_transport(self) -> Optional[str]:
+        return "columnar" if self._handed_over() else self._used_transport
+
+    @used_transport.setter
+    def used_transport(self, transport: Optional[str]) -> None:
+        self._used_transport = transport
 
 
 @runtime_checkable
@@ -110,25 +136,42 @@ class PoolBackend:
         return f"<ExecutionBackend {self.name!r}>"
 
     def resolve(self, plan: ExecutionPlan) -> Tuple[str, int]:
-        """The concrete ``(mode, workers)`` enumeration would use (a
-        row budget that fits one chunk keeps ``auto`` serial)."""
-        mode = budget_mode(
-            plan.pipeline, self._mode, plan.row_budget, plan.chunk_rows
-        )
-        return decide_mode(plan.pipeline, plan.workers, mode)
+        """The concrete ``(mode, workers)`` the rows past an ``auto``
+        run's serial head would use; an ``auto`` run whose row budget
+        fits within the head never leaves it, so it resolves serial."""
+        mode, workers = decide_mode(plan.pipeline, plan.workers, self._mode)
+        if (
+            mode == "process"
+            and self._mode is None
+            and plan.row_budget is not None
+            and plan.row_budget <= resolve_chunk_rows(plan.pipeline, plan.chunk_rows)
+        ):
+            return "serial", 1
+        return mode, workers
+
+    def head_rows(self, plan: ExecutionPlan) -> Optional[int]:
+        """How many rows an ``auto`` run serves serially before it hands
+        the rest to the pool: the resolved ``chunk_rows``, up to the end
+        of the outer position the last of them falls in.  ``None`` when
+        the run never hands over."""
+        if self._mode is None and self.resolve(plan)[0] == "process":
+            return resolve_chunk_rows(plan.pipeline, plan.chunk_rows)
+        return None
 
     def resolve_count(self, plan: ExecutionPlan) -> Tuple[str, int]:
         """The concrete ``(mode, workers)`` counting would use."""
         return decide_count_mode(plan.pipeline, plan.workers, self._mode)
 
     def run(self, plan: ExecutionPlan) -> Iterator[Answer]:
-        mode, workers = self.resolve(plan)
+        # An automatic run starts in-process, as its head or as a whole
+        # serial run; the plan reads "process" once the head hands over.
+        mode = "serial" if self._mode is None else self.resolve(plan)[0]
         plan.used_mode = mode
         plan.used_transport = "columnar" if mode == "process" else "none"
         return parallel_enumerate(
             plan.pipeline,
-            workers=workers,
-            mode=mode,
+            workers=plan.workers,
+            mode=self._mode,
             spec_key=plan.spec_key,
             pool=plan.pool,
             chunk_rows=plan.chunk_rows,

@@ -57,7 +57,9 @@ class QueryPlan:
     ``backend`` / ``count_backend`` are the concrete execution modes the
     cost model (or a forced backend) resolves to for this plan —
     the same decision procedure the engine applies at pull time, so the
-    report matches what actually runs.
+    report matches what actually runs.  ``head_rows`` is set when an
+    ``auto`` run serves that many rows serially (up to the end of an
+    outer position) before it hands the rest to ``backend``.
     """
 
     query: str
@@ -97,6 +99,7 @@ class QueryPlan:
     # sharded gathers) — so ``--explain`` shows what *ran*, not only
     # what was estimated.
     runtime: Optional[dict] = field(default=None, compare=False)
+    head_rows: Optional[int] = None
 
     @property
     def total_cost(self) -> int:
@@ -111,10 +114,13 @@ class QueryPlan:
                 f"transport: {self.transport} (chunk_rows: {self.chunk_rows}, "
                 f"est. {self.transfer_bytes} bytes to parent)"
             )
+        backend = self.backend
+        if self.head_rows is not None:
+            backend = f"serial for the first {self.head_rows} rows, then {backend}"
         lines = [
             f"query: {self.query}",
             f"variables: ({', '.join(self.variables)})",
-            f"backend: {self.backend} (requested: {self.backend_requested}, "
+            f"backend: {backend} (requested: {self.backend_requested}, "
             f"count: {self.count_backend}, workers: {self.workers})",
             transport_line,
             f"branches: {self.branch_count}, shards: {len(self.shards)}",
@@ -149,6 +155,11 @@ class QueryPlan:
                 f"runtime: {self.runtime.get('chunks', 0)} chunk(s), "
                 f"{self.runtime.get('bytes_received', 0)} bytes, "
                 f"{self.runtime.get('rows', 0)} rows received"
+                + (
+                    f", after {self.runtime['head_rows']} rows served in-process"
+                    if self.runtime.get("head_rows") is not None
+                    else ""
+                )
             )
             for label, entry in sorted(
                 (self.runtime.get("sources") or {}).items()
@@ -430,8 +441,11 @@ class Query:
     def explain(self, limit: Optional[int] = None) -> QueryPlan:
         """The chosen plan: branches, shards, backend, cost estimates.
 
-        ``limit`` explains ``answers(limit=...)``: an ``auto`` run whose
-        limit fits one chunk stays serial, and the plan says so.
+        An ``auto`` plan that resolves to ``process`` serves its first
+        chunk serially and hands only the rest to the pool; the plan
+        says so (``head_rows``).  ``limit`` explains
+        ``answers(limit=...)``: an ``auto`` run whose limit fits within
+        that head never leaves it, and the plan says ``serial``.
 
         After an :meth:`answers` handle from this query has actually
         moved chunks, the plan additionally carries ``runtime`` — the
@@ -440,9 +454,11 @@ class Query:
         flags) from the handle's :class:`TransferStats`."""
         pipeline = self._resolve()
         plan = self._execution_plan(pipeline, limit)
+        head_rows: Optional[int] = None
         if isinstance(self._backend, PoolBackend):
             mode, workers = self._backend.resolve(plan)
             count_mode, _ = self._backend.resolve_count(plan)
+            head_rows = self._backend.head_rows(plan)
         else:
             # A custom backend decides internally; report its name.
             mode, workers = self._backend.name, plan.workers or 0
@@ -483,6 +499,7 @@ class Query:
             at_version=self._resolved_version,
             pinned=self._snapshot is not None,
             runtime=self._observed_runtime(),
+            head_rows=head_rows,
         )
 
     def _observed_runtime(self) -> Optional[dict]:

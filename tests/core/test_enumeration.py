@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.enumeration import BranchEnumerator, SkipList, enumerate_answers
+from repro.core.enumeration import (
+    BranchEnumerator,
+    SkipList,
+    arm_enumerator,
+    enumerate_answers,
+)
 from repro.core.pipeline import Pipeline
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
@@ -74,6 +79,50 @@ class TestSkipModes:
         pipeline = Pipeline(small_colored, parse("B(x)"), order=(x,))
         with pytest.raises(ValueError):
             list(enumerate_answers(pipeline, skip_mode="bogus"))
+
+
+class TestPositionMarks:
+    """``marks=True`` puts a ``None`` after every outermost position:
+    the rows between marks are exactly the one-position slices."""
+
+    @pytest.mark.parametrize(
+        "text, structure",
+        [(text, "small_colored") for text in CORPUS]
+        + [("B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z) & ~E(x,z)", "three_colored")],
+    )
+    def test_marks_delimit_the_outer_positions(self, text, structure, request):
+        query = parse(text)
+        pipeline = Pipeline(
+            request.getfixturevalue(structure), query, order=sorted(query.free)
+        )
+        for index in range(pipeline.branch_count):
+            enumerator = arm_enumerator(pipeline, index)
+            size = enumerator.outer_size()
+            slices = [
+                list(enumerator.enumerate(outer_slice=(i, i + 1)))
+                for i in range(size)
+            ]
+            for start in (0, size // 2):
+                groups = [[]]
+                for item in enumerator.enumerate(outer_slice=(start, None), marks=True):
+                    if item is None:
+                        groups.append([])
+                    else:
+                        groups[-1].append(item)
+                assert groups.pop() == [], "the stream ends on a mark"
+                assert groups == slices[start:]
+
+    def test_marks_need_lazy_mode(self, small_colored):
+        pipeline = Pipeline(
+            small_colored, parse("B(x) & R(y) & ~E(x,y)"), order=(x, y)
+        )
+        for branch in pipeline.branches:
+            enumerator = BranchEnumerator(pipeline, branch, skip_mode="precompute")
+            if enumerator.small_blocks:
+                with pytest.raises(ValueError):
+                    list(enumerator.enumerate(marks=True))
+                return
+        pytest.fail("the workload needs a branch with small blocks")
 
 
 class TestTrivialCases:

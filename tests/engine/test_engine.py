@@ -20,14 +20,13 @@ from repro.engine.cache import (
 )
 from repro.engine.executor import (
     branch_works,
-    budget_mode,
     decide_mode,
     plan_work_units,
 )
 from repro.engine.mailbox import mailbox_available
 from repro.engine.transport import ColumnarCodec, InternTable, TransferStats
 from repro.fo.syntax import Var
-from repro.session import AUTO, Database, ExecutionPlan
+from repro.session import AUTO, PROCESS, Database, ExecutionPlan
 from repro.shard import ShardedDatabase
 from repro.structures.random_gen import random_colored_graph
 from repro.errors import CancelledResultError, EngineError
@@ -199,13 +198,38 @@ class TestHeuristic:
         assert pipeline.trivial is True
         assert decide_mode(pipeline, workers=4, mode="process") == ("serial", 1)
 
-    def test_budget_within_one_chunk_keeps_auto_serial(self, small_colored):
+    def test_budget_within_one_chunk_keeps_auto_serial(
+        self, small_colored, monkeypatch
+    ):
+        # Auto goes process for any work, so only the serial head (the
+        # first chunk_rows rows) decides whether a budgeted run leaves
+        # the caller.
+        monkeypatch.setattr(
+            executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+        )
         pipeline = plan(small_colored, EXAMPLE)
-        assert budget_mode(pipeline, None, 10, chunk_rows=10) == "serial"
-        assert budget_mode(pipeline, None, 11, chunk_rows=10) is None
-        assert budget_mode(pipeline, None, None, chunk_rows=10) is None
-        # A forced mode is kept; the budget only truncates it.
-        assert budget_mode(pipeline, "process", 1) == "process"
+
+        def resolved(backend, budget, chunk_rows=None):
+            plan_ = ExecutionPlan(
+                pipeline, workers=2, row_budget=budget, chunk_rows=chunk_rows
+            )
+            return backend.resolve(plan_)[0], backend.head_rows(plan_)
+
+        assert resolved(AUTO, 10, chunk_rows=10) == ("serial", None)
+        assert resolved(AUTO, 11, chunk_rows=10) == ("process", 10)
+        assert resolved(AUTO, None, chunk_rows=10) == ("process", 10)
+        # A forced mode is kept (no head); the budget only truncates it.
+        assert resolved(PROCESS, 1) == ("process", None)
+        # The run agrees: a budget within the head never hands over.
+        stats = TransferStats()
+        rows = list(
+            parallel_enumerate(
+                pipeline, workers=2, chunk_rows=10, row_budget=10,
+                transfer_stats=stats,
+            )
+        )
+        assert rows == list(enumerate_answers(pipeline))[:10]
+        assert stats.head_rows is None and stats.chunks == 0
 
     def test_branch_works_matches_branches(self, small_colored):
         pipeline = plan(small_colored, EXAMPLE)

@@ -16,13 +16,16 @@ Process pools run on a fixed corpus only.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.baselines import product_enumerate
 from repro.core.enumeration import enumerate_answers
-from repro.engine import parallel_enumerate, plan_work_units
+from repro.engine import WorkerPool, executor, parallel_enumerate, plan_work_units, warm_pool
 from repro.engine.executor import _unit_rows
+from repro.engine.transport import TransferStats
 from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
 
@@ -193,3 +196,55 @@ class TestProcessMode:
         serial = list(enumerate_answers(pipeline))
         parallel = list(parallel_enumerate(pipeline, workers=2, mode="process"))
         assert parallel == serial
+
+
+def output_digest(answers) -> str:
+    """Byte-level identity of an ordered answer sequence."""
+    hasher = hashlib.sha256()
+    for answer in answers:
+        hasher.update(repr(answer).encode("utf-8"))
+        hasher.update(b"\x1e")
+    return hasher.hexdigest()
+
+
+class TestTripleQueryGate:
+    """Serial and pooled enumeration of the 3-ary disconnected triple
+    (5 non-empty branches) are byte-identical on a warmed 4-worker pool,
+    for a forced ``process`` run and for an ``auto`` run that serves a
+    small serial head and hands the rest to the pool."""
+
+    TRIPLE = "B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z) & ~E(x,z)"
+    WORKERS = 4
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        structure = random_colored_graph(
+            48, max_degree=4, colors=("B", "R", "G"), seed=42
+        )
+        pipeline = plan(structure, self.TRIPLE)
+        serial = list(parallel_enumerate(pipeline, mode="serial"))
+        assert serial, "the gate needs answers"
+        with WorkerPool(self.WORKERS) as pool:
+            warm_pool(pool, pipeline, self.WORKERS)
+            yield pipeline, serial, pool
+
+    @pytest.mark.parametrize("mode", ["process", "auto"])
+    def test_pooled_output_is_byte_identical(self, workload, mode, monkeypatch):
+        pipeline, serial, pool = workload
+        if mode == "auto":
+            monkeypatch.setattr(
+                executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+            )
+        stats = TransferStats()
+        pooled = list(
+            parallel_enumerate(
+                pipeline, workers=self.WORKERS, pool=pool,
+                mode=None if mode == "auto" else mode,
+                chunk_rows=16 if mode == "auto" else None,
+                transfer_stats=stats,
+            )
+        )
+        assert output_digest(pooled) == output_digest(serial)
+        served = 0 if mode == "process" else stats.head_rows
+        assert served is not None, "the auto run must hand over to the pool"
+        assert stats.rows == len(serial) - served

@@ -31,9 +31,9 @@ class TestPushdown:
             assert "pushed into enumeration" in stages["limit"]
 
     def test_pushed_limit_explains_the_mode_it_runs(self, monkeypatch):
-        # With auto forced toward process, only the budget rule (a
-        # limit within one chunk stays serial) decides; the explained
-        # plan must match the run.
+        # With auto forced toward process, only the serial head (a limit
+        # within the first chunk never leaves the caller) decides; the
+        # explained plan must match the run.
         from repro.engine import executor
 
         monkeypatch.setattr(
@@ -42,9 +42,12 @@ class TestPushdown:
         with Database(GRAPH, workers=2) as db:
             compiled = db.query(STATEMENT.format(k=10))
             assert compiled.explain().inner.backend == "serial"
+            assert compiled.explain().inner.head_rows is None
             assert len(compiled.all()) == 10
             assert compiled.backend_used == "serial"
+            assert compiled.transport_stats.chunks == 0
             assert compiled.query.explain().backend == "process"
+            assert compiled.query.explain().head_rows is not None
 
     @pytest.mark.parametrize(
         "text",

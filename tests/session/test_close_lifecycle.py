@@ -13,6 +13,7 @@ import asyncio
 import multiprocessing
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -130,3 +131,42 @@ class TestCloseIdempotency:
         assert db.stats()["pool_process_pool_live"] == 1
         db.close()
         assert db.pool.closed
+
+
+class TestAbandonedProcessStream:
+    """A process-mode stream dropped without ``cancel()`` while its
+    workers are still producing must not hang ``Database.close()``.
+
+    The query keeps its last handle, so dropping the caller's reference
+    leaves the stream open: its workers block on full mailboxes that
+    nobody reads.  ``close()`` abandons those mailboxes before it joins
+    the pool; reading the stream afterwards raises instead of serving a
+    truncated answer list.
+    """
+
+    @pytest.fixture(autouse=True)
+    def auto_goes_process(self, monkeypatch):
+        from repro.engine import executor
+
+        monkeypatch.setattr(
+            executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+        )
+
+    def close_in_time(self, db):
+        closer = threading.Thread(target=db.close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive(), "Database.close() hung on an open stream"
+
+    def test_dropped_handle_past_the_head_does_not_hang_close(self, no_leaks):
+        db = Database(random_colored_graph(300, max_degree=3, seed=5), workers=2)
+        query = db.query(EXAMPLE, chunk_rows=16)
+        handle = query.answers()
+        assert len(handle.page(0, 200)) == 200
+        assert handle.backend_used == "process"
+        dropped = weakref.ref(handle)
+        del handle
+        assert dropped() is not None, "the query keeps its last handle"
+        self.close_in_time(db)
+        with pytest.raises(EngineError):
+            dropped().all()

@@ -182,20 +182,44 @@ class TestExplain:
         assert plan.shards, "parallel plans report their shard layout"
 
     def test_explain_limit_applies_the_budget_rule(self, db, monkeypatch):
-        # Make auto pick process for any work, so only the budget rule
-        # (a limit within one chunk stays serial) can keep it serial.
+        # Make auto pick process for any work, so only the serial head
+        # (the first chunk: a limit within it never leaves the caller)
+        # can keep a run serial.
         monkeypatch.setattr(
             executor, "choose_execution_mode", lambda *args, **kwargs: "process"
         )
         q = db.query(EXAMPLE, workers=2, chunk_rows=8)
         assert q.explain().backend == "process"
+        assert q.explain().head_rows == 8
+        assert "backend: serial for the first 8 rows, then process" in (
+            q.explain().describe()
+        )
         assert q.explain(limit=9).backend == "process"
         assert q.explain(limit=8).backend == "serial"
+        assert q.explain(limit=8).head_rows is None
         answers = q.answers(limit=8)
         assert len(answers.all()) == 8
         assert answers.backend_used == "serial"
         forced = db.query(EXAMPLE, backend="process", workers=2, chunk_rows=8)
         assert forced.explain(limit=8).backend == "process"
+        assert forced.explain().head_rows is None
+        # A full run is serial while it serves its head, process after.
+        full = q.answers()
+        assert len(full.page(0, 8)) == 8
+        assert full.backend_used == "serial" and full.transport_used == "none"
+        rows = full.all()
+        assert rows == db.query(EXAMPLE, backend="serial").answers().all()
+        assert full.backend_used == "process"
+        assert full.transport_used == "columnar"
+        stats = full.transport_stats
+        assert stats.head_rows >= 8
+        assert stats.rows == len(rows) - stats.head_rows
+        runtime = q.explain().runtime
+        assert runtime["head_rows"] == stats.head_rows
+        assert runtime["backend_used"] == "process"
+        assert f"after {stats.head_rows} rows served in-process" in (
+            q.explain().describe()
+        )
 
     def test_runtime_absent_until_chunks_move(self, db):
         q = db.query(EXAMPLE, backend="serial")

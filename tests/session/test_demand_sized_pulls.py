@@ -6,7 +6,9 @@ Rows are counted where enumeration yields them — the serial path's
 streams — so the bounds are exact step counts, not wall-clock times.
 Each bound is checked at ``n`` and ``4n`` and must come out the same:
 a page at a fixed offset costs the same on a four times larger
-database.
+database.  Under ``auto`` a plan that resolves to ``process`` serves
+its first chunk serially, so a first page costs the same rows as under
+``serial`` and submits no work unit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import islice
 
 import pytest
 
-from repro.engine import executor
+from repro.engine import WorkerPool, executor
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
 from repro.session import Database
@@ -32,12 +34,15 @@ LIMITS = (0, 1, 7, 150)
 
 @pytest.fixture
 def enumerated(monkeypatch):
-    """The number of rows enumeration has yielded (reset per measure)."""
+    """The number of rows enumeration has yielded (reset per measure;
+    the outer-position marks an automatic run's head reads are not
+    rows)."""
     counter = {"rows": 0}
 
     def counting(rows):
         for row in rows:
-            counter["rows"] += 1
+            if row is not None:
+                counter["rows"] += 1
             yield row
 
     branch = executor.enumerate_branch
@@ -126,3 +131,48 @@ def test_first_streamed_answer_enumerates_one_row(front, enumerated):
         _, rows = measure(enumerated, lambda: next(stream))
         stream.close()
     assert rows == 1
+
+
+CURSOR_PAGE = 256
+
+
+def first_page_costs(n, counter, submitted):
+    """Rows enumerated and work units submitted by a first 256-row page
+    under ``auto``: through the handle, and through the qlang stream a
+    served cursor reads."""
+    observed = {}
+    with Database(random_colored_graph(n, max_degree=3, seed=5), workers=2) as db:
+        q = db.query(QUERY)
+        assert q.explain().backend == "process"
+        full = q.answers(limit=CURSOR_PAGE + 1).all()
+        handle = q.answers()
+        page, rows = measure(counter, lambda: handle.page(0, CURSOR_PAGE))
+        assert page == full[:CURSOR_PAGE]
+        assert handle.backend_used == "serial"
+        handle.cancel()
+        observed["page"] = (rows, len(submitted))
+        compiled = db.query(f"SELECT x, y WHERE {QUERY}")
+        stream = compiled.stream()
+        page, rows = measure(counter, lambda: list(islice(stream, CURSOR_PAGE)))
+        stream.close()
+        assert page == full[:CURSOR_PAGE]
+        assert compiled.backend_used == "serial"
+        observed["cursor"] = (rows, len(submitted))
+    return observed
+
+
+def test_auto_first_page_enumerates_only_its_rows(enumerated, monkeypatch):
+    monkeypatch.setattr(
+        executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+    )
+    submitted = []
+    submit = WorkerPool.submit
+
+    def counting(self, *args):
+        submitted.append(args)
+        return submit(self, *args)
+
+    monkeypatch.setattr(WorkerPool, "submit", counting)
+    small, large = (first_page_costs(n, enumerated, submitted) for n in SIZES)
+    assert small == large, "a first page must cost the same at n and 4n"
+    assert small == {"page": (CURSOR_PAGE, 0), "cursor": (CURSOR_PAGE, 0)}
