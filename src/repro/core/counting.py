@@ -16,13 +16,15 @@ neighborhood walk of Lemma 3.2 (over the colored graph, whose degree is
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.colored_graph import ColoredGraph
 from repro.core.pipeline import Branch, Pipeline
 from repro.storage.cost_model import CostMeter, tick
 
 Pair = Tuple[int, int]
+# Per block position: that list's nodes filed under their components.
+ElementIndexes = Dict[int, Dict[Hashable, List[int]]]
 
 
 def count_answers(pipeline: Pipeline, meter: Optional[CostMeter] = None) -> int:
@@ -69,7 +71,7 @@ def count_branch(
     negated: FrozenSet[Pair] = frozenset(
         (i, j) for i in range(block_count) for j in range(i + 1, block_count)
     )
-    return _count(graph, branch.lists, negated, frozenset(), meter)
+    return _count(graph, branch.lists, negated, frozenset(), meter, {})
 
 
 def _count(
@@ -78,14 +80,17 @@ def _count(
     negated: FrozenSet[Pair],
     positive: FrozenSet[Pair],
     meter: Optional[CostMeter],
+    indexes: ElementIndexes,
 ) -> int:
     if negated:
         # Lemma 3.6 induction step: resolve one negated adjacency.
         pair = min(negated)
         remaining = negated - {pair}
         tick(meter, "count.split")
-        without = _count(graph, lists, remaining, positive, meter)
-        with_edge = _count(graph, lists, remaining, positive | {pair}, meter)
+        without = _count(graph, lists, remaining, positive, meter, indexes)
+        with_edge = _count(
+            graph, lists, remaining, positive | {pair}, meter, indexes
+        )
         return without - with_edge
     # Base case: only positive adjacency constraints; split into connected
     # components of the position graph.
@@ -107,7 +112,9 @@ def _count(
         components.setdefault(find(i), []).append(i)
     product = 1
     for members in components.values():
-        product *= _count_component(graph, lists, members, positive, meter)
+        product *= _count_component(
+            graph, lists, members, positive, meter, indexes
+        )
         if product == 0:
             return 0
     return product
@@ -119,14 +126,17 @@ def _count_component(
     members: List[int],
     positive: FrozenSet[Pair],
     meter: Optional[CostMeter],
+    indexes: ElementIndexes,
 ) -> int:
     """Count assignments for one connected component (Lemma 3.2 on G).
 
     Singleton components cost ``O(1)`` (list length).  Larger components
     are enumerated by backtracking, extending along positive adjacency
-    edges, so candidates always come from a neighbor list of an already
-    assigned node — cost per start node bounded by the graph degree to the
-    component size.
+    edges, so candidates are always neighbours of an already assigned
+    node: the position's list members with a component in that node's
+    ball union, drawn through the list's element index (``indexes``,
+    built once per list and branch) — cost per start node bounded by the
+    graph degree to the component size.
     """
     if len(members) == 1:
         tick(meter, "count.singleton")
@@ -152,7 +162,9 @@ def _count_component(
         if not progressed:  # pragma: no cover - components are connected
             raise AssertionError("disconnected component in positive edges")
     first_list = lists[order[0]]
-    list_sets = {member: set(lists[member]) for member in members}
+    for member in order[1:]:
+        if member not in indexes:
+            indexes[member] = graph.element_index(lists[member])
     count = 0
 
     def extend(depth: int, assignment: Dict[int, int]) -> int:
@@ -160,14 +172,12 @@ def _count_component(
             return 1
         position = order[depth]
         anchors = [other for other in edges[position] if other in assignment]
-        candidate_pool = graph.neighbors(assignment[anchors[0]])
+        candidates = graph.neighbors_in(assignment[anchors[0]], indexes[position])
         found = 0
-        for candidate in candidate_pool:
+        for candidate in candidates:
             tick(meter, "count.candidate")
-            if candidate not in list_sets[position]:
-                continue
             if any(
-                candidate not in graph.neighbors(assignment[other])
+                not graph.adjacent(assignment[other], candidate)
                 for other in anchors[1:]
             ):
                 continue

@@ -14,11 +14,13 @@ recomputing everything from scratch"), solved later by Vigny
   and edges (linking distance) are all neighborhood-determined;
 * the update procedure *diffs* that ball: it re-enumerates the cluster
   keys meeting it against the *new* structure, removes the nodes whose
-  key is gone, adds the new keys, rewrites only the edges that changed,
-  and moves a node between branch lists only when its colour changed.
-  A surviving node keeps its id; a commit that leaves the Gaifman graph
-  as it was (a colour flip) skips the keys and edges altogether.
-  Everything else is untouched.
+  key is gone, adds the new keys, installs the region's new link-radius
+  balls (the graph stores no edges, only balls and one degree per node),
+  moves each degree an appeared or vanished edge touches, and moves a
+  node between branch lists only when its colour changed.  A surviving
+  node keeps its id; a commit that leaves the Gaifman graph as it was (a
+  colour flip) skips the keys, balls and degrees altogether.  Everything
+  else is untouched.
 
 Cost per update: ``O(d^{h(|q|)})`` — independent of ``n`` up to the list
 splicing (kept sorted with bisect), versus full re-preprocessing at
@@ -28,9 +30,11 @@ The surgery never writes shared state.  A maintained graph is usually a
 clone of a session template or a fork of a pinned head's graph, and
 :class:`repro.core.colored_graph.ColoredGraph` is copy-on-write: removed
 nodes become colourless tombstones whose ids the next new keys reuse, a
-recoloured node is replaced through ``set_colors``, and an edge write
-copies the touched adjacency entry first.  So a maintainer needs no private copy of the graph up front, and
-the template, the pinned head and every sibling clone stay as they were.
+recoloured node is replaced through ``set_colors``, and a rewire
+replaces balls (immutable ``frozenset``s) and writes degrees in the
+maintained graph's own lists, which :meth:`ColoredGraph.clone` copied.
+So a maintainer needs no private copy of the graph up front, and the
+template, the pinned head and every sibling clone stay as they were.
 
 **Supported fragment.**  Queries whose localization introduced *no
 derived predicates and no counting atoms* — i.e. the localized formula is
@@ -189,7 +193,9 @@ def maintain(
     When the touched elements' Gaifman neighbourhoods are the same after
     the mutation as before (a colour flip, or an edge parallel to an
     existing one), no node, edge or ball can have changed, and every
-    refresh only recolours.
+    refresh only recolours.  Otherwise a refresh needs the region's
+    neighbour sets from before the mutation; it reads them off the
+    balls its graph still holds from then, so nothing is taken here.
 
     Exceptions propagate unchanged: :func:`maintain_in_place` undoes an
     in-place commit, and the forked commit falls back to a cold head.
@@ -266,13 +272,19 @@ class PipelineMaintainer:
         ``region`` must be the union of :meth:`reach` computed before and
         after the structure mutation was applied.  ``rewire=False``
         promises that the Gaifman graph did not change (a colour flip):
-        then no node appears or disappears and no edge moves, so only
-        colours are re-evaluated and the evaluator keeps its balls.
+        then no node appears or disappears and no ball or degree moves,
+        so only colours are re-evaluated and the evaluator keeps its
+        balls.  With ``rewire=True``, :meth:`_rekey` diffs the region's
+        keys and balls: each node that was added, removed or has a
+        component whose ball changed gets its degree from its new
+        neighbour set, and every other node moves by one per edge to
+        such a node that appeared or vanished.
 
         Returns whether the pipeline's *durable* plan state changed — a
-        node removed or added, an edge or a colour rewritten (cleared
-        memo caches rebuild on demand and do not count).  The session
-        uses this as the dirty flag for incremental checkpoint spills.
+        node removed or added, an edge (a degree) or a colour rewritten
+        (cleared memo caches rebuild on demand and do not count).  The
+        session uses this as the dirty flag for incremental checkpoint
+        spills.
         """
         self.updates_applied += 1
         pipeline = self.pipeline
@@ -311,12 +323,19 @@ class PipelineMaintainer:
     def _rekey(self, live: Set[int], region: Set[Element]) -> Tuple[Set[int], bool]:
         """Diff the region's node keys against the new structure (Step 3
         of Prop 3.4, restricted to tuples meeting the region): remove the
-        nodes whose key is gone, add the new keys, and write the edges of
-        new and surviving nodes that changed.  Returns the region's live
-        ids and whether a node or an edge changed."""
+        nodes whose key is gone, add the new keys, and rewire the graph
+        (the balls that changed, and every degree they move).  Returns
+        the region's live ids and whether a node or an edge changed.
+
+        ``live`` holds the nodes with a component in the region.  Only
+        the removed ones and those with a component whose ball changed
+        can lose or gain an edge to a surviving node; their neighbour
+        sets before the change are read first, off the balls the graph
+        still holds from before the mutation."""
         pipeline = self.pipeline
         graph = pipeline.graph
         assert graph is not None
+        evaluator = pipeline.evaluator
         # Tuples meeting the region have their first component within
         # (k-1)*link of it.
         seeds = ball_of_set(
@@ -325,7 +344,7 @@ class PipelineMaintainer:
         keys = dict.fromkeys(
             cluster_keys(
                 self.structure,
-                pipeline.evaluator,
+                evaluator,
                 pipeline.arity,
                 pipeline.link_radius,
                 sorted(seeds, key=self.structure.order.rank),
@@ -338,15 +357,25 @@ class PipelineMaintainer:
             if (node.elements, node.positions) not in keys:
                 dead.add(node_id)
                 self._move_buckets(node, NO_COLORS)
+        balls = {}
+        for element in region:
+            ball = evaluator.ball(element, pipeline.link_radius)
+            if ball != graph.balls[element]:
+                balls[element] = ball
+        before = graph.neighbor_sets(
+            dead.union(
+                node_id
+                for element in balls
+                for node_id in graph.nodes_containing(element)
+            )
+        )
         graph.remove_nodes(dead)
         survivors = live - dead
         born = [
             graph.add_node(*key) for key in keys if graph.node_id(*key) is None
         ]
-        changed = bool(dead) or bool(born)
-        for node_id in born + sorted(survivors):
-            changed = graph.connect_node(node_id, pipeline.evaluator) or changed
-        return survivors.union(born), changed
+        moved = graph.rewire(before, balls, born)
+        return survivors.union(born), bool(dead) or bool(born) or moved
 
     def _move_buckets(self, node, colors) -> None:
         """Move ``node`` between ``(plan, block, vector)`` buckets (the

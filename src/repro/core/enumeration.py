@@ -67,6 +67,7 @@ class SkipList:
         self._index: Dict[int, int] = {
             node: position for position, node in enumerate(self.nodes)
         }
+        self._elements: Optional[Dict[Element, List[int]]] = None
         self._reach: Dict[int, FrozenSet[int]] = {}
         self._skip: Dict[Tuple[int, FrozenSet[int]], Optional[int]] = {}
 
@@ -92,21 +93,30 @@ class SkipList:
         ``E_1(u, y) = E'(u, y)``;
         ``E_{i+1}(u, y) = E_i(u, y) or exists z, z', v:
         E'(z, u) and next(z', z) and E'(v, z') and E_i(v, y)``.
+
+        Neighbour sets are computed from the graph's balls; the ``z'``
+        are drawn from this list only, through its element index.
         """
         cached = self._reach.get(node)
         if cached is not None:
             return cached
-        current = set(self.graph.neighbors(node))
+        graph = self.graph
+        if self._elements is None:
+            self._elements = graph.element_index(self.nodes)
+        members = self._elements
+        current = graph.neighbors(node)
+        expanded: set = set()
         for _ in range(self.arity - 1):
-            addition: set = set()
+            successors: set = set()
             for v in current:
-                for z_prime in self.graph.neighbors(v):
-                    if z_prime not in self._index:
-                        continue
+                for z_prime in graph.neighbors_in(v, members):
                     z = self.next(z_prime)
-                    if z is None:
-                        continue
-                    addition |= self.graph.neighbors(z)
+                    if z is not None and z not in expanded:
+                        successors.add(z)
+            addition: set = set()
+            for z in successors:
+                addition |= graph.neighbors(z)
+            expanded |= successors
             if addition <= current:
                 break
             current |= addition
@@ -129,11 +139,15 @@ class SkipList:
         if key in self._skip:
             tick(meter, "enum.skip_hit")
             return self._skip[key]
+        graph = self.graph
+        near = graph.near(blockers)
         current: Optional[int] = node
         while current is not None:
             tick(meter, "enum.skip_walk")
-            neighbors = self.graph.adjacency[current]
-            if not any(blocker in neighbors for blocker in blockers):
+            if near.isdisjoint(graph.nodes[current].elements) or (
+                current in blockers
+                and not any(graph.adjacent(current, b) for b in blockers)
+            ):
                 break
             current = self.next(current)
         self._skip[key] = current
@@ -180,11 +194,9 @@ class BranchEnumerator:
         self.block_count = len(branch.lists)
         # A block can be starved only by nodes placed for *other* blocks;
         # each placed node excludes at most its own degree of candidates.
+        degrees = self.graph.degrees
         max_degree_of = [
-            max(
-                (len(self.graph.adjacency[node]) for node in node_list),
-                default=0,
-            )
+            max((degrees[node] for node in node_list), default=0)
             for node_list in branch.lists
         ]
         total_degree = sum(max_degree_of)
@@ -240,24 +252,32 @@ class BranchEnumerator:
         if first_slice is not None:
             start, stop = first_slice
             lists[0] = lists[0][start:stop]
+        graph = self.graph
+        nodes = graph.nodes
+        last = len(lists) - 1
         chosen: List[int] = []
 
-        def extend(depth: int) -> Iterator[Tuple[int, ...]]:
-            if depth == len(lists):
+        def extend(depth: int, near) -> Iterator[Tuple[int, ...]]:
+            # ``near``: the elements within the linking radius of a chosen
+            # node.  A candidate is adjacent to a chosen node iff one of its
+            # components lies there (lists of distinct blocks share no node).
+            if depth > last:
                 yield tuple(chosen)
                 return
             for candidate in lists[depth]:
                 tick(meter, "enum.small_dfs")
-                neighbors = self.graph.adjacency[candidate]
-                if any(previous in neighbors for previous in chosen):
+                if not near.isdisjoint(nodes[candidate].elements):
                     continue
                 chosen.append(candidate)
-                yield from extend(depth + 1)
+                yield from extend(
+                    depth + 1,
+                    near | graph.ball_union(candidate) if depth < last else near,
+                )
                 chosen.pop()
                 if marks and depth == 0:
                     yield None
 
-        yield from extend(0)
+        yield from extend(0, frozenset())
 
     def _materialize_small_table(self, max_small_table: int) -> List[Tuple[int, ...]]:
         """Strict mode: ground the small-block table during preprocessing."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvaluationError, QueryError, UnsupportedQueryError
 from repro.fo.localize import (
@@ -426,12 +426,13 @@ class Pipeline:
 
         Shares everything immutable (plans, partition index, intern
         table, the localized formula) and the colored graph itself
-        through :meth:`ColoredGraph.clone`, which copies containers only:
-        nodes and adjacency entries stay shared until maintenance on
-        either side replaces or writes them.  The block-vector index
-        buckets and the branch objects are copied, preserving the
-        invariant that branch lists ARE the index buckets, so
-        :class:`repro.core.dynamic.PipelineMaintainer` can patch both
+        through :meth:`ColoredGraph.clone`, which copies containers only
+        — node list, key map, containment lists, degrees and ball table,
+        no adjacency, since the graph stores none: nodes and balls stay
+        shared until maintenance on either side replaces them.  The
+        block-vector index buckets and the branch objects are copied,
+        preserving the invariant that branch lists ARE the index buckets,
+        so :class:`repro.core.dynamic.PipelineMaintainer` can patch both
         sides independently.  A fresh evaluator binds to the fork so
         ball/unary caches never read the old head.  The session layer
         uses this so a commit that overlaps a live pin keeps both heads'
@@ -519,13 +520,14 @@ class Pipeline:
         ``Pipeline(structure, ...)`` build would create — per-seed node
         blocks are contiguous and internally deterministic, and a seed
         lives in exactly one shard, so the key never ties across shards.
-        Adjacency is remapped per shard (balls never leave a component,
-        so no edge crosses shards), colors are copied (unit formulas are
-        r-local, hence shard-computable), and the branch lists are
-        rebuilt over the renumbered ids.  The result is indistinguishable
-        from the cold global build — same node ids, same branch lists,
-        same enumeration byte order — at the cost of a merge instead of a
-        global graph construction.
+        Degrees are carried over per node and the shards' balls are
+        joined (balls never leave a component, so no edge crosses
+        shards and a shard degree is the global one); colors are copied
+        (unit formulas are r-local, hence shard-computable), and the
+        branch lists are rebuilt over the renumbered ids.  The result is
+        indistinguishable from the cold global build — same node ids,
+        same branch lists, same enumeration byte order — at the cost of a
+        merge instead of a global graph construction.
         """
         from heapq import merge as heap_merge
 
@@ -534,7 +536,7 @@ class Pipeline:
             return merged
         rank = structure.order.rank
         graph = ColoredGraph(structure, self.link_radius, self.arity)
-        id_maps: List[Dict[int, int]] = [{} for _ in shards]
+
         def source(shard_index: int, shard: "Pipeline"):
             # A helper (not an inline genexp) so shard_index/shard bind
             # per shard instead of to the comprehension's last iteration.
@@ -550,18 +552,13 @@ class Pipeline:
         ):
             new_id = graph.add_node(node.elements, node.positions)
             graph.set_colors(new_id, node.unit_values)
-            id_maps[shard_index][node.node_id] = new_id
             origins.append((shard_index, node.node_id))
-        adjacency: List[FrozenSet[int]] = [frozenset()]
-        for shard_index, old_id in origins:
-            mapping = id_maps[shard_index]
-            adjacency.append(
-                frozenset(
-                    mapping[other]
-                    for other in shards[shard_index].graph.adjacency[old_id]
-                )
-            )
-        graph.adjacency = adjacency
+        graph.degrees = [0] + [
+            shards[shard_index].graph.degrees[old_id]
+            for shard_index, old_id in origins
+        ]
+        for shard in shards:
+            graph.balls.update(shard.graph.balls)
         merged.graph = graph
         merged._build_branches()
         return merged
@@ -625,9 +622,7 @@ class Pipeline:
             "partitions": len(self.plans),
             "branches": len(self.branches),
             "graph_nodes": self.graph.node_count if self.graph else 0,
-            "graph_max_degree": (
-                self.graph.max_degree if self.graph and self.graph.adjacency else 0
-            ),
+            "graph_max_degree": self.graph.max_degree if self.graph else 0,
             "structure_degree": self.structure.degree,
             "structure_size": self.structure.cardinality,
         }

@@ -168,30 +168,42 @@ def run_branch_task_encoded(task: BranchTask):
     -memory ring *as enumeration produces it* (true streaming transfer:
     the parent reads the first chunk while this worker is still
     enumerating) and the return value is a completion summary dict
-    (``{"chunks", "rows", "finished"}``).  If the ring cannot be
-    attached, the chunk list comes back on the future instead — the
-    parent detects that by the result type.
+    (``{"chunks", "rows", "finished"}``).  A unit whose ring is already
+    gone — the parent unlinks it when the stream closes, so the unit
+    started after that — builds and enumerates nothing and returns an
+    empty summary with ``"abandoned": True``.  If shared memory is
+    unavailable from this worker's side, the chunk list comes back on
+    the future instead — the parent detects that by the result type.
     """
-    pipeline = _worker_pipeline(task)
-    codec = ColumnarCodec(pipeline.intern_table)
-    chunk_rows = task.chunk_rows
-    rows = _unit_rows(
-        pipeline, (task.branch_index, task.start, task.stop), task.project
-    )
-    if task.mailbox is None:
-        return encode_answers(rows, codec, chunk_rows)
-    name, capacity = task.mailbox
-    try:
-        ring = ChunkMailbox(name=name, capacity=capacity)
-    except Exception:
-        # No shared memory from this worker's side: the chunk list rides
-        # the future (the parent decodes it after completion; `done`
-        # never gets set on the ring).
-        return encode_answers(rows, codec, chunk_rows)
+    ring = None
+    if task.mailbox is not None:
+        name, capacity = task.mailbox
+        try:
+            ring = ChunkMailbox(name=name, capacity=capacity)
+        except FileNotFoundError:
+            # Nobody reads this unit: its stream closed before it began.
+            return {
+                "chunks": 0,
+                "rows": 0,
+                "finished": time.monotonic(),
+                "abandoned": True,
+            }
+        except Exception:
+            # No shared memory from this worker's side: the chunk list
+            # rides the future (the parent decodes it after completion;
+            # `done` never gets set on the ring).
+            pass
     chunks = 0
     produced = 0
     try:
-        for chunk in split_chunks(rows, chunk_rows):
+        pipeline = _worker_pipeline(task)
+        codec = ColumnarCodec(pipeline.intern_table)
+        rows = _unit_rows(
+            pipeline, (task.branch_index, task.start, task.stop), task.project
+        )
+        if ring is None:
+            return encode_answers(rows, codec, task.chunk_rows)
+        for chunk in split_chunks(rows, task.chunk_rows):
             ring.put(codec.encode(chunk))
             chunks += 1
             produced += len(chunk)
@@ -200,9 +212,9 @@ def run_branch_task_encoded(task: BranchTask):
         # Parent cancelled the query; what streamed already is enough.
         pass
     finally:
-        summary = {"chunks": chunks, "rows": produced, "finished": time.monotonic()}
-        ring.close()
-    return summary
+        if ring is not None:
+            ring.close()
+    return {"chunks": chunks, "rows": produced, "finished": time.monotonic()}
 
 
 def count_branch_task(task: BranchTask) -> int:
@@ -247,7 +259,7 @@ def branch_works(pipeline: Pipeline) -> List[int]:
     """Estimated work per branch (the heuristic's input)."""
     if pipeline.graph is None:  # trivial (or template) pipelines
         return []
-    degree = pipeline.graph.max_degree if pipeline.graph.adjacency else 0
+    degree = pipeline.graph.max_degree
     return [
         estimate_branch_work(
             [len(node_list) for node_list in branch.lists], degree
@@ -260,7 +272,7 @@ def count_works(pipeline: Pipeline) -> List[int]:
     """Estimated *counting* work per branch (the count heuristic's input)."""
     if pipeline.graph is None:  # trivial (or template) pipelines
         return []
-    degree = pipeline.graph.max_degree if pipeline.graph.adjacency else 0
+    degree = pipeline.graph.max_degree
     return [
         estimate_count_work(
             [len(node_list) for node_list in branch.lists], degree

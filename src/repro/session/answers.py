@@ -187,6 +187,13 @@ class Answers:
         in-process modes)."""
         return self._plan.transfer_stats
 
+    @property
+    def execution(self) -> ExecutionPlan:
+        """The plan this handle runs, which records what ran (the mode
+        used and the transfer stats).  It holds no version pin, so a
+        caller may keep it after dropping the handle."""
+        return self._plan
+
     # -- liveness ------------------------------------------------------
 
     def _check_live(self) -> None:

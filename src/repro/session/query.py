@@ -224,10 +224,12 @@ class Query:
             )
         self._resolved_version = self._pipeline.structure.version
         self._cached_count: Optional[Tuple[int, int]] = None
-        # The most recent Answers handle this query produced, so
-        # explain() can report the observed transfer layout next to the
-        # cost-model estimates.
-        self._last_answers: Optional[Answers] = None
+        # What the most recent Answers handle ran (its execution plan:
+        # transfer stats and the mode used), so explain() can report the
+        # observed transfer layout next to the cost-model estimates.
+        # Not the handle itself: a dropped handle must release its
+        # version pin, or every later commit would fork.
+        self._last_run: Optional[ExecutionPlan] = None
 
     # -- plan resolution ----------------------------------------------
 
@@ -391,7 +393,7 @@ class Query:
             row_budget=limit,
             project_columns=project,
         )
-        self._last_answers = handle
+        self._last_run = handle.execution
         return handle
 
     def answers_encoded(self, chunk_rows: Optional[int] = None) -> EncodedAnswers:
@@ -504,14 +506,14 @@ class Query:
 
     def _observed_runtime(self) -> Optional[dict]:
         """The last handle's transfer report, if anything actually ran."""
-        handle = self._last_answers
-        if handle is None:
+        run = self._last_run
+        if run is None:
             return None
-        stats = handle.transport_stats
+        stats = run.transfer_stats
         if stats is None or not stats.chunks:
             return None
         runtime = stats.as_dict()
-        runtime["backend_used"] = handle.backend_used
+        runtime["backend_used"] = run.used_mode
         return runtime
 
     def stats(self) -> dict:

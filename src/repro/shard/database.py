@@ -56,6 +56,7 @@ from repro.errors import EngineError
 from repro.fo import coerce_formula
 from repro.fo.syntax import CountCmp, Formula, TotalCount, Var, subformulas
 from repro.session.answers import Answers
+from repro.session.backends import ExecutionPlan
 from repro.session.transaction import Changeset, CommitResult
 from repro.shard.backend import ShardGatherBackend
 from repro.shard.partition import RegionPartitioner, ShardLayout, merge_shards
@@ -147,7 +148,9 @@ class ShardedQuery:
         self._formula = formula
         self._order = order
         self._key = key
-        self._last_answers: Optional[Answers] = None
+        # What the last handle ran, for explain(); not the handle itself,
+        # so dropping the handle lets it go.
+        self._last_run: Optional[ExecutionPlan] = None
 
     @property
     def formula(self) -> Formula:
@@ -182,7 +185,7 @@ class ShardedQuery:
                 tuple(project_columns) if project_columns is not None else None
             ),
         )
-        self._last_answers = handle
+        self._last_run = handle.execution
         return handle
 
     def count(self) -> int:
@@ -213,12 +216,12 @@ class ShardedQuery:
                 else 0
             ),
         }
-        handle = self._last_answers
-        if handle is not None:
-            stats = handle.transport_stats
+        run = self._last_run
+        if run is not None:
+            stats = run.transfer_stats
             if stats is not None and stats.chunks:
                 report["runtime"] = stats.as_dict()
-                report["backend_used"] = handle.backend_used
+                report["backend_used"] = run.used_mode
         return report
 
     def __repr__(self) -> str:

@@ -31,9 +31,11 @@ snapshot-plus-write-ahead-log design:
     a reopened database answers its first query without re-running
     Proposition 3.4.  Strictly an accelerator: it is validated against
     the manifest lineage and silently ignored when stale, unreadable or
-    of another format (``WARM_FORMAT``; format 5 keys each pipeline by
+    of another format (``WARM_FORMAT``; format 6 keys each pipeline by
     ``(normalized formula, order)`` and pickles the immutable
-    colored-graph nodes and the graph's free-id list).  The spill is
+    colored-graph nodes, the graph's free-id list, its link-radius
+    balls and one degree per node — and no adjacency, which format 5
+    still carried).  The spill is
     *incremental*: each cached pipeline is pickled into its own blob
     (with the head structure factored out via a pickle persistent id),
     and a checkpoint re-pickles only the plans whose durable state
@@ -83,7 +85,7 @@ UpdateOp = Tuple[bool, str, Tuple[Element, ...]]
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"  # pre-segmentation log, still read for old stores
 FORMAT_VERSION = 1
-WARM_FORMAT = 5
+WARM_FORMAT = 6
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_RE = re.compile(r"^wal\.(\d{5,})\.jsonl$")

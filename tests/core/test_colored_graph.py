@@ -123,9 +123,18 @@ class TestEdges:
                     for b in right.elements
                 )
                 assert graph.adjacent(left.node_id, right.node_id) == expected
+                assert (right.node_id in graph.neighbors(left.node_id)) == expected
+
+    def test_degrees_count_neighbours(self, path):
+        # Edges are not stored; each node keeps only its degree.
+        graph = build(path, 2)
+        assert not hasattr(graph, "adjacency")
+        for node in graph.nodes:
+            assert graph.degree(node.node_id) == len(graph.neighbors(node.node_id))
+        assert graph.max_degree == max(graph.degrees)
 
     def test_stats(self, path):
         graph = build(path, 2)
         assert graph.max_degree > 0
-        assert graph.edge_count() > 0
+        assert graph.edge_count() == sum(graph.degrees) // 2 > 0
         assert graph.node_count == len(graph.nodes)

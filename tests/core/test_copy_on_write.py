@@ -1,9 +1,11 @@
 """The copy-on-write colored graph: templates and forks share nodes and
-adjacency entries, and a write on either side never reaches the other.
+balls (what adjacency is read off), and a write on either side never
+reaches the other.
 
 The rule under test (``repro.core.colored_graph``): a published ``VNode``
-never changes — colours replace the node — and an adjacency entry is
-copied into a private set the first time a graph writes it.
+never changes — colours replace the node — a ball is an immutable
+frozenset that a rewire replaces, and degrees live in each graph's own
+list, which ``clone()`` copies.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.fo.semantics import naive_answers
 from repro.session import Database
 from repro.structures.gaifman_graph import ball_of_set
 from repro.structures.random_gen import random_colored_graph
+
+from graph_oracle import live_ids
 
 EXAMPLE = "B(x) & R(y) & ~E(x,y)"
 MIRROR = "R(x) & B(y) & ~E(x,y)"
@@ -47,13 +51,15 @@ def new_answers(db):
 
 
 def capture(graph):
-    """Everything a reader of ``graph`` can observe, by value."""
+    """Everything a reader of ``graph`` can observe, by value: nodes,
+    each live node's neighbour set, and the degrees."""
     return (
         [
             (node.node_id, node.elements, node.positions, dict(node.unit_values))
             for node in graph.nodes
         ],
-        [frozenset(entry) for entry in graph.adjacency],
+        {node_id: frozenset(graph.neighbors(node_id)) for node_id in live_ids(graph)},
+        list(graph.degrees),
     )
 
 
@@ -70,7 +76,10 @@ class TestGraphPrimitives:
         twin = graph.clone()
         assert twin.nodes is not graph.nodes
         assert all(a is b for a, b in zip(twin.nodes, graph.nodes))
-        assert all(a is b for a, b in zip(twin.adjacency, graph.adjacency))
+        # Adjacency is read off the balls: the twin shares every one.
+        assert twin.balls is not graph.balls
+        assert all(twin.balls[e] is ball for e, ball in graph.balls.items())
+        assert twin.degrees == graph.degrees and twin.degrees is not graph.degrees
 
     def test_writes_on_a_clone_stay_private(self):
         structure = sparse_structure()
@@ -78,19 +87,27 @@ class TestGraphPrimitives:
         graph = build_colored_graph(structure, evaluator, 2, 1)
         before = capture(graph)
         twin = graph.clone()
-        victim = next(i for i in range(1, twin.node_count) if twin.neighbors(i))
+        victim = next(i for i in range(1, twin.node_count) if twin.degree(i))
+        elements = twin.nodes[victim].elements
+        region = set(elements)
+        neighbours = twin.neighbor_sets(
+            {i for e in region for i in twin.nodes_containing(e)}
+        )
         twin.set_colors(1, {0: (True,)})
         twin.remove_nodes({victim})
-        fresh = twin.add_node(twin.nodes[victim].elements, twin.nodes[victim].positions)
-        twin.connect_node(fresh, evaluator)
+        fresh = twin.add_node(elements, twin.nodes[victim].positions)
+        balls = {e: evaluator.ball(e, 1) for e in region}
+        assert not twin.rewire(neighbours, balls, [fresh])
         assert twin.nodes[victim].unit_values is NO_COLORS
         assert twin.neighbors(fresh) == before[1][victim]
+        assert twin.degrees == before[2]
         assert capture(graph) == before
-        # A second clone of the twin shares its private entries again and
-        # copies them before writing.
+        # A second clone of the twin has its own containment lists and
+        # degrees: detaching a node there leaves the twin as it was.
         second = twin.clone()
         second.remove_nodes({fresh})
         assert twin.neighbors(fresh) == before[1][victim]
+        assert twin.degree(fresh) == before[2][victim]
 
 
 class TestPinnedCommitSharing:
@@ -112,15 +129,20 @@ class TestPinnedCommitSharing:
             born = set(range(old_graph.node_count, graph.node_count))
             rewired = set(dead | born)
             for node_id in dead:
-                rewired |= old_graph.adjacency[node_id]
+                rewired |= old_graph.neighbors(node_id)
             for node_id in born:
-                rewired |= graph.adjacency[node_id]
+                rewired |= graph.neighbors(node_id)
             kept = [i for i in range(old_graph.node_count) if i not in dead]
             assert len(kept) > old_graph.node_count // 2
             for node_id in kept:
                 assert graph.nodes[node_id] is old_graph.nodes[node_id]
                 if node_id not in rewired:
-                    assert graph.adjacency[node_id] is old_graph.adjacency[node_id]
+                    assert graph.degree(node_id) == old_graph.degree(node_id)
+            # Adjacency is read off the balls: outside the region the
+            # fork shares every one with the pinned head.
+            outside = [e for e in old_graph.balls if e not in region]
+            assert outside
+            assert all(graph.balls[e] is old_graph.balls[e] for e in outside)
             assert sorted(new_answers(db)) == oracle(db.structure)
             snapshot.close()
 
@@ -133,7 +155,7 @@ class TestPinnedCommitSharing:
             snapshot = db.snapshot()
             assert db.apply([("insert", "B", (missing_unary(db.structure),))]).forked
             # The next commits run in place on the fork, whose graph
-            # shares nodes and adjacency entries with the pinned head.
+            # shares nodes and balls with the pinned head.
             edge = next(iter(db.structure.facts("E")))
             assert not db.apply([("remove", "E", edge)]).forked
             assert not db.apply([("insert", "R", (missing_unary(db.structure, "R"),))]).forked

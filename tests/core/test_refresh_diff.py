@@ -1,11 +1,13 @@
 """The diffing refresh: a commit rewrites only the colored-graph nodes,
-colours and edges it changes.
+colours, balls and degrees it changes.
 
 ``PipelineMaintainer.refresh`` compares the refresh region's old and new
 state.  A node whose key survives keeps its id, a colour flip touches no
-edge, and a removed node's id is reused by the next new key.  The
-differential check: after every commit the maintained graph equals a cold
-``build_colored_graph`` up to id renaming.
+ball or degree, and a removed node's id is reused by the next new key.
+The differential check: after every commit the maintained graph equals a
+cold ``build_colored_graph`` up to id renaming — nodes, colours, the
+neighbour sets over keys, and the stored degrees, which must equal the
+neighbour-set sizes.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.colored_graph import ColoredGraph
-from repro.core.dynamic import apply_ops
+from repro.core.dynamic import PipelineMaintainer, apply_ops
 from repro.core.pipeline import Pipeline
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
@@ -24,6 +25,8 @@ from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
+
+from graph_oracle import finalize_edges, live_ids
 
 QUERIES = (
     "B(x) & R(y) & ~E(x,y)",
@@ -42,10 +45,6 @@ def oracle(structure, text):
     return sorted(naive_answers(formula, structure, order=sorted(formula.free)))
 
 
-def live_ids(graph):
-    return set(graph._by_key.values()) - {0}
-
-
 def canonical(pipeline):
     """The pipeline's graph and buckets with every id replaced by its key."""
     graph = pipeline.graph
@@ -54,14 +53,16 @@ def canonical(pipeline):
     for node_id in range(1, graph.node_count):
         if node_id not in live:  # a tombstone: no colours, no edges
             assert not graph.node(node_id).unit_values
-            assert not graph.adjacency[node_id]
+            assert graph.degree(node_id) == 0
     assert all(graph.node(node_id).node_id == node_id for node_id in live)
     colours = {key[node_id]: dict(graph.node(node_id).unit_values) for node_id in live}
+    explicit = finalize_edges(graph)
     edges = set()
     for node_id in live:
-        assert graph.adjacency[node_id] <= live
-        for other in graph.adjacency[node_id]:
-            assert node_id in graph.adjacency[other]
+        neighbours = graph.neighbors(node_id)
+        assert neighbours == explicit[node_id]
+        assert graph.degree(node_id) == len(neighbours)
+        for other in neighbours:
             edges.add((key[node_id], key[other]))
     buckets = {}
     for bucket_key, bucket in pipeline.block_vector_index.items():
@@ -130,30 +131,55 @@ def test_maintained_graph_equals_a_cold_build(seed, update_seed, pins):
                 assert_matches_cold(db, text)
 
 
-class _WriteCounter:
-    """Counts the adjacency writes ``ColoredGraph._write_each`` makes."""
+THREE_BLOCKS = "B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z)"
 
-    def __init__(self, monkeypatch):
-        self.writes = 0
-        original = ColoredGraph._write_each
 
-        def counting(graph, node_ids, write, node_id):
-            node_ids = list(node_ids)
-            self.writes += len(node_ids)
-            original(graph, node_ids, write, node_id)
-
-        monkeypatch.setattr(ColoredGraph, "_write_each", counting)
+@given(
+    seed=st.integers(0, 40),
+    update_seed=st.integers(0, 10_000),
+    pins=st.lists(st.booleans(), min_size=1, max_size=4),
+)
+@settings(max_examples=6, deadline=None)
+def test_three_position_graph_equals_a_cold_build(seed, update_seed, pins):
+    """The same differential on a three-position graph, whose nodes
+    carry up to three components: its degrees stay exact too."""
+    rng = random.Random(update_seed)
+    with Database(colored(10, seed)) as db:
+        db.query(THREE_BLOCKS, backend="serial").count()
+        for pinned in pins:
+            op = random_change(db.structure, rng)
+            snapshot = db.snapshot() if pinned else None
+            try:
+                result = db.apply([op])
+            finally:
+                if snapshot is not None:
+                    snapshot.close()
+            assert result.changed and result.maintained_plans == 1
+            assert_matches_cold(db, THREE_BLOCKS)
 
 
 def test_colour_flip_writes_no_edge_and_allocates_no_id(monkeypatch):
     with Database(colored(120, 3)) as db:
         pipelines = [db.query(text, backend="serial").pipeline for text in QUERIES]
         sizes = [len(pipeline.graph.nodes) for pipeline in pipelines]
-        counter = _WriteCounter(monkeypatch)
+        degrees = [list(pipeline.graph.degrees) for pipeline in pipelines]
+        balls = [dict(pipeline.graph.balls) for pipeline in pipelines]
+        rekeys = []
+        original = PipelineMaintainer._rekey
+
+        def counting(maintainer, live, region):
+            rekeys.append(region)
+            return original(maintainer, live, region)
+
+        monkeypatch.setattr(PipelineMaintainer, "_rekey", counting)
         element = next(e for e in db.structure.domain if db.structure.neighbors(e))
         result = db.apply([(not db.structure.has_fact("B", element), "B", (element,))])
         assert result.maintained_plans == len(QUERIES)
-        assert counter.writes == 0
+        # No rekey, so no ball and no degree is written.
+        assert rekeys == []
+        assert [list(pipeline.graph.degrees) for pipeline in pipelines] == degrees
+        for pipeline, before in zip(pipelines, balls):
+            assert all(pipeline.graph.balls[e] is ball for e, ball in before.items())
         assert [len(pipeline.graph.nodes) for pipeline in pipelines] == sizes
         for text in QUERIES:
             assert_matches_cold(db, text)

@@ -18,10 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.counting import count_answers
+from repro.core.pipeline import Pipeline
 from repro.engine import BranchTask, WorkerPool, parallel_count
 from repro.engine.executor import _default_spec_key, count_branch_task
 from repro.session import Database
+from repro.fo.parser import parse
 from repro.fo.semantics import naive_count
+from repro.structures.random_gen import random_colored_graph
 
 from planning import plan
 from strategies import (
@@ -202,3 +205,30 @@ class TestSessionCountPath:
         serial = count_answers(plan(medium_colored, text))
         with Database(medium_colored, workers=2) as session:
             assert session.count(text, backend=mode) == serial
+
+
+class TestCountingGate:
+    """The counting gate, formerly ``benchmarks/bench_e3_counting.py
+    --smoke``: on Example 2.3 at n=96 (max degree 4, seed 42), a count
+    over 4 workers equals the serial ``count_answers`` and the naive
+    oracle count, in every mode."""
+
+    N = 96
+    WORKERS = 4
+
+    @pytest.fixture(scope="class")
+    def gate(self):
+        structure = random_colored_graph(self.N, max_degree=4, seed=42)
+        formula = parse("B(x) & R(y) & ~E(x,y)")
+        return structure, formula, Pipeline(structure, formula)
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_count_equals_serial_and_naive(self, gate, mode):
+        structure, formula, pipeline = gate
+        serial = count_answers(pipeline)
+        assert serial == naive_count(formula, structure)
+        with WorkerPool(self.WORKERS) as pool:
+            got = parallel_count(
+                pipeline, workers=self.WORKERS, mode=mode, pool=pool
+            )
+        assert got == serial

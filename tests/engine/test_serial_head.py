@@ -205,6 +205,50 @@ def test_closing_after_the_handover_cancels_units_and_frees_rings(
             ChunkMailbox(name=name)
 
 
+@pytest.mark.skipif(not mailbox_available(), reason="shared memory unavailable")
+def test_a_late_unit_of_a_closed_stream_publishes_nothing(pool, submits):
+    """Units still queued at the close either get cancelled or, if a
+    worker had already taken them, find their ring unlinked: they return
+    an empty summary, never a chunk list on the future."""
+    pipeline = plan(random_colored_graph(300, max_degree=3, seed=5), EXAMPLE)
+    rows = parallel_enumerate(pipeline, workers=4, pool=pool, chunk_rows=16)
+    assert len(list(islice(rows, 200))) == 200
+    assert submits
+    rows.close()
+    for future in submits:
+        if future.cancelled():
+            continue
+        summary = future.result(timeout=60)
+        assert isinstance(summary, dict), "chunks rode the future"
+        if summary.get("abandoned"):
+            assert summary["chunks"] == summary["rows"] == 0
+
+
+def test_a_unit_whose_ring_is_gone_builds_nothing(monkeypatch):
+    """The late path itself, deterministically: the ring was unlinked
+    before the unit started, so the unit neither rebuilds the pipeline
+    nor enumerates."""
+    pipeline = plan(random_colored_graph(60, max_degree=3, seed=2), EXAMPLE)
+    ring = ChunkMailbox(create=True)
+    name, capacity = ring.name, ring.capacity
+    ring.close(unlink=True)
+
+    def no_rebuild(task):
+        raise AssertionError("an abandoned unit rebuilt its pipeline")
+
+    monkeypatch.setattr(executor, "_worker_pipeline", no_rebuild)
+    task = executor.BranchTask(
+        pipeline.rebuild_spec(),
+        executor._default_spec_key(pipeline),
+        0,
+        chunk_rows=16,
+        mailbox=(name, capacity),
+    )
+    summary = executor.run_branch_task_encoded(task)
+    assert summary["abandoned"] is True
+    assert summary["chunks"] == summary["rows"] == 0
+
+
 @pytest.mark.parametrize("chunk_rows", CHUNK_ROWS)
 def test_a_head_the_cost_model_keeps_serial_serves_everything(
     example, pool, submits, monkeypatch, chunk_rows

@@ -134,14 +134,15 @@ class TestCloseIdempotency:
 
 
 class TestAbandonedProcessStream:
-    """A process-mode stream dropped without ``cancel()`` while its
-    workers are still producing must not hang ``Database.close()``.
+    """A process-mode stream left without ``cancel()`` while its workers
+    are still producing must not hang ``Database.close()``.
 
-    The query keeps its last handle, so dropping the caller's reference
-    leaves the stream open: its workers block on full mailboxes that
-    nobody reads.  ``close()`` abandons those mailboxes before it joins
-    the pool; reading the stream afterwards raises instead of serving a
-    truncated answer list.
+    A dropped handle is collected (the query keeps only what
+    ``explain()`` reads of it), which cancels its stream.  A handle the
+    caller still holds keeps its stream open: its workers block on full
+    mailboxes that nobody reads.  ``close()`` abandons those mailboxes
+    before it joins the pool; reading the stream afterwards raises
+    instead of serving a truncated answer list.
     """
 
     @pytest.fixture(autouse=True)
@@ -166,7 +167,10 @@ class TestAbandonedProcessStream:
         assert handle.backend_used == "process"
         dropped = weakref.ref(handle)
         del handle
-        assert dropped() is not None, "the query keeps its last handle"
+        assert dropped() is None, "the query keeps no handle"
+        held = query.answers()
+        assert len(held.page(0, 200)) == 200
+        assert held.backend_used == "process"
         self.close_in_time(db)
         with pytest.raises(EngineError):
-            dropped().all()
+            held.all()

@@ -266,6 +266,37 @@ class TestExplain:
         assert plan.runtime["backend_used"] == "process"
         assert "runtime:" in plan.describe()
 
+    def test_a_dropped_handle_pins_nothing(self, db, monkeypatch):
+        """A query keeps what explain() reads of its last handle, not the
+        handle: once the caller drops a page's handle, its version pin is
+        gone and the next commit runs in place, forking no plan."""
+        from repro.core.pipeline import Pipeline
+
+        q = db.query(EXAMPLE, backend="serial")
+        q.count()
+        assert len(q.answers().page(0, 1)) == 1
+        forks = []
+        original = Pipeline.fork
+
+        def counting(pipeline, structure):
+            forks.append(pipeline)
+            return original(pipeline, structure)
+
+        monkeypatch.setattr(Pipeline, "fork", counting)
+        element = next(
+            e for e in db.structure.domain if not db.structure.has_fact("B", e)
+        )
+        result = db.apply([("insert", "B", (element,))])
+        assert result.changed and not result.forked
+        assert forks == []
+        # The runtime line still reports a dropped process handle's run.
+        process = db.query(EXAMPLE, backend="process", workers=2)
+        rows = len(process.answers().all())
+        plan = process.explain()
+        assert plan.runtime["rows"] == rows
+        assert plan.runtime["backend_used"] == "process"
+        assert "runtime:" in plan.describe()
+
 
 class TestAnswersHandle:
     def test_paging_matches_serial_order(self, db):

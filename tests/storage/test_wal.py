@@ -203,7 +203,7 @@ class TestDurableStore:
         assert restored.warm_entries == ()
         assert restored.structure.content_fingerprint() == result.fingerprint
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3, 4])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 5])
     def test_other_format_spill_is_ignored_like_a_stale_one(
         self, tmp_path, old_format
     ):
@@ -218,8 +218,9 @@ class TestDurableStore:
         warm = path / f"warm-{result.version}.pickle"
         bundle = pickle.loads(warm.read_bytes())
         bundle["format"] = old_format
-        if old_format >= 2:
-            # Formats 2-4 keyed each blob by (normalized, order, eps).
+        if 2 <= old_format <= 4:
+            # Formats 2-4 keyed each blob by (normalized, order, eps);
+            # format 5 had today's keys but pickled adjacency sets.
             bundle["entries"] = [
                 [normalized, order_names, 0.5, blob]
                 for normalized, order_names, blob in bundle["entries"]
