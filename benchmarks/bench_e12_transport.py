@@ -9,18 +9,15 @@ merged output *byte-identical* to serial enumeration; the bounded chunks
 + lazy decode keep the time-to-first-chunk (the ``Answers.page(0)``
 latency floor) low.
 
-Two entry points:
-
-* a standalone harness (``python benchmarks/bench_e12_transport.py``)
-  that measures bytes + time-to-first-chunk per chunk size,
-  **fails (exit 1) on any divergence from serial enumeration**, and in
-  full mode also fails if the columnar bytes are not at least 2x below
-  ``pickle.dumps`` of the same decoded chunks; CI runs ``--smoke``,
-  which sweeps every chunk size on a tiny workload and enforces
-  byte-identity only;
-* both modes emit ``BENCH_transport.json`` (bytes transferred, pickled
-  comparator bytes, time-to-first-chunk, ratio) so future PRs can track
-  the trajectory.
+The harness (``python benchmarks/bench_e12_transport.py``) measures
+bytes + time-to-first-chunk at the default chunk size, **fails (exit 1)
+on any divergence from serial enumeration**, and also fails if the
+columnar bytes are not at least 2x below ``pickle.dumps`` of the same
+decoded chunks.  It writes ``BENCH_transport.json`` (bytes transferred,
+pickled comparator bytes, time-to-first-chunk, ratio) so the trajectory
+can be tracked.  Byte-identity for every chunk size (1, 7 and the
+default) on the n=48 workload is a tier-1 test:
+``tests/engine/test_parallel_differential.py::TestTripleQueryGate``.
 
 Methodology notes: the process pool is warmed first (worker pipeline
 rebuilds are preprocessing in the service regime); the comparator is
@@ -109,9 +106,7 @@ def measure(pipeline, pool, workers, chunk_rows):
     return answers, stats.bytes_received, pickle_bytes, ttfc, total
 
 
-def run_harness(
-    n: int, workers: int, smoke: bool, json_path: str, require_ratio: float
-) -> int:
+def run_harness(n: int, workers: int, json_path: str, require_ratio: float) -> int:
     db, query = build_workload(n)
     print(f"workload: n={db.cardinality}, degree={db.degree}, query={TRIPLE_QUERY}")
 
@@ -125,50 +120,38 @@ def run_harness(
     serial_digest = output_digest(serial)
     print(f"serial: {len(serial)} answers")
 
-    failures = 0
-    report = {
-        "workload": {"n": db.cardinality, "workers": workers, "answers": len(serial)},
-        "runs": [],
-    }
-
-    chunk_configs = (1, 7, None) if smoke else (None,)
-    ratio = None
     with WorkerPool(workers) as pool:
         started = time.perf_counter()
         warm_pool(pool, pipeline, workers)
         print(f"process pool warm-up ({workers} workers): "
               f"{time.perf_counter() - started:.2f}s")
-        for chunk_rows in chunk_configs:
-            answers, received, pickled, ttfc, total = measure(
-                pipeline, pool, workers, chunk_rows
-            )
-            identical = output_digest(answers) == serial_digest
-            label = f"chunk_rows={chunk_rows or 'auto'}"
-            verdict = "byte-identical" if identical else "DIVERGED"
-            print(
-                f"{label}: {received:>10d} bytes to parent "
-                f"(pickled: {pickled}), first chunk {ttfc * 1000:.1f}ms, "
-                f"total {total:.2f}s [{verdict}]"
-            )
-            if not identical:
-                failures += 1
-            if chunk_rows is None:
-                # None (JSON null), never float('inf'): json.dump would
-                # emit the non-standard Infinity literal and break strict
-                # consumers.
-                ratio = round(pickled / received, 2) if received else None
-            report["runs"].append(
-                {
-                    "chunk_rows": chunk_rows,
-                    "bytes_to_parent": received,
-                    "pickle_bytes": pickled,
-                    "time_to_first_chunk_s": round(ttfc, 6),
-                    "total_s": round(total, 6),
-                    "identical": identical,
-                }
-            )
-
-    report["bytes_ratio"] = ratio
+        answers, received, pickled, ttfc, total = measure(
+            pipeline, pool, workers, None
+        )
+    identical = output_digest(answers) == serial_digest
+    verdict = "byte-identical" if identical else "DIVERGED"
+    print(
+        f"chunk_rows=auto: {received:>10d} bytes to parent "
+        f"(pickled: {pickled}), first chunk {ttfc * 1000:.1f}ms, "
+        f"total {total:.2f}s [{verdict}]"
+    )
+    # None (JSON null), never float('inf'): json.dump would emit the
+    # non-standard Infinity literal and break strict consumers.
+    ratio = round(pickled / received, 2) if received else None
+    report = {
+        "workload": {"n": db.cardinality, "workers": workers, "answers": len(serial)},
+        "runs": [
+            {
+                "chunk_rows": None,
+                "bytes_to_parent": received,
+                "pickle_bytes": pickled,
+                "time_to_first_chunk_s": round(ttfc, 6),
+                "total_s": round(total, 6),
+                "identical": identical,
+            }
+        ],
+        "bytes_ratio": ratio,
+    }
     ratio_text = f"{ratio:.1f}x" if ratio is not None else "n/a (0 bytes)"
     print(f"bytes: columnar ships {ratio_text} fewer than pickling the same chunks")
 
@@ -176,39 +159,33 @@ def run_harness(
         json.dump(report, handle, indent=2)
     print(f"wrote {json_path}")
 
-    if failures:
-        print(f"FAIL: {failures} configuration(s) diverged from the serial output")
+    if not identical:
+        print("FAIL: the process run diverged from the serial output")
         return 1
-    if not smoke and ratio is not None and ratio < require_ratio:
+    if ratio is not None and ratio < require_ratio:
         print(
             f"FAIL: columnar transport only {ratio:.2f}x smaller than pickling "
             f"the same chunks (target >= {require_ratio}x)"
         )
         return 1
-    print(f"OK: every chunk size byte-identical; columnar ships {ratio_text} "
+    print(f"OK: byte-identical; columnar ships {ratio_text} "
           f"fewer bytes to the parent than pickle would")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload; sweep every chunk size, enforce byte-identity only",
-    )
-    parser.add_argument("-n", type=int, default=None, help="structure size")
+    parser.add_argument("-n", type=int, default=140, help="structure size")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument(
         "--require-ratio",
         type=float,
         default=2.0,
-        help="minimum pickled/columnar byte ratio in full mode",
+        help="minimum pickled/columnar byte ratio",
     )
     parser.add_argument("--json", default=DEFAULT_JSON, help="report path")
     args = parser.parse_args(argv)
-    n = args.n if args.n is not None else (48 if args.smoke else 140)
-    return run_harness(n, args.workers, args.smoke, args.json, args.require_ratio)
+    return run_harness(args.n, args.workers, args.json, args.require_ratio)
 
 
 if __name__ == "__main__":

@@ -120,31 +120,21 @@ def e2_delay(sizes):
           "(the RAM-model content of Thm 2.7)\n")
 
 
-def e3_counting(sizes, workers=4):
-    from repro.engine import WorkerPool, parallel_count
-
+def e3_counting(sizes):
     print("## E3 — counting is pseudo-linear while |q(A)| is quadratic\n")
     rows, times, counts = [], [], []
-    with WorkerPool(workers) as pool:
-        for n in sizes:
-            db = colored_graph(n, 4)
-            pipeline = Pipeline(db, query(EXAMPLE_23))
-            elapsed, count = timed(lambda p=pipeline: count_answers(p), repeats=2)
-            par_elapsed, par_count = timed(
-                lambda p=pipeline: parallel_count(
-                    p, workers=workers, mode="process", pool=pool
-                ),
-                repeats=2,
-            )
-            assert par_count == count, "parallel count diverged from serial"
-            rows.append((n, f"{elapsed:.3f}", f"{par_elapsed:.3f}", f"{count:,}"))
-            times.append(elapsed)
-            counts.append(count)
-    table(["n", "count time (s)", "process (s)", "|q(A)|"], rows)
+    for n in sizes:
+        db = colored_graph(n, 4)
+        pipeline = Pipeline(db, query(EXAMPLE_23))
+        elapsed, count = timed(lambda p=pipeline: count_answers(p), repeats=2)
+        rows.append((n, f"{elapsed:.3f}", f"{count:,}"))
+        times.append(elapsed)
+        counts.append(count)
+    table(["n", "count time (s)", "|q(A)|"], rows)
     print(
         f"fitted exponents — time: **{fitted_exponent(sizes, times):.2f}** "
         f"(claim ~1), answers: **{fitted_exponent(sizes, counts):.2f}** "
-        "(~2: the result set itself is quadratic); parallel counts exact\n"
+        "(~2: the result set itself is quadratic)\n"
     )
 
 

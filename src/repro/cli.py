@@ -364,8 +364,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             query = view.query(text, backend=args.mode)
             line = f"[{text}]"
             if args.count:
-                # Parallel per-branch counting over the session pool (the
-                # result is exactly the serial count_answers integer).
+                # Counted in-process (count_answers), whatever --mode says.
                 line += f"  count={query.count()}"
             print(line)
             if args.limit:

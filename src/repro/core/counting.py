@@ -50,11 +50,9 @@ def count_branch_at(
 ) -> int:
     """Count one branch of a pipeline, addressed by index.
 
-    This is the engine's task-splitting hook (Theorem 2.5 makes ``|q(A)|``
-    a sum of independent per-branch counts): the index is picklable, so a
-    worker process can rebuild the pipeline from its spec and count just
-    this branch.  It is also thread-safe — counting only *reads* the
-    colored graph and the branch lists.
+    Theorem 2.5 makes ``|q(A)|`` a sum of independent per-branch counts;
+    the sharded gather sums this term per shard.  Counting only *reads*
+    the colored graph and the branch lists.
     """
     assert pipeline.graph is not None
     return count_branch(pipeline.graph, pipeline.branches[branch_index], meter)

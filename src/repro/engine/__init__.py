@@ -2,12 +2,12 @@
 
 Layers on top of the paper's pipeline (:mod:`repro.core`):
 
-* :mod:`repro.engine.executor` — branch-parallel enumeration *and
-  counting* of one pipeline across a process pool, with a
-  deterministic merge that reproduces the serial answer order
-  byte-for-byte (and, for :func:`parallel_count`, the exact serial
-  count); answers come as one demand-sized row stream, cut into
-  bounded chunks only where they cross a process or wire boundary;
+* :mod:`repro.engine.executor` — branch-parallel enumeration of one
+  pipeline across a process pool, with a deterministic merge that
+  reproduces the serial answer order byte-for-byte; answers come as
+  one demand-sized row stream, cut into bounded chunks only where they
+  cross a process or wire boundary.  Counting is not parallel: a count
+  always runs in-process (:func:`repro.core.counting.count_answers`);
 * :mod:`repro.engine.pool` — :class:`WorkerPool`, the long-lived,
   lazily-started, crash-restarting worker pool each
   :class:`repro.session.Database` owns (and the only place executors
@@ -26,7 +26,7 @@ The front-end is the session layer::
     with Database(structure, workers=4) as db:
         answers = db.query("B(x) & R(y) & ~E(x,y)").answers()
         first = answers.page(0, size=20)
-        total = answers.count()     # parallel per-branch counting
+        total = answers.count()     # in-process, Theorem 2.5
         for answer in answers:
             ...
 
@@ -43,12 +43,10 @@ _EXPORTS = {
     "WorkerPool": ("repro.engine.pool", "WorkerPool"),
     "branch_works": ("repro.engine.executor", "branch_works"),
     "cache_key": ("repro.engine.cache", "cache_key"),
-    "count_works": ("repro.engine.executor", "count_works"),
     "decide_count_mode": ("repro.engine.executor", "decide_count_mode"),
     "decide_mode": ("repro.engine.executor", "decide_mode"),
     "default_workers": ("repro.engine.executor", "default_workers"),
     "normalize_formula": ("repro.engine.cache", "normalize_formula"),
-    "parallel_count": ("repro.engine.executor", "parallel_count"),
     "parallel_enumerate": ("repro.engine.executor", "parallel_enumerate"),
     "plan_work_units": ("repro.engine.executor", "plan_work_units"),
     "resolve_chunk_rows": ("repro.engine.executor", "resolve_chunk_rows"),

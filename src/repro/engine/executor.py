@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Generator, Hashable, Iterator, List, Optional, Tuple
 
-from repro.core.counting import count_answers, count_branch_at
 from repro.core.enumeration import (
     arm_enumerator,
     enumerate_branch,
@@ -69,7 +68,6 @@ from repro.storage.cost_model import (
     choose_execution_mode,
     default_chunk_rows,
     estimate_branch_work,
-    estimate_count_work,
     estimate_transfer_work,
 )
 
@@ -217,16 +215,6 @@ def run_branch_task_encoded(task: BranchTask):
     return {"chunks": chunks, "rows": produced, "finished": time.monotonic()}
 
 
-def count_branch_task(task: BranchTask) -> int:
-    """Count one branch inside a worker process (Theorem 2.5 term).
-
-    ``start``/``stop`` are ignored: counting walks no enumeration order,
-    so the unit of parallel counting work is a whole branch.
-    """
-    pipeline = _worker_pipeline(task)
-    return count_branch_at(pipeline, task.branch_index)
-
-
 def warm_task(task: BranchTask) -> bool:
     """Rebuild (and memoize) the pipeline in a worker, producing nothing.
 
@@ -262,19 +250,6 @@ def branch_works(pipeline: Pipeline) -> List[int]:
     degree = pipeline.graph.max_degree
     return [
         estimate_branch_work(
-            [len(node_list) for node_list in branch.lists], degree
-        )
-        for branch in pipeline.branches
-    ]
-
-
-def count_works(pipeline: Pipeline) -> List[int]:
-    """Estimated *counting* work per branch (the count heuristic's input)."""
-    if pipeline.graph is None:  # trivial (or template) pipelines
-        return []
-    degree = pipeline.graph.max_degree
-    return [
-        estimate_count_work(
             [len(node_list) for node_list in branch.lists], degree
         )
         for branch in pipeline.branches
@@ -336,28 +311,6 @@ def _check_mode(workers: Optional[int], mode: Optional[str]) -> None:
         raise EngineError(f"unknown execution mode {mode!r}; choose from {MODES}")
 
 
-def _resolve_mode(pipeline, workers, mode, works_fn, transfer_fn=None) -> Tuple[str, int]:
-    _check_mode(workers, mode)
-    if workers is None:
-        workers = default_workers()
-    if pipeline.trivial is not None:
-        # A constant query has no branches to split: its answers (all
-        # tuples, or none) come straight from the parent.
-        mode = "serial"
-    elif mode is None:
-        transfer = (
-            sum(transfer_fn(pipeline, workers))
-            if transfer_fn is not None
-            else None
-        )
-        mode = choose_execution_mode(
-            works_fn(pipeline), workers, transfer_work=transfer
-        )
-    if mode == "serial":
-        workers = 1
-    return mode, workers
-
-
 def decide_mode(
     pipeline: Pipeline,
     workers: Optional[int] = None,
@@ -370,19 +323,35 @@ def decide_mode(
     stays serial (zero-copy) even past the process threshold.  Trivial
     pipelines always resolve to ``("serial", 1)``.
     """
-    return _resolve_mode(pipeline, workers, mode, branch_works, transfer_works)
+    _check_mode(workers, mode)
+    if workers is None:
+        workers = default_workers()
+    if pipeline.trivial is not None:
+        # A constant query has no branches to split: its answers (all
+        # tuples, or none) come straight from the parent.
+        mode = "serial"
+    elif mode is None:
+        mode = choose_execution_mode(
+            branch_works(pipeline),
+            workers,
+            transfer_work=sum(transfer_works(pipeline, workers)),
+        )
+    if mode == "serial":
+        workers = 1
+    return mode, workers
 
 
 def decide_count_mode(
     pipeline: Pipeline, workers: Optional[int] = None, mode: Optional[str] = None
 ) -> Tuple[str, int]:
-    """Like :func:`decide_mode`, but weighted by the counting cost model.
-
-    Counting a branch is usually far cheaper than enumerating it (no
-    answer materialization), so workloads that enumerate in process mode
-    often still count serially.
-    """
-    return _resolve_mode(pipeline, workers, mode, count_works)
+    """``("serial", 1)`` for every valid request: a count always runs
+    in-process over the caller's pipeline (Theorem 2.5).  A pooled count
+    pickled the structure into every branch task and rebuilt the
+    pipeline in every worker, for one work unit per branch, and lost to
+    the serial count at every size measured.  The function stays
+    because ``ledger/layers.py`` traces it by name."""
+    _check_mode(workers, mode)
+    return "serial", 1
 
 
 def _default_spec_key(pipeline: Pipeline) -> tuple:
@@ -921,42 +890,3 @@ def parallel_enumerate(
             return rows if row_budget is None else islice(rows, row_budget)
         rows = pooled((0, 0), workers)
     return rows if row_budget is None else _row_budgeted(rows, row_budget)
-
-
-def parallel_count(
-    pipeline: Pipeline,
-    workers: Optional[int] = None,
-    mode: Optional[str] = None,
-    spec_key: Optional[tuple] = None,
-    pool: Optional[WorkerPool] = None,
-) -> int:
-    """``|q(A)|`` with the per-branch counts computed in parallel.
-
-    Theorem 2.5 makes the total a sum of *independent* per-branch counts,
-    so parallelism cannot change the result: every mode computes the same
-    exact integers and adds them in branch order.  The return value is
-    guaranteed equal to :func:`repro.core.counting.count_answers` — the
-    differential suite (``tests/engine/test_count_differential.py``) and
-    the E3 smoke gate enforce this.
-
-    Mode selection uses the *counting* cost model
-    (:func:`repro.storage.cost_model.estimate_count_work`): counting never
-    materializes answers, so it goes parallel later than enumeration.
-    ``pool`` follows :func:`run_branches` semantics.
-    """
-    mode, workers = decide_count_mode(pipeline, workers, mode)
-    if mode == "serial":
-        return count_answers(pipeline)
-    # One task per branch, pipeline rebuilt (memoized) per worker
-    # exactly as for enumeration.
-    if spec_key is None:
-        spec_key = _default_spec_key(pipeline)
-    spec = pipeline.rebuild_spec()
-    with _pool_scope(pool, workers) as active:
-        futures = [
-            active.submit(
-                "process", count_branch_task, BranchTask(spec, spec_key, i)
-            )
-            for i in range(len(pipeline.branches))
-        ]
-        return sum(future.result() for future in futures)

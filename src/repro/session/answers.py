@@ -364,9 +364,10 @@ class Answers:
     def count(self) -> int:
         """``|q(A)|`` via the counting algorithm (no enumeration).
 
-        Per-branch counts run through the backend (cost-model decided for
-        ``auto``, over the session pool when one is attached); the result
-        is exactly :func:`repro.core.counting.count_answers`.  Cached: the
+        The backend counts in-process with
+        :func:`repro.core.counting.count_answers` over this handle's
+        pipeline, whatever it enumerates with: a count never starts or
+        submits to the session pool.  Cached: the
         handle is pinned to one structure version (any mutation raises),
         so the count can never go stale.  After :meth:`cancel` this raises
         :class:`repro.errors.CancelledResultError` — it never computes

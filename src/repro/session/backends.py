@@ -4,15 +4,15 @@ An :class:`ExecutionBackend` decides *where* a plan's branch work runs —
 serially in the caller or across the session's worker processes —
 while the answer semantics stay identical in every mode: the
 deterministic branch-order merge makes the output byte-identical to
-serial enumeration, and per-branch counting sums to the exact serial
-count.
+serial enumeration.  Counting never leaves the process: every built-in
+backend counts with :func:`repro.core.counting.count_answers` over the
+plan's pipeline, so ``backend="process"`` forces enumeration only.
 
-The default is :data:`AUTO`, which applies the cost-model heuristics
-(:func:`repro.engine.executor.decide_mode` /
-:func:`~repro.engine.executor.decide_count_mode`) per plan, enumeration
-only after a serial head of one chunk has been served; callers force
-a strategy with ``db.query(..., backend="process")`` or by passing any
-object implementing the protocol.  Asyncio is not a pool mode but a
+The default is :data:`AUTO`, which applies the cost-model heuristic
+(:func:`repro.engine.executor.decide_mode`) per plan, only after a
+serial head of one chunk has been served; callers force a strategy
+with ``db.query(..., backend="process")`` or by passing any object
+implementing the protocol.  Asyncio is not a pool mode but a
 front-end property: every :class:`repro.session.Answers` handle exposes
 ``async`` access that drives whichever backend the plan chose off the
 event loop.
@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, Optional, Protocol, Tuple, runtime_checkable
 
+from repro.core.counting import count_answers
 from repro.core.pipeline import Pipeline
 from repro.engine.executor import (
     decide_count_mode,
     decide_mode,
-    parallel_count,
     parallel_enumerate,
     resolve_chunk_rows,
 )
@@ -158,10 +158,6 @@ class PoolBackend:
             return resolve_chunk_rows(plan.pipeline, plan.chunk_rows)
         return None
 
-    def resolve_count(self, plan: ExecutionPlan) -> Tuple[str, int]:
-        """The concrete ``(mode, workers)`` counting would use."""
-        return decide_count_mode(plan.pipeline, plan.workers, self._mode)
-
     def run(self, plan: ExecutionPlan) -> Iterator[Answer]:
         # An automatic run starts in-process, as its head or as a whole
         # serial run; the plan reads "process" once the head hands over.
@@ -181,15 +177,12 @@ class PoolBackend:
         )
 
     def count(self, plan: ExecutionPlan) -> int:
-        mode, workers = self.resolve_count(plan)
-        plan.used_count_mode = mode
-        return parallel_count(
-            plan.pipeline,
-            workers=workers,
-            mode=mode,
-            spec_key=plan.spec_key,
-            pool=plan.pool,
+        # Always in-process: decide_count_mode validates the request and
+        # answers "serial", so a count never starts or submits to the pool.
+        plan.used_count_mode, _ = decide_count_mode(
+            plan.pipeline, plan.workers, self._mode
         )
+        return count_answers(plan.pipeline)
 
 
 AUTO = PoolBackend("auto", None)

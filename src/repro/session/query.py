@@ -26,7 +26,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 from repro.core.testing import test_answer
 from repro.engine.executor import (
     branch_works,
-    count_works,
+    decide_count_mode,
     plan_work_units,
     resolve_chunk_rows,
     transfer_works,
@@ -54,12 +54,14 @@ def _estimated_rows(pipeline) -> int:
 class QueryPlan:
     """What :meth:`Query.explain` returns: the decisions, made inspectable.
 
-    ``backend`` / ``count_backend`` are the concrete execution modes the
-    cost model (or a forced backend) resolves to for this plan —
-    the same decision procedure the engine applies at pull time, so the
-    report matches what actually runs.  ``head_rows`` is set when an
-    ``auto`` run serves that many rows serially (up to the end of an
-    outer position) before it hands the rest to ``backend``.
+    ``backend`` is the concrete execution mode the cost model (or a
+    forced backend) resolves to for this plan — the same decision
+    procedure the engine applies at pull time, so the report matches
+    what actually runs.  ``count_backend`` reads ``serial`` for every
+    built-in backend: a count never leaves the process.  ``head_rows``
+    is set when an ``auto`` run serves that many rows serially (up to
+    the end of an outer position) before it hands the rest to
+    ``backend``.
     """
 
     query: str
@@ -71,7 +73,6 @@ class QueryPlan:
     branch_count: int
     shards: Tuple[Tuple[int, int, Optional[int]], ...]
     branch_costs: Tuple[int, ...]
-    count_costs: Tuple[int, ...]
     trivial: Optional[bool]
     cached: bool = field(default=False)
     maintained: bool = field(default=False)
@@ -124,8 +125,7 @@ class QueryPlan:
             f"count: {self.count_backend}, workers: {self.workers})",
             transport_line,
             f"branches: {self.branch_count}, shards: {len(self.shards)}",
-            f"estimated work: {self.total_cost} steps "
-            f"(count: {sum(self.count_costs)})",
+            f"estimated work: {self.total_cost} steps",
             f"pipeline: {'trivially ' + str(self.trivial) if self.trivial is not None else 'built'}"
             f"{', cached' if self.cached else ''}"
             f"{', dynamically maintained' if self.maintained else ''}",
@@ -459,7 +459,7 @@ class Query:
         head_rows: Optional[int] = None
         if isinstance(self._backend, PoolBackend):
             mode, workers = self._backend.resolve(plan)
-            count_mode, _ = self._backend.resolve_count(plan)
+            count_mode, _ = decide_count_mode(pipeline, plan.workers)
             head_rows = self._backend.head_rows(plan)
         else:
             # A custom backend decides internally; report its name.
@@ -490,7 +490,6 @@ class Query:
             branch_count=pipeline.branch_count,
             shards=shards,
             branch_costs=tuple(branch_works(pipeline)),
-            count_costs=tuple(count_works(pipeline)),
             trivial=pipeline.trivial,
             cached=self._key is not None,
             maintained=self._db._is_maintained(self._key),

@@ -174,26 +174,6 @@ def estimate_branch_work(list_sizes: Sequence[int], graph_degree: int) -> int:
     return min(work * (graph_degree + 1), _WORK_CAP)
 
 
-def estimate_count_work(list_sizes: Sequence[int], graph_degree: int) -> int:
-    """A RAM-step proxy for *counting* one branch ``(P, t)`` (Lemma 3.6).
-
-    The inclusion-exclusion recursion resolves one negated adjacency pair
-    per level, so a ``b``-block branch has ``2^(b choose 2)`` leaves; each
-    leaf walks its start-node lists with degree-bounded extension.  Like
-    :func:`estimate_branch_work` this only needs to *rank* workloads, not
-    predict wall-clock — counting never materializes the (possibly
-    quadratic) answer set, so its work is far below the enumeration
-    estimate for the same branch.
-    """
-    blocks = len(list_sizes)
-    pairs = blocks * (blocks - 1) // 2
-    if pairs >= 50:  # 2**50 alone dwarfs the cap
-        return _WORK_CAP
-    leaves = 2 ** pairs
-    per_leaf = max(sum(list_sizes), 1) * (graph_degree + 1)
-    return min(leaves * per_leaf, _WORK_CAP)
-
-
 def choose_execution_mode(
     branch_works: Sequence[int],
     workers: int,

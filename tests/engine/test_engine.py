@@ -34,7 +34,6 @@ from repro.fo.parser import parse
 from repro.storage.cost_model import (
     choose_execution_mode,
     estimate_branch_work,
-    estimate_count_work,
 )
 from repro.structures.serialize import fingerprint
 
@@ -235,24 +234,6 @@ class TestHeuristic:
         pipeline = plan(small_colored, EXAMPLE)
         works = branch_works(pipeline)
         assert len(works) == pipeline.branch_count
-
-    def test_count_works_matches_branches(self, small_colored):
-        from repro.engine import count_works
-
-        pipeline = plan(small_colored, EXAMPLE)
-        works = count_works(pipeline)
-        assert len(works) == pipeline.branch_count
-        assert all(work >= 1 for work in works)
-
-    def test_count_work_far_below_enumeration_work(self):
-        # Counting never materializes the quadratic answer set.
-        sizes = [1000, 1000]
-        assert estimate_count_work(sizes, 4) < estimate_branch_work(sizes, 4)
-
-    def test_count_work_grows_with_blocks(self):
-        two = estimate_count_work([50, 50], 3)
-        three = estimate_count_work([50, 50, 50], 3)
-        assert three > two  # 2^(b choose 2) leaves
 
     def test_decide_count_mode_rejects_bad_mode(self, small_colored):
         from repro.engine import decide_count_mode

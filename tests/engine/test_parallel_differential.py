@@ -23,7 +23,14 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.baselines import product_enumerate
 from repro.core.enumeration import enumerate_answers
-from repro.engine import WorkerPool, executor, parallel_enumerate, plan_work_units, warm_pool
+from repro.engine import (
+    WorkerPool,
+    executor,
+    parallel_enumerate,
+    plan_work_units,
+    run_branches,
+    warm_pool,
+)
 from repro.engine.executor import _unit_rows
 from repro.engine.transport import TransferStats
 from repro.session import Database
@@ -211,7 +218,10 @@ class TestTripleQueryGate:
     """Serial and pooled enumeration of the 3-ary disconnected triple
     (5 non-empty branches) are byte-identical on a warmed 4-worker pool,
     for a forced ``process`` run and for an ``auto`` run that serves a
-    small serial head and hands the rest to the pool."""
+    small serial head and hands the rest to the pool.  The workload (n=48,
+    seed 42, colours B/R/G) is the transport gate's, formerly
+    ``benchmarks/bench_e12_transport.py --smoke``: forced-process chunks
+    flatten to the serial output for every chunk size."""
 
     TRIPLE = "B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z) & ~E(x,z)"
     WORKERS = 4
@@ -248,3 +258,17 @@ class TestTripleQueryGate:
         served = 0 if mode == "process" else stats.head_rows
         assert served is not None, "the auto run must hand over to the pool"
         assert stats.rows == len(serial) - served
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, None])
+    def test_every_chunk_size_is_byte_identical(self, workload, chunk_rows):
+        pipeline, serial, pool = workload
+        chunks = list(
+            run_branches(
+                pipeline, workers=self.WORKERS, mode="process", pool=pool,
+                chunk_rows=chunk_rows,
+            )
+        )
+        if chunk_rows is not None:
+            assert max(len(chunk) for chunk in chunks) <= chunk_rows
+        flat = [row for chunk in chunks for row in chunk]
+        assert output_digest(flat) == output_digest(serial)

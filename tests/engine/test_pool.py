@@ -18,9 +18,8 @@ import time
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.core.counting import count_answers
 from repro.core.enumeration import enumerate_answers
-from repro.engine import WorkerPool, parallel_count
+from repro.engine import WorkerPool, parallel_enumerate
 from repro.errors import EngineError
 from repro.session import Database
 
@@ -168,20 +167,23 @@ class TestCrashRestart:
             assert recovered, "pool never recovered from the killed worker"
             assert pool.restarts >= 1
 
-    def test_parallel_count_retry_after_crash(self, medium_colored, no_leaks):
+    def test_parallel_enumerate_retry_after_crash(self, medium_colored, no_leaks):
         """A query-level retry after a worker crash must succeed and
-        return the exact serial count, on the restarted pool."""
+        return the exact serial rows, on the restarted pool."""
         pipeline = plan(medium_colored, EXAMPLE)
-        serial = count_answers(pipeline)
+        serial = list(enumerate_answers(pipeline))
         with WorkerPool(1) as pool:
             self._kill_one_worker(pool)
             deadline = time.monotonic() + 60
             while True:
                 try:
-                    got = parallel_count(
-                        pipeline, workers=1, mode="process", pool=pool
+                    got = list(
+                        parallel_enumerate(
+                            pipeline, workers=1, mode="process", pool=pool
+                        )
                     )
                     break
                 except BrokenProcessPool:
                     assert time.monotonic() < deadline, "no recovery within 60s"
             assert got == serial
+            assert pool.restarts >= 1
