@@ -49,7 +49,7 @@ from repro.engine import (  # noqa: E402
     run_branches,
     warm_pool,
 )
-from repro.engine.transport import TransferStats  # noqa: E402
+from repro.engine.transport import ColumnarCodec, TransferStats  # noqa: E402
 from repro.fo.parser import parse  # noqa: E402
 from repro.structures.random_gen import random_colored_graph  # noqa: E402
 
@@ -82,8 +82,9 @@ def measure(pipeline, pool, workers, chunk_rows):
     first-page latency floor).
     """
     stats = TransferStats()
+    codec = ColumnarCodec(pipeline.intern_table)
     started = time.perf_counter()
-    chunks = run_branches(
+    buffers = run_branches(
         pipeline,
         workers=workers,
         mode="process",
@@ -94,7 +95,8 @@ def measure(pipeline, pool, workers, chunk_rows):
     answers = []
     ttfc = None
     received_chunks = []
-    for chunk in chunks:
+    for buf in buffers:
+        chunk = codec.decode(buf)
         if ttfc is None:
             ttfc = time.perf_counter() - started
         received_chunks.append(chunk)

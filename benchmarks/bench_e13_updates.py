@@ -12,8 +12,9 @@ Two entry points:
 * a standalone harness (``python benchmarks/bench_e13_updates.py``) that
   measures facts/sec for batch-of-N vs N singles across batch sizes and
   **fails (exit 1) on any correctness divergence**;
-* ``--smoke`` (the CI gate) runs a tiny workload and enforces the
-  equality contracts only:
+* ``--smoke`` runs a tiny workload and enforces the equality contracts
+  only (the same gates run in tier-1 as
+  ``tests/session/test_update_gates.py``):
 
   1. a batch commit runs **exactly one** maintenance pass per cached
      plan (``updates_applied`` delta == 1) where N singles run N;

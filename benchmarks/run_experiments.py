@@ -384,7 +384,7 @@ def e12_transport(sizes, workers=4) -> None:
     from repro.engine import (
         WorkerPool, parallel_enumerate, run_branches, warm_pool,
     )
-    from repro.engine.transport import TransferStats
+    from repro.engine.transport import ColumnarCodec, TransferStats
 
     import pickle
 
@@ -397,13 +397,15 @@ def e12_transport(sizes, workers=4) -> None:
         with WorkerPool(workers) as pool:
             warm_pool(pool, pipeline, workers)
             stats = TransferStats()
+            codec = ColumnarCodec(pipeline.intern_table)
             columnar_t, chunks = timed(
-                lambda: list(
-                    run_branches(
+                lambda: [
+                    codec.decode(buf)
+                    for buf in run_branches(
                         pipeline, workers=workers, mode="process", pool=pool,
                         transfer_stats=stats,
                     )
-                )
+                ]
             )
         columnar = [answer for chunk in chunks for answer in chunk]
         serial = list(parallel_enumerate(pipeline, mode="serial"))

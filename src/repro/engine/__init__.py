@@ -4,17 +4,20 @@ Layers on top of the paper's pipeline (:mod:`repro.core`):
 
 * :mod:`repro.engine.executor` — branch-parallel enumeration of one
   pipeline across a process pool, with a deterministic merge that
-  reproduces the serial answer order byte-for-byte; answers come as
-  one demand-sized row stream, cut into bounded chunks only where they
-  cross a process or wire boundary.  Counting is not parallel: a count
-  always runs in-process (:func:`repro.core.counting.count_answers`);
+  reproduces the serial answer order byte-for-byte.  It has two
+  producers over one mode decision: ``parallel_enumerate`` yields one
+  demand-sized row stream, ``run_branches`` the encoded wire buffers;
+  rows are cut into bounded chunks only where they cross a process or
+  wire boundary.  Counting is not parallel: a count always runs
+  in-process (:func:`repro.core.counting.count_answers`);
 * :mod:`repro.engine.pool` — :class:`WorkerPool`, the long-lived,
   lazily-started, crash-restarting worker pool each
   :class:`repro.session.Database` owns (and the only place executors
   are constructed);
 * :mod:`repro.engine.transport` / :mod:`repro.engine.mailbox` — the
   columnar codec process-mode answers cross the process boundary in,
-  and the shared-memory ring that streams them;
+  and the shared-memory ring that streams them (process mode's one
+  transport: without shared memory there is no process mode);
 * :mod:`repro.engine.cache` — LRU pipeline cache keyed by
   ``(structure fingerprint, normalized formula, order)``, with
   targeted re-keying for dynamically maintained plans.

@@ -21,23 +21,26 @@ been served:
 
 :func:`parallel_enumerate` is the one producer of answer rows: in
 serial mode it chains the lazy branch generators, so a consumer that
-reads ``k`` rows enumerates ``k``.  An automatic run serves its head
-serially too and, when the heuristic says ``process``, hands the pool
-only the rest, from where the head stopped.  :func:`run_branches` is
-the one producer of answer chunks, for the places where bytes cross a
-boundary (process workers, and the encoded wire with
-``encoded=True``): every mode, trivial pipelines, row budgets and
-projection included, yields one stream of chunks of at most
-:func:`resolve_chunk_rows` rows.  Every submission goes through a
-:class:`~repro.engine.pool.WorkerPool` (the caller's, or one scoped to
-the call).
+reads ``k`` rows enumerates ``k``.  :func:`run_branches` is the one
+producer of encoded wire buffers (the serve tier's columnar wire), each
+of at most :func:`resolve_chunk_rows` rows.  Both go through one mode
+decision, serial head and handover (:func:`_stream`): an automatic run
+serves its head serially and, when the heuristic says ``process``,
+hands the pool only the rest, from where the head stopped.
+
+Process mode has one transport: each work unit streams its encoded
+chunks through a shared-memory :class:`~repro.engine.mailbox.ChunkMailbox`.
+Without shared memory there is no process mode: an automatic run stays
+serial and a forced ``process`` raises before anything is submitted.
+Every submission goes through a :class:`~repro.engine.pool.WorkerPool`
+(the caller's, or one scoped to the call).
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
-from concurrent.futures import CancelledError
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Generator, Hashable, Iterator, List, Optional, Tuple
@@ -58,7 +61,6 @@ from repro.engine.pool import WorkerPool, default_workers
 from repro.engine.transport import (
     ColumnarCodec,
     TransferStats,
-    encode_answers,
     split_chunks,
     width_for,
 )
@@ -102,10 +104,9 @@ class BranchTask:
     # columns never cross the process boundary.  Duplicates are kept —
     # projection is 1:1 row-preserving.
     project: Optional[Tuple[int, ...]] = None
-    # Streaming-transfer mailbox ``(shared_memory_name, capacity)``: when
-    # set, run_branch_task_encoded appends each encoded chunk to the ring
-    # as it enumerates instead of returning the chunk list on the future
-    # (which then carries only a completion summary).
+    # The unit's streaming-transfer mailbox ``(shared_memory_name,
+    # capacity)``: run_branch_task_encoded appends each encoded chunk to
+    # the ring as it enumerates (a warm-up task carries none).
     mailbox: Optional[Tuple[str, int]] = None
 
     @property
@@ -154,43 +155,32 @@ def _unit_rows(pipeline: Pipeline, unit, project):
     )
 
 
-def run_branch_task_encoded(task: BranchTask):
+def run_branch_task_encoded(task: BranchTask) -> dict:
     """Entry point executed inside a worker process.
 
-    The shard comes back as bounded columnar buffers (``task.chunk_rows``
-    rows each) over the pipeline's intern table — the parent decodes
-    (or forwards) them one at a time, so its first page never waits on
-    the whole shard's serialization.
-
-    With ``task.mailbox`` set, each buffer is appended to the shared
-    -memory ring *as enumeration produces it* (true streaming transfer:
-    the parent reads the first chunk while this worker is still
-    enumerating) and the return value is a completion summary dict
-    (``{"chunks", "rows", "finished"}``).  A unit whose ring is already
-    gone — the parent unlinks it when the stream closes, so the unit
-    started after that — builds and enumerates nothing and returns an
-    empty summary with ``"abandoned": True``.  If shared memory is
-    unavailable from this worker's side, the chunk list comes back on
-    the future instead — the parent detects that by the result type.
+    The unit's answers are cut into columnar buffers of
+    ``task.chunk_rows`` rows over the pipeline's intern table, and each
+    buffer is appended to the unit's shared-memory ring
+    (``task.mailbox``) *as enumeration produces it*: the parent reads
+    the first chunk while this worker is still enumerating.  The return
+    value is a completion summary (``{"chunks", "rows", "finished"}``).
+    A unit whose ring is already gone — the parent unlinks it when the
+    stream closes, so the unit started after that — builds and
+    enumerates nothing and returns an empty summary with
+    ``"abandoned": True``.  Any other failure to attach the ring is
+    raised to the parent.
     """
-    ring = None
-    if task.mailbox is not None:
-        name, capacity = task.mailbox
-        try:
-            ring = ChunkMailbox(name=name, capacity=capacity)
-        except FileNotFoundError:
-            # Nobody reads this unit: its stream closed before it began.
-            return {
-                "chunks": 0,
-                "rows": 0,
-                "finished": time.monotonic(),
-                "abandoned": True,
-            }
-        except Exception:
-            # No shared memory from this worker's side: the chunk list
-            # rides the future (the parent decodes it after completion;
-            # `done` never gets set on the ring).
-            pass
+    name, capacity = task.mailbox
+    try:
+        ring = ChunkMailbox(name=name, capacity=capacity)
+    except FileNotFoundError:
+        # Nobody reads this unit: its stream closed before it began.
+        return {
+            "chunks": 0,
+            "rows": 0,
+            "finished": time.monotonic(),
+            "abandoned": True,
+        }
     chunks = 0
     produced = 0
     try:
@@ -199,8 +189,6 @@ def run_branch_task_encoded(task: BranchTask):
         rows = _unit_rows(
             pipeline, (task.branch_index, task.start, task.stop), task.project
         )
-        if ring is None:
-            return encode_answers(rows, codec, task.chunk_rows)
         for chunk in split_chunks(rows, task.chunk_rows):
             ring.put(codec.encode(chunk))
             chunks += 1
@@ -210,8 +198,7 @@ def run_branch_task_encoded(task: BranchTask):
         # Parent cancelled the query; what streamed already is enough.
         pass
     finally:
-        if ring is not None:
-            ring.close()
+        ring.close()
     return {"chunks": chunks, "rows": produced, "finished": time.monotonic()}
 
 
@@ -256,20 +243,16 @@ def branch_works(pipeline: Pipeline) -> List[int]:
     ]
 
 
-def transfer_works(pipeline: Pipeline, lanes: Optional[int] = None) -> List[int]:
+def transfer_works(pipeline: Pipeline, lanes: int) -> List[int]:
     """Estimated per-branch cost of shipping answers to the parent.
 
     Only process mode pays it; the columnar codec moves a bounded few
     bytes per value, so the cost model can decline process mode exactly
     when serialization would eat the speedup.
 
-    ``lanes`` models the streaming overlap: with the shared-memory chunk
-    mailbox, a branch split across ``lanes`` work units ships while the
-    other units still enumerate, so the serialized parent-side cost is
-    the overlapped critical path (largest share plus the amortized
-    rest), not the plain sum.  Without it, a large-but-well-sharded
-    workload would be misranked as transfer-bound and pushed off the
-    process backend it actually benefits from.
+    ``lanes`` (the worker count) models the streaming overlap: each of
+    the roughly equal work units ships through its mailbox while the
+    others still enumerate.
     """
     if pipeline.graph is None:  # trivial (or template) pipelines
         return []
@@ -278,17 +261,12 @@ def transfer_works(pipeline: Pipeline, lanes: Optional[int] = None) -> List[int]
     # it).
     id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
     bytes_per_value = min(COLUMNAR_BYTES_PER_VALUE, id_width)
-    shard_sizes = None
-    if lanes is not None and lanes > 1 and mailbox_available():
-        # The executor slices heavy branches into roughly equal work
-        # units; equal shares are the right overlap model here.
-        shard_sizes = [1] * lanes
     return [
         estimate_transfer_work(
             [len(node_list) for node_list in branch.lists],
             pipeline.arity,
             bytes_per_value,
-            shard_sizes=shard_sizes,
+            lanes,
         )
         for branch in pipeline.branches
     ]
@@ -321,7 +299,9 @@ def decide_mode(
     The enumeration heuristic weighs the answer-transfer term: a
     workload whose estimated serialization cost dominates its compute
     stays serial (zero-copy) even past the process threshold.  Trivial
-    pipelines always resolve to ``("serial", 1)``.
+    pipelines always resolve to ``("serial", 1)``.  Without shared
+    memory (process mode's one transport) the heuristic's ``process``
+    becomes ``serial``, and a forced ``process`` raises.
     """
     _check_mode(workers, mode)
     if workers is None:
@@ -335,6 +315,14 @@ def decide_mode(
             branch_works(pipeline),
             workers,
             transfer_work=sum(transfer_works(pipeline, workers)),
+        )
+        if mode == "process" and not mailbox_available():
+            mode = "serial"
+    elif mode == "process" and not mailbox_available():
+        raise EngineError(
+            "process mode is unavailable: its work units stream through "
+            "shared memory, and multiprocessing.shared_memory cannot "
+            "create a segment here (is /dev/shm writable?)"
         )
     if mode == "serial":
         workers = 1
@@ -421,55 +409,6 @@ def plan_work_units(
     return units
 
 
-def _pool_scope(pool: Optional[WorkerPool], workers: int):
-    """The caller's pool as-is, or a pool that lives for one call."""
-    if pool is not None:
-        return contextlib.nullcontext(pool)
-    return WorkerPool(workers)
-
-
-def _budgeted(chunks: Generator, budget: int) -> Iterator[List[Answer]]:
-    """Truncate a chunk stream after ``budget`` rows, closing the source.
-
-    Closing the inner generator raises ``GeneratorExit`` inside it, which
-    the process drain translates into ``future.cancel()`` — work units
-    the consumer will never read are abandoned instead of computed.  The
-    final chunk is cut to size so the flattened stream holds exactly
-    ``min(total, budget)`` answers.
-    """
-    remaining = budget
-    try:
-        for chunk in chunks:
-            if len(chunk) >= remaining:
-                yield chunk[:remaining]
-                return
-            remaining -= len(chunk)
-            if chunk:
-                yield chunk
-    finally:
-        chunks.close()
-
-
-def _row_budgeted(rows: Generator, budget: int) -> Iterator[Answer]:
-    """The first ``budget`` rows; then close the source, which cancels
-    the work units nobody will read."""
-    try:
-        yield from islice(rows, budget)
-    finally:
-        rows.close()
-
-
-def _unit_result(future):
-    """A work unit's result; raises the worker's error, and
-    :class:`EngineError` for a unit a pool shutdown cancelled."""
-    try:
-        return future.result()
-    except CancelledError:
-        raise EngineError(
-            "the worker pool was closed while this stream was open"
-        ) from None
-
-
 # Parent-side poll cadence while a mailbox is empty but its unit is
 # still running (seconds); backs off to keep an idle drain cheap.
 _DRAIN_POLL_MIN = 0.0002
@@ -484,18 +423,18 @@ def _yield_encoded_mailboxed(
 ):
     """Drain process-mode work units in submission order.
 
-    ``entries`` is a list of ``(future, mailbox_or_None, label)``.  Each
-    unit's ring is polled while its worker enumerates, so the first
-    chunk of a heavy unit is decoded (and served) long before the
-    worker's future resolves; order stays deterministic because units
-    are drained in submission (= branch, slice) order.  Units whose
-    ring could not be created (or whose worker could not attach — it
-    then returns its chunk list) are read off the future instead.
+    ``entries`` yields ``(future, mailbox, label)`` per unit.  Each unit's
+    ring is polled while its worker enumerates, so the first chunk of a
+    heavy unit is decoded (and served) long before the worker's future
+    resolves; order stays deterministic because units are drained in
+    submission (= branch, slice) order.  Once the producer is finished —
+    its ring says ``done``, or its future has resolved (a worker sets
+    ``done``, if at all, before it returns) — whatever its ring still
+    holds is drained once, and the unit is left.
 
     With a ``codec`` every buffer is decoded into a row list; without
     one the encoded buffers are forwarded as they are (``rows=0`` in
-    ``transfer_stats``).  On abandonment or error every unstarted unit
-    is cancelled; the caller abandons the rings.
+    ``transfer_stats``).
     """
 
     def account(buf: bytes, label: str):
@@ -506,58 +445,68 @@ def _yield_encoded_mailboxed(
         pool.record_transfer(len(buf))
         return chunk
 
-    try:
-        for future, ring, label in entries:
-            finished_at: Optional[float] = None
-            delay = _DRAIN_POLL_MIN
-            while ring is not None:
-                buf = ring.poll()
-                if buf is not None:
-                    delay = _DRAIN_POLL_MIN
-                    yield account(buf, label)
-                    continue
-                if ring.done:
-                    # `done` is set after the final head advance, so one
-                    # more poll round has already proven the ring empty.
-                    summary = _unit_result(future) if future.done() else None
-                    if isinstance(summary, dict):
-                        finished_at = summary.get("finished")
-                    break
-                if future.done():
-                    result = _unit_result(future)
-                    if isinstance(result, dict):
-                        if ring.abandoned:
-                            # Only a pool shutdown abandons a ring the
-                            # drain still reads: the unit stopped early.
-                            raise EngineError(
-                                "the worker pool was closed while this "
-                                "stream was open"
-                            )
-                        # Summary without the done flag visible yet: loop —
-                        # the flag write precedes the future's resolution.
-                        finished_at = result.get("finished")
-                        if ring.done or ring.poll() is None:
-                            # Defensive: never hang on a unit whose ring
-                            # lost its done flag.
-                            for buf in ring.drain():
-                                yield account(buf, label)
-                            break
-                        continue
-                    # The worker could not attach the ring: its chunks
-                    # are on the future.
-                    ring = None
-                    break
+    for future, ring, label in entries:
+        delay = _DRAIN_POLL_MIN
+        while not (ring.done or future.done()):
+            buf = ring.poll()
+            if buf is None:
                 time.sleep(delay)
                 delay = min(delay * 2, _DRAIN_POLL_MAX)
-            if ring is None:
-                for buf in _unit_result(future):
-                    yield account(buf, label)
-            if transfer_stats is not None:
-                transfer_stats.note_done(label, at=finished_at)
-    except BaseException:
-        for future, _, _ in entries:
-            future.cancel()
-        raise
+                continue
+            delay = _DRAIN_POLL_MIN
+            yield account(buf, label)
+        finished_at: Optional[float] = None
+        if future.done():
+            # Only a pool shutdown cancels a unit the drain still reads,
+            # or abandons its ring: the unit stopped early.
+            if future.cancelled() or (ring.abandoned and not ring.done):
+                raise EngineError(
+                    "the worker pool was closed while this stream was open"
+                )
+            finished_at = future.result()["finished"]
+        for buf in ring.drain():
+            yield account(buf, label)
+        if transfer_stats is not None:
+            transfer_stats.note_done(label, at=finished_at)
+
+
+# A stream submits at most this many units (each with its ring) per
+# worker ahead of its drain: thousands of branches, few segments.
+_UNITS_IN_FLIGHT_PER_WORKER = 4
+
+
+def _in_flight(units: List[WorkUnit], rings: List[ChunkMailbox], submit):
+    """``(future, ring, label)`` per work unit, in unit order, with at
+    most ``len(rings)`` units submitted ahead of the drain: when the
+    drain asks for the next entry it has read the last one to the end,
+    so that unit's ring carries the next unit not yet submitted."""
+    pending = iter(units)
+    queue = deque(submit(next(pending), ring) for ring in rings)
+    while queue:
+        entry = queue.popleft()
+        yield entry
+        unit = next(pending, None)
+        if unit is not None:
+            ring = entry[1]
+            ring.reset()
+            queue.append(submit(unit, ring))
+
+
+def _create_rings(count: int, capacity: int) -> List[ChunkMailbox]:
+    """``count`` rings, or none: a failure unlinks the rings already
+    created and raises :class:`EngineError`."""
+    rings: List[ChunkMailbox] = []
+    try:
+        for _ in range(count):
+            rings.append(ChunkMailbox(create=True, capacity=capacity))
+    except OSError as error:
+        for ring in rings:
+            ring.close(unlink=True)
+        raise EngineError(
+            f"process mode could not create shared-memory ring "
+            f"{len(rings) + 1} of {count}: {error}"
+        ) from error
+    return rings
 
 
 def _process_chunks(
@@ -572,10 +521,12 @@ def _process_chunks(
     start: Tuple[int, int] = (0, 0),
 ):
     """Process mode: ship the picklable spec, let each worker rebuild the
-    pipeline (memoized per process under ``spec_key``) and encode its
-    unit's answers; yield decoded row chunks (``decode``) or the encoded
-    buffers themselves, in unit order, from the outer position
-    ``start=(branch, position)`` on (see :func:`plan_work_units`)."""
+    pipeline (memoized per process under ``spec_key``) and stream its
+    unit's encoded answers through the unit's ring; yield decoded row
+    chunks (``decode``) or the encoded buffers themselves, in unit
+    order, from the outer position ``start=(branch, position)`` on (see
+    :func:`plan_work_units`).  Every ring — one per unit in flight (see
+    :func:`_in_flight`) — is created before any unit is submitted."""
     if spec_key is None:
         spec_key = _default_spec_key(pipeline)
     # Force the intern table BEFORE cutting the spec: the table then
@@ -584,48 +535,45 @@ def _process_chunks(
     codec = ColumnarCodec(pipeline.intern_table)
     spec = pipeline.rebuild_spec()
     units = plan_work_units(pipeline, workers, start)
-    # Streaming transfer: one ring per work unit (a unit whose ring
-    # cannot be created rides its future).
-    rings: List[Optional[ChunkMailbox]] = [None] * len(units)
-    if mailbox_available():
-        id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
-        capacity = mailbox_capacity(
-            chunk_rows * max(pipeline.arity, 1) * id_width + 64
-        )
-        for index in range(len(units)):
-            try:
-                rings[index] = ChunkMailbox(create=True, capacity=capacity)
-            except Exception:
-                rings[index] = None
-    tasks = [
-        BranchTask(
-            spec, spec_key, branch_index, start, stop,
-            chunk_rows, project_columns,
-            None if ring is None else (ring.name, ring.capacity),
-        )
-        for (branch_index, start, stop), ring in zip(units, rings)
-    ]
-    with _pool_scope(pool, workers) as active:
+    id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
+    rings = _create_rings(
+        min(len(units), _UNITS_IN_FLIGHT_PER_WORKER * workers),
+        mailbox_capacity(chunk_rows * max(pipeline.arity, 1) * id_width + 64),
+    )
+    futures = []
+    # The caller's pool as-is, or a pool that lives for this call.
+    scope = WorkerPool(workers) if pool is None else contextlib.nullcontext(pool)
+    with scope as active:
+
+        def submit(unit: WorkUnit, ring: ChunkMailbox):
+            branch_index, begin, stop = unit
+            task = BranchTask(
+                spec, spec_key, branch_index, begin, stop,
+                chunk_rows, project_columns, (ring.name, ring.capacity),
+            )
+            futures.append(active.submit("process", run_branch_task_encoded, task))
+            return futures[-1], ring, task.label
+
         # The rings are abandoned before a call-scoped pool joins its
         # workers, however the drain ends: a worker blocked on a full
         # ring only returns once its ring is abandoned.  A session pool
         # watches them, so closing it abandons a stream left open.
         active.watch(rings)
         try:
-            futures = [
-                active.submit("process", run_branch_task_encoded, task)
-                for task in tasks
-            ]
-            entries = list(zip(futures, rings, [task.label for task in tasks]))
             yield from _yield_encoded_mailboxed(
-                entries, codec if decode else None, transfer_stats, active
+                _in_flight(units, rings, submit),
+                codec if decode else None,
+                transfer_stats,
+                active,
             )
         finally:
+            # Units not started yet are cancelled.
+            for future in futures:
+                future.cancel()
             active.unwatch(rings)
             for ring in rings:
-                if ring is not None:
-                    ring.abandon()
-                    ring.close(unlink=True)
+                ring.abandon()
+                ring.close(unlink=True)
 
 
 def _serial_sources(pipeline: Pipeline, project, start: Tuple[int, int] = (0, 0)):
@@ -650,12 +598,6 @@ def _serial_sources(pipeline: Pipeline, project, start: Tuple[int, int] = (0, 0)
         )
         for index in range(first_branch, len(pipeline.branches))
     )
-
-
-def _serial_chunks(pipeline: Pipeline, chunk_rows: int, project):
-    """Serial mode cut into chunks, one chunk enumerated per pull."""
-    for rows in _serial_sources(pipeline, project):
-        yield from split_chunks(rows, chunk_rows)
 
 
 def _serial_head(pipeline: Pipeline, head_rows: int, project, workers, handover: list):
@@ -697,16 +639,47 @@ def _serial_head(pipeline: Pipeline, head_rows: int, project, workers, handover:
             return
 
 
-def _then_pool(head: Iterator, handover: list, pooled, transfer_stats):
-    """``head``'s items, then — when the serial head handed over —
-    those of ``pooled(start, workers)``, the work units from where it
-    stopped.  The handover is recorded as ``transfer_stats.head_rows``."""
-    yield from head
-    if handover:
+def _stream(
+    pipeline: Pipeline,
+    workers: Optional[int],
+    mode: Optional[str],
+    head_rows: int,
+    project,
+    transfer_stats: Optional[TransferStats],
+    serial,
+    pooled,
+) -> Generator:
+    """The mode decision, serial head and handover of both producers.
+
+    ``serial(rows)`` turns in-process rows into the producer's items;
+    ``pooled(start, workers)`` yields the items of the work units from
+    the outer position ``start=(branch, position)`` on.  A forced mode,
+    and any trivial pipeline, is decided at the first pull.  An
+    automatic run (``mode=None``) serves its head in-process: its first
+    ``head_rows`` rows, up to the end of the outer position the last of
+    them falls in.  Only when the consumer pulls past the head does the
+    cost model decide (:func:`decide_mode`); ``process`` starts work
+    units that continue from where the head stopped, so no row is
+    enumerated twice, and the handover is recorded as
+    ``transfer_stats.head_rows``.
+    """
+    if mode is None and pipeline.trivial is None:
+        handover: list = []
+        yield from serial(
+            _serial_head(pipeline, head_rows, project, workers, handover)
+        )
+        if not handover:
+            return
         start, served, workers = handover[0]
         if transfer_stats is not None:
             transfer_stats.head_rows = served
-        yield from pooled(start, workers)
+    else:
+        mode, workers = decide_mode(pipeline, workers, mode)
+        if mode == "serial":
+            yield from serial(chain.from_iterable(_serial_sources(pipeline, project)))
+            return
+        start = (0, 0)
+    yield from pooled(start, workers)
 
 
 def _flatten(chunks: Generator) -> Iterator[Answer]:
@@ -719,20 +692,13 @@ def _flatten(chunks: Generator) -> Iterator[Answer]:
         chunks.close()
 
 
-def _check_row_budget(row_budget: Optional[int]) -> None:
-    if row_budget is not None and row_budget < 0:
-        raise EngineError(f"row_budget must be >= 0, got {row_budget}")
-
-
-def _encoded(chunks, codec, transfer_stats, pool) -> Iterator[bytes]:
-    """Encode row chunks parent-side, accounted like forwarded buffers."""
-    for chunk in chunks:
-        buf = codec.encode(chunk)
-        if transfer_stats is not None:
-            transfer_stats.record(len(buf), 0)
-        if pool is not None:
-            pool.record_transfer(len(buf))
-        yield buf
+def _row_budgeted(rows: Generator, budget: int) -> Iterator[Answer]:
+    """The first ``budget`` rows; then close the source, which cancels
+    the work units nobody will read."""
+    try:
+        yield from islice(rows, budget)
+    finally:
+        rows.close()
 
 
 def run_branches(
@@ -743,100 +709,52 @@ def run_branches(
     pool: Optional[WorkerPool] = None,
     chunk_rows: Optional[int] = None,
     transfer_stats: Optional[TransferStats] = None,
-    row_budget: Optional[int] = None,
     project_columns: Optional[Tuple[int, ...]] = None,
-    encoded: bool = False,
-) -> Iterator:
-    """Yield answer chunks, in branch-index (then slice, then chunk) order.
+) -> Iterator[bytes]:
+    """Yield the answers as encoded columnar buffers — the serve tier's
+    wire — in branch-index (then slice, then chunk) order, so the
+    decoded, concatenated buffers reproduce the serial answer order
+    exactly.  Every buffer decodes with
+    ``ColumnarCodec(pipeline.intern_table)`` to at most ``chunk_rows``
+    answers (cost-model default); a work unit's last chunk may be short,
+    so buffer boundaries (not contents) can differ between modes.
 
-    The deterministic merge: regardless of which worker finishes first,
-    branch ``i``'s chunks are yielded before branch ``i + 1``'s, so
-    flattening reproduces the serial answer order exactly.  In every
-    mode a chunk holds at most ``chunk_rows`` answers (cost-model
-    default; with a ``row_budget``, at most that many too) — an upper
-    bound, since a work unit's last chunk may be short, so chunk
-    boundaries (not contents) can differ between modes.  Serial mode
-    enumerates lazily, one chunk per pull; process mode ships columnar
-    chunks that are decoded here.  Trivial pipelines always run serial.
+    Serial chunks, an automatic run's head included (see
+    :func:`_stream`), are encoded in the parent, one chunk per pull.  A
+    process-mode chunk is encoded by its worker and crosses the parent
+    undecoded (``transfer_stats`` records every chunk with ``rows=0``).
 
-    An automatic run (``mode=None``) first serves a serial *head*
-    in-process: its first ``chunk_rows`` rows, up to the end of the
-    outer position the last of them falls in.  Only when the consumer
-    pulls past the head does the cost model decide (:func:`decide_mode`);
-    ``process`` starts work units that continue from where the head
-    stopped (:func:`plan_work_units` ``start``), so no row is enumerated
-    twice and a ``row_budget`` within the head never reaches the pool.
-
-    ``pool`` is the session-owned :class:`~repro.engine.pool.WorkerPool`:
-    long-lived, lazily started, restarted after worker crashes; its
-    per-process pipeline memos amortize rebuilds across every query of
-    the same structure.  Without one, a pool is created and torn down
-    per call.  ``transfer_stats`` receives per-chunk byte/row accounting
-    for the process path (observability; the bench uses it), and the
-    head's row count when an automatic run hands over to the pool.
-
-    ``row_budget`` is the early-stop path (the qlang ``LIMIT`` fusion):
-    the stream ends after exactly ``min(total, row_budget)`` answers,
-    and closing it cancels every work unit the consumer will never
-    read.  The budgeted prefix is byte-identical to the unbudgeted
-    stream's prefix in every mode.
-
-    ``project_columns`` keeps only those answer columns (duplicates
-    preserved; rows stay 1:1 with the enumeration).  Process-mode
-    workers apply it *before* encoding, so dropped columns never cross
-    the process boundary — the qlang SELECT-list pushdown.
-
-    ``encoded=True`` yields the *encoded* columnar buffers instead of
-    row lists — the serve tier's wire path.  In process mode a
-    worker-encoded chunk crosses the parent without ever being decoded
-    (``transfer_stats`` records every chunk with ``rows=0``); serial
-    chunks, the head's included, are encoded in the parent.  Every
-    buffer decodes with ``ColumnarCodec(pipeline.intern_table)``.  Row
-    budgets cut decoded rows, so they do not combine with ``encoded``.
-
-    Process-mode units stream their chunks through a shared-memory
-    :class:`~repro.engine.mailbox.ChunkMailbox` when the platform
-    supports it: the first page of a heavy shard is decoded parent-side
-    while that shard is still enumerating.  When shared memory is
-    unavailable the chunks ride the future.  Answer bytes and order are
-    identical either way.
+    ``pool`` is the session-owned :class:`~repro.engine.pool.WorkerPool`
+    (its per-process pipeline memos amortize rebuilds); without one, a
+    pool lives for the call.  ``transfer_stats`` receives per-chunk byte
+    accounting, and the head's row count when an automatic run hands
+    over.  ``project_columns`` keeps only those answer columns
+    (duplicates preserved); process workers drop the rest before
+    encoding.  Closing the stream cancels every unit it will not read.
     """
-    head_rows = rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
-    _check_row_budget(row_budget)
+    rows_per_chunk = resolve_chunk_rows(pipeline, chunk_rows)
     _check_mode(workers, mode)
-    if row_budget is not None:
-        if encoded:
-            raise EngineError("row_budget does not combine with encoded chunks")
-        if row_budget == 0:
-            return
-        # Never enumerate more than one chunk past the budget.
-        rows_per_chunk = min(rows_per_chunk, row_budget)
-    codec = ColumnarCodec(pipeline.intern_table) if encoded else None
+    codec = ColumnarCodec(pipeline.intern_table)
+
+    def encoded(rows):
+        for chunk in split_chunks(rows, rows_per_chunk):
+            buf = codec.encode(chunk)
+            if transfer_stats is not None:
+                transfer_stats.record(len(buf), 0)
+            if pool is not None:
+                pool.record_transfer(len(buf))
+            yield buf
 
     def pooled(start, unit_workers):
         return _process_chunks(
             pipeline, unit_workers, spec_key, pool, rows_per_chunk,
-            project_columns, transfer_stats, decode=not encoded, start=start,
+            project_columns, transfer_stats, decode=False, start=start,
         )
 
-    if mode is None and pipeline.trivial is None:
-        handover: list = []
-        head = split_chunks(
-            _serial_head(pipeline, head_rows, project_columns, workers, handover),
-            rows_per_chunk,
-        )
-        if encoded:
-            head = _encoded(head, codec, transfer_stats, pool)
-        stream = _then_pool(head, handover, pooled, transfer_stats)
-    else:
-        mode, workers = decide_mode(pipeline, workers, mode)
-        if mode == "process":
-            stream = pooled((0, 0), workers)
-        else:
-            stream = _serial_chunks(pipeline, rows_per_chunk, project_columns)
-            if encoded:
-                stream = _encoded(stream, codec, transfer_stats, pool)
-    yield from (stream if row_budget is None else _budgeted(stream, row_budget))
+    return _stream(
+        pipeline, workers, mode, rows_per_chunk, project_columns,
+        transfer_stats, encoded, pooled,
+    )
 
 
 def parallel_enumerate(
@@ -850,43 +768,39 @@ def parallel_enumerate(
     spec_key: Optional[tuple] = None,
     project_columns: Optional[Tuple[int, ...]] = None,
 ) -> Iterator[Answer]:
-    """Enumerate ``q(A)`` as one row stream, using the branch-parallel
-    engine.
+    """Enumerate ``q(A)`` as one row stream: the same answers, in the
+    same order, as :func:`repro.core.enumeration.enumerate_answers`.
 
-    Same answers, same order as the serial
-    :func:`repro.core.enumeration.enumerate_answers` — only the wall
-    clock (and, in process mode, the wire format) differs.  This is the
-    one row producer, and it is demand-sized in-process: serial mode
-    chains the lazy per-branch generators, so pulling ``k`` rows
-    enumerates ``k`` rows.  Process mode flattens the decoded worker
-    chunks; the chunk is what crosses the process boundary, so
-    ``chunk_rows`` bounds those chunks only.  An automatic run serves its
-    head serially, row by row, and hands only the rest to the pool when
-    the cost model says ``process`` (see :func:`run_branches`).  The
-    arguments mean what they mean for :func:`run_branches`; closing the
-    stream cancels the work units it will never read.
+    This is the one row producer, and it is demand-sized in-process:
+    serial mode chains the lazy per-branch generators, so pulling ``k``
+    rows enumerates ``k`` rows.  Process mode flattens the decoded
+    worker chunks, which ``chunk_rows`` bounds.  An automatic run serves
+    its head serially and hands only the rest to the pool (see
+    :func:`_stream`).
+
+    ``row_budget`` is the early-stop path (the qlang ``LIMIT`` fusion):
+    the stream ends after exactly ``min(total, row_budget)`` answers, a
+    budget within an automatic run's head never reaches the pool, and
+    closing the stream cancels every work unit it will never read.  The
+    other arguments mean what they mean for :func:`run_branches`.
     """
-    _check_row_budget(row_budget)
+    if row_budget is not None and row_budget < 0:
+        raise EngineError(f"row_budget must be >= 0, got {row_budget}")
     _check_mode(workers, mode)
     head_rows = resolve_chunk_rows(pipeline, chunk_rows)  # validated in every mode
+    # Never enumerate more than one chunk past the budget.
+    unit_rows = head_rows if row_budget is None else min(head_rows, row_budget)
 
     def pooled(start, unit_workers):
         return _flatten(
             _process_chunks(
-                pipeline, unit_workers, spec_key, pool,
-                head_rows if row_budget is None else min(head_rows, row_budget),
+                pipeline, unit_workers, spec_key, pool, unit_rows,
                 project_columns, transfer_stats, decode=True, start=start,
             )
         )
 
-    if mode is None and pipeline.trivial is None:
-        handover: list = []
-        head = _serial_head(pipeline, head_rows, project_columns, workers, handover)
-        rows = _then_pool(head, handover, pooled, transfer_stats)
-    else:
-        mode, workers = decide_mode(pipeline, workers, mode)
-        if mode == "serial":
-            rows = chain.from_iterable(_serial_sources(pipeline, project_columns))
-            return rows if row_budget is None else islice(rows, row_budget)
-        rows = pooled((0, 0), workers)
+    rows = _stream(
+        pipeline, workers, mode, head_rows, project_columns, transfer_stats,
+        lambda rows: rows, pooled,
+    )
     return rows if row_budget is None else _row_budgeted(rows, row_budget)

@@ -1,10 +1,8 @@
-"""Shared-memory chunk mailbox: true streaming worker->parent transfer.
+"""Shared-memory chunk mailbox: the process backend's one transport.
 
-The columnar transport (:mod:`repro.engine.transport`) bounded the
-*decode* — the parent unpacks one chunk at a time — but not the
-*transfer*: a work unit's encoded chunks ride one future, so every chunk
-of a shard arrives at once when the worker finishes.  This module closes
-that gap.  Each process-mode work unit gets one single-producer /
+The columnar codec (:mod:`repro.engine.transport`) bounds the *decode*
+— the parent unpacks one chunk at a time; this module bounds the
+*transfer*.  Each process-mode work unit gets one single-producer /
 single-consumer ring over :mod:`multiprocessing.shared_memory`:
 
 * the worker appends encoded columnar buffers as it enumerates, blocking
@@ -40,10 +38,10 @@ interpreter's internal barriers; the protocol additionally never trusts
 lengths beyond sanity bounds, so a reordered torn read fails loudly
 instead of silently.
 
-Everything degrades gracefully: if shared memory is unavailable (no
-``/dev/shm``, permissions) the executor reads each unit's chunks off
-its future instead, and a worker that cannot attach a ring returns its
-chunk list on the future.
+There is no second transport: without shared memory (no ``/dev/shm``,
+permissions) there is no process mode (on Linux no
+:class:`~concurrent.futures.ProcessPoolExecutor` either: its queues need
+POSIX semaphores, which glibc keeps in ``/dev/shm``).
 """
 
 from __future__ import annotations
@@ -90,8 +88,8 @@ def mailbox_available() -> bool:
 
     Checked once per process: imports can succeed on platforms where
     ``shm_open`` is still denied (sealed containers), so the probe
-    creates and unlinks a minimal segment.  Where it fails, process-mode
-    chunks ride the future instead.
+    creates and unlinks a minimal segment.  Where it fails, process
+    mode is unavailable.
     """
     global _AVAILABLE
     if _AVAILABLE is None:
@@ -141,7 +139,6 @@ class ChunkMailbox:
             self._shm = shared_memory.SharedMemory(
                 create=True, size=HEADER_BYTES + capacity
             )
-            self._shm.buf[:HEADER_BYTES] = bytes(HEADER_BYTES)
             self._owner = True
         else:
             if name is None:
@@ -164,6 +161,8 @@ class ChunkMailbox:
         self._buf = self._shm.buf
         self._max_fragment = capacity // 2
         self._closed = False
+        if create:
+            self.reset()
 
     @property
     def name(self) -> str:
@@ -193,6 +192,11 @@ class ChunkMailbox:
     def finish(self) -> None:
         """Producer-side: no more records will be written."""
         self._buf[_DONE_OFF] = 1
+
+    def reset(self) -> None:
+        """Consumer-side: empty the ring for a new producer, once the
+        last one has finished and every record is read."""
+        self._buf[:HEADER_BYTES] = bytes(HEADER_BYTES)
 
     # -- byte ring -----------------------------------------------------
 

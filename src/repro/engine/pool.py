@@ -160,7 +160,7 @@ class WorkerPool:
         can abandon them; the stream calls :meth:`unwatch` before it
         closes them."""
         with self._lock:
-            self._rings.update(ring for ring in rings if ring is not None)
+            self._rings.update(rings)
 
     def unwatch(self, rings) -> None:
         with self._lock:

@@ -20,8 +20,8 @@ dominate the enumeration the paper made cheap:
   default), so the parent decodes lazily chunk by chunk instead of
   waiting on a whole shard before serving the first page.
 
-Thread and serial modes never touch the codec: in-process answers stay
-zero-copy.
+In-process rows never touch the codec: they stay zero-copy.  Only
+process-mode chunks and the encoded wire are encoded.
 """
 
 from __future__ import annotations
@@ -275,20 +275,6 @@ def split_chunks(rows: Iterable[Answer], size: int) -> Iterator[List[Answer]]:
         if not chunk:
             return
         yield chunk
-
-
-def encode_answers(
-    answers: Iterable[Answer], codec: ColumnarCodec, chunk_rows: int
-) -> List[bytes]:
-    """Encode an answer stream into bounded columnar chunks.
-
-    The worker-side half of the transport: at most ``chunk_rows`` rows
-    land in each buffer, so the parent can decode (and serve) the first
-    page without touching the rest.
-    """
-    if chunk_rows < 1:
-        raise EngineError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    return [codec.encode(chunk) for chunk in split_chunks(answers, chunk_rows)]
 
 
 def estimate_encoded_bytes(rows: int, arity: int, id_width: int, chunk_rows: int) -> int:

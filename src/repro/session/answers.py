@@ -667,10 +667,10 @@ class EncodedAnswers:
 
     The substrate of the serve tier's ``wire="columnar"`` cursors:
     :meth:`chunks` yields the byte buffers produced by
-    :func:`repro.engine.executor.run_branches` with ``encoded=True`` —
-    in process mode they come straight off the workers, never decoded
-    in this process (``transport_stats.rows`` stays 0), so a server can
-    forward them worker→socket.  The receiving side rebuilds rows with
+    :func:`repro.engine.executor.run_branches` — in process mode they
+    come straight off the workers, never decoded in this process
+    (``transport_stats.rows`` stays 0), so a server can forward them
+    worker→socket.  The receiving side rebuilds rows with
     ``ColumnarCodec(InternTable(intern_elements))``; concatenated, they
     equal the serial enumeration order exactly.
 
@@ -759,7 +759,6 @@ class EncodedAnswers:
                 pool=self._pool,
                 chunk_rows=self._requested_chunk_rows,
                 transfer_stats=self._stats,
-                encoded=True,
             )
         try:
             return next(self._source)

@@ -474,7 +474,8 @@ class Query:
         transfer_costs: Tuple[int, ...] = ()
         if mode == "process":
             transport = "columnar"
-            transfer_costs = tuple(transfer_works(pipeline))
+            # The figure the decision weighed (decide_mode).
+            transfer_costs = tuple(transfer_works(pipeline, workers))
             chunk_rows = resolve_chunk_rows(pipeline, self._chunk_rows)
             id_width = width_for(max(pipeline.structure.cardinality - 1, 0))
             transfer_bytes = estimate_encoded_bytes(

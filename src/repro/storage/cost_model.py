@@ -124,7 +124,7 @@ def estimate_transfer_work(
     list_sizes: Sequence[int],
     arity: int,
     bytes_per_value: int,
-    shard_sizes: Optional[Sequence[int]] = None,
+    lanes: int = 1,
 ) -> int:
     """RAM-step proxy for shipping one branch's answers to the parent.
 
@@ -133,25 +133,17 @@ def estimate_transfer_work(
     answer moves ``arity * bytes_per_value`` bytes across the process
     boundary at :data:`TRANSFER_BYTES_PER_STEP` bytes per step.
 
-    ``shard_sizes`` — per-shard row counts when the branch is split
-    across region shards or work-unit slices — switches the estimate
-    from serialized to *overlapped* transfer: with the streaming chunk
-    mailbox every shard ships while the others still enumerate, so the
-    critical path is the largest shard plus the remainder amortized
-    across the pipeline, not the plain sum.  Without this, a
-    large-but-well-sharded workload ranks as expensive as an unsharded
-    one and the mode chooser misranks it against serial execution.
+    ``lanes`` — the number of equal work-unit shares the branch is
+    split into — makes the estimate *overlapped*: with the streaming
+    chunk mailbox every share ships while the others still enumerate,
+    so the critical path is one share plus the rest amortized across
+    the lanes, not the plain sum.  Without this, a large-but-well-sharded
+    workload ranks as expensive as an unsharded one and the mode chooser
+    misranks it against serial execution.  One lane is the serialized
+    estimate.
     """
-    rows = estimate_rows(list_sizes)
-    if shard_sizes:
-        per_shard = [max(size, 0) for size in shard_sizes if size > 0]
-        if per_shard:
-            total = sum(per_shard)
-            # Scale the row bound by each shard's share, then take the
-            # overlapped critical path: max + (rest / lanes).
-            scaled = [rows * size // total for size in per_shard]
-            heaviest = max(scaled)
-            rows = heaviest + (sum(scaled) - heaviest) // len(scaled)
+    share = estimate_rows(list_sizes) // lanes
+    rows = share + (lanes - 1) * share // lanes
     return min(rows * arity * bytes_per_value // TRANSFER_BYTES_PER_STEP, _WORK_CAP)
 
 

@@ -425,7 +425,8 @@ class TestIntraBranchSharding:
 
 
 class TestChunkStream:
-    """Every mode yields one stream of chunks bounded by ``chunk_rows``."""
+    """Every mode yields one stream of wire buffers, each decoding to at
+    most ``chunk_rows`` rows."""
 
     @pytest.fixture(scope="class")
     def pool(self):
@@ -436,12 +437,14 @@ class TestChunkStream:
     def test_chunks_never_exceed_chunk_rows(self, medium_colored, pool, mode):
         pipeline = plan(medium_colored, EXAMPLE)
         serial = list(enumerate_answers(pipeline))
+        codec = ColumnarCodec(pipeline.intern_table)
         for chunk_rows in (1, 37):
-            chunks = list(
-                run_branches(
+            chunks = [
+                codec.decode(buf)
+                for buf in run_branches(
                     pipeline, workers=2, mode=mode, pool=pool, chunk_rows=chunk_rows
                 )
-            )
+            ]
             assert all(0 < len(chunk) <= chunk_rows for chunk in chunks)
             assert [row for chunk in chunks for row in chunk] == serial
 
@@ -577,8 +580,12 @@ class TestTriviallyTrue:
         with Database(structure) as db:
             pipeline = self.query(db).pipeline
             assert pipeline.trivial is True
+            codec = ColumnarCodec(pipeline.intern_table)
             for mode in (None, "serial", "process"):
-                chunks = list(run_branches(pipeline, workers=2, mode=mode, chunk_rows=7))
+                chunks = [
+                    codec.decode(buf)
+                    for buf in run_branches(pipeline, workers=2, mode=mode, chunk_rows=7)
+                ]
                 assert all(0 < len(chunk) <= 7 for chunk in chunks), mode
                 assert [row for chunk in chunks for row in chunk] == expected, mode
 
@@ -605,11 +612,11 @@ class TestTriviallyTrue:
             assert list(parallel_enumerate(pipeline, row_budget=5)) == expected[:5]
             assert list(parallel_enumerate(pipeline, row_budget=0)) == []
             codec = ColumnarCodec(pipeline.intern_table)
-            buffers = list(run_branches(pipeline, chunk_rows=8, encoded=True))
+            buffers = list(run_branches(pipeline, chunk_rows=8))
             assert len(buffers) == 3
             assert [row for buf in buffers for row in codec.decode(buf)] == expected
             with pytest.raises(EngineError):
-                next(run_branches(pipeline, row_budget=3, encoded=True))
+                run_branches(pipeline, chunk_rows=0)
 
     def test_encoded_handle_accounts_serial_chunks(self, structure, expected):
         with Database(structure) as db:

@@ -1,22 +1,36 @@
-"""ChunkMailbox unit tests: the SPSC ring's wire protocol.
+"""ChunkMailbox unit tests: the SPSC ring's wire protocol, and the
+executor's use of it as process mode's one transport.
 
-Exercises the byte ring directly — ordering, fragment reassembly,
-byte-granular wrap, backpressure/abandon, the done flag, and the
-corruption guards — without involving the executor.  The streaming
-integration (mailboxed work units feeding ``TransferStats``) lives in
-the parallel differential and transport suites; the last test here
-drives the executor's no-shared-memory path end to end.
+The first part exercises the byte ring directly — ordering, fragment
+reassembly, byte-granular wrap, backpressure/abandon, the done flag, and
+the corruption guards.  The second part checks, in-process and without
+starting a worker, that there is no second transport: without shared
+memory process mode is unavailable (``auto`` stays serial, a forced
+``process`` raises before anything is submitted), a ring that cannot be
+created or attached fails the run, and the drain reads every chunk of a
+unit whose future has resolved.  The streaming integration (mailboxed
+work units feeding ``TransferStats``) lives in the parallel
+differential and transport suites.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.core.enumeration import enumerate_answers
-from repro.engine import WorkerPool, executor, run_branches
+from repro.engine import (
+    WorkerPool,
+    decide_mode,
+    executor,
+    parallel_enumerate,
+    plan_work_units,
+    run_branches,
+)
 from repro.engine.mailbox import (
     DEFAULT_CAPACITY,
     MIN_CAPACITY,
@@ -25,8 +39,9 @@ from repro.engine.mailbox import (
     mailbox_available,
     mailbox_capacity,
 )
-from repro.engine.transport import TransferStats
+from repro.engine.transport import ColumnarCodec, TransferStats
 from repro.errors import EngineError
+from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
 
 from planning import plan
@@ -34,6 +49,8 @@ from planning import plan
 needs_shm = pytest.mark.skipif(
     not mailbox_available(), reason="shared memory unavailable"
 )
+
+EXAMPLE = "B(x) & R(y) & ~E(x,y)"
 
 
 @pytest.fixture
@@ -176,23 +193,184 @@ def test_mailbox_capacity_tracks_the_chunk_hint():
     assert mailbox_capacity(100_000) == 800_000
 
 
-def test_chunks_ride_the_future_without_shared_memory(monkeypatch):
-    """Where the probe finds no shared memory, every process-mode unit
-    returns its encoded chunks on the future: same bytes, same order,
-    same chunk bound."""
+@pytest.fixture
+def submits(monkeypatch):
+    """Every work unit submitted to a pool, in order."""
+    submitted = []
+    submit = WorkerPool.submit
+
+    def counting(self, mode, fn, *args):
+        submitted.append(fn)
+        return submit(self, mode, fn, *args)
+
+    monkeypatch.setattr(WorkerPool, "submit", counting)
+    return submitted
+
+
+@pytest.fixture
+def example():
+    pipeline = plan(random_colored_graph(60, max_degree=3, seed=2), EXAMPLE)
+    return pipeline, list(enumerate_answers(pipeline))
+
+
+def test_without_shared_memory_auto_stays_serial(example, submits, monkeypatch):
+    """The cost model says ``process``, but there is no shared memory:
+    the run goes on serially past its head and submits nothing."""
     monkeypatch.setattr(executor, "mailbox_available", lambda: False)
-    structure = random_colored_graph(60, max_degree=4, seed=5)
-    pipeline = plan(structure, "B(x) & R(y) & ~E(x,y)")
-    serial = list(enumerate_answers(pipeline))
+    monkeypatch.setattr(
+        executor, "choose_execution_mode", lambda *args, **kwargs: "process"
+    )
+    pipeline, serial = example
+    assert len(serial) > 7, "the stream must run past its head"
     stats = TransferStats()
     with WorkerPool(2) as pool:
+        rows = list(
+            parallel_enumerate(
+                pipeline, workers=2, pool=pool, chunk_rows=7, transfer_stats=stats
+            )
+        )
+    assert rows == serial
+    assert decide_mode(pipeline, workers=2) == ("serial", 1)
+    assert stats.head_rows is None and stats.chunks == 0
+    structure = random_colored_graph(60, max_degree=3, seed=2)
+    with Database(structure, workers=2) as db:
+        query = db.query(EXAMPLE, chunk_rows=7)
+        handle = query.answers()
+        assert handle.all() == serial
+        assert handle.backend_used == "serial"
+        assert query.explain().backend == "serial"
+    assert submits == []
+
+
+def test_without_shared_memory_forced_process_raises(example, submits, monkeypatch):
+    monkeypatch.setattr(executor, "mailbox_available", lambda: False)
+    pipeline, _ = example
+    with WorkerPool(2) as pool:
+        with pytest.raises(EngineError, match="shared memory"):
+            list(parallel_enumerate(pipeline, workers=2, mode="process", pool=pool))
+        with pytest.raises(EngineError, match="shared memory"):
+            next(run_branches(pipeline, workers=2, mode="process", pool=pool))
+    assert submits == []
+
+
+@needs_shm
+def test_a_ring_creation_failure_fails_the_run_and_unlinks(
+    example, submits, monkeypatch
+):
+    """The third unit's ring cannot be created: the run raises before
+    any unit is submitted, and the two rings made so far are unlinked."""
+    created = []
+
+    class FailingThird(ChunkMailbox):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("create") and len(created) == 2:
+                raise OSError(28, "No space left on device")
+            super().__init__(*args, **kwargs)
+            created.append(self.name)
+
+    monkeypatch.setattr(executor, "ChunkMailbox", FailingThird)
+    pipeline, _ = example
+    assert len(plan_work_units(pipeline, 2)) >= 3
+    with WorkerPool(2) as pool:
+        with pytest.raises(EngineError, match="ring 3 of"):
+            list(parallel_enumerate(pipeline, workers=2, mode="process", pool=pool))
+    assert submits == []
+    assert len(created) == 2
+    for name in created:
+        with pytest.raises(FileNotFoundError):
+            ChunkMailbox(name=name)
+
+
+def test_a_worker_that_cannot_attach_its_ring_raises(example, monkeypatch):
+    """Run in-process: the attach fails for a reason other than a closed
+    stream, and the unit raises instead of returning its chunks."""
+
+    class Denied:
+        def __init__(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(executor, "ChunkMailbox", Denied)
+    pipeline, _ = example
+    task = executor.BranchTask(
+        pipeline.rebuild_spec(),
+        executor._default_spec_key(pipeline),
+        0,
+        chunk_rows=16,
+        mailbox=("a-ring", MIN_CAPACITY),
+    )
+    with pytest.raises(PermissionError):
+        executor.run_branch_task_encoded(task)
+
+
+class ScriptedRing:
+    """A ring whose worker finishes right after the drain's first look:
+    that poll finds nothing and resolves the future, and the unit's one
+    buffer becomes readable only after.  ``done`` is never set."""
+
+    done = False
+    abandoned = False
+
+    def __init__(self, future: Future, buf: bytes):
+        self._future = future
+        self._pending = [buf]
+
+    def poll(self):
+        if not self._future.done():
+            self._future.set_result(
+                {"chunks": 1, "rows": 3, "finished": time.monotonic()}
+            )
+            return None
+        return self._pending.pop() if self._pending else None
+
+    def drain(self):
+        while True:
+            buf = self.poll()
+            if buf is None:
+                return
+            yield buf
+
+
+def test_the_drain_keeps_a_chunk_that_lands_after_the_future(example):
+    pipeline, serial = example
+    codec = ColumnarCodec(pipeline.intern_table)
+    future = Future()
+    ring = ScriptedRing(future, codec.encode(serial[:3]))
+    stats = TransferStats()
+    with WorkerPool(1) as pool:
         chunks = list(
-            run_branches(
-                pipeline, workers=2, mode="process", pool=pool, chunk_rows=16,
+            executor._yield_encoded_mailboxed(
+                [(future, ring, "b0[0:]")], codec, stats, pool
+            )
+        )
+    assert chunks == [serial[:3]]
+    assert stats.rows == 3
+
+
+@needs_shm
+def test_rings_carry_later_units_once_drained(example, monkeypatch):
+    """More units than the in-flight window: the stream creates one ring
+    per unit in flight and reuses each for a later unit, byte-identically."""
+    created = []
+
+    class Recording(ChunkMailbox):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(self.name)
+
+    monkeypatch.setattr(executor, "ChunkMailbox", Recording)
+    monkeypatch.setattr(executor, "_UNITS_IN_FLIGHT_PER_WORKER", 1)
+    pipeline, serial = example
+    units = plan_work_units(pipeline, 2)
+    assert len(units) > 2
+    stats = TransferStats()
+    with WorkerPool(2) as pool:
+        rows = list(
+            parallel_enumerate(
+                pipeline, workers=2, mode="process", pool=pool, chunk_rows=5,
                 transfer_stats=stats,
             )
         )
-    assert [row for chunk in chunks for row in chunk] == serial
-    assert all(0 < len(chunk) <= 16 for chunk in chunks)
-    assert stats.rows == len(serial)
-    assert len(chunks) == stats.chunks
+    assert rows == serial
+    assert len(created) == 2
+    assert len(stats.per_source) == len(units)

@@ -32,7 +32,7 @@ from repro.engine import (
     warm_pool,
 )
 from repro.engine.executor import _unit_rows
-from repro.engine.transport import TransferStats
+from repro.engine.transport import ColumnarCodec, TransferStats
 from repro.session import Database
 from repro.structures.random_gen import random_colored_graph
 
@@ -220,8 +220,8 @@ class TestTripleQueryGate:
     for a forced ``process`` run and for an ``auto`` run that serves a
     small serial head and hands the rest to the pool.  The workload (n=48,
     seed 42, colours B/R/G) is the transport gate's, formerly
-    ``benchmarks/bench_e12_transport.py --smoke``: forced-process chunks
-    flatten to the serial output for every chunk size."""
+    ``benchmarks/bench_e12_transport.py --smoke``: forced-process wire
+    buffers decode to the serial output for every chunk size."""
 
     TRIPLE = "B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z) & ~E(x,z)"
     WORKERS = 4
@@ -262,12 +262,14 @@ class TestTripleQueryGate:
     @pytest.mark.parametrize("chunk_rows", [1, 7, None])
     def test_every_chunk_size_is_byte_identical(self, workload, chunk_rows):
         pipeline, serial, pool = workload
-        chunks = list(
-            run_branches(
+        codec = ColumnarCodec(pipeline.intern_table)
+        chunks = [
+            codec.decode(buf)
+            for buf in run_branches(
                 pipeline, workers=self.WORKERS, mode="process", pool=pool,
                 chunk_rows=chunk_rows,
             )
-        )
+        ]
         if chunk_rows is not None:
             assert max(len(chunk) for chunk in chunks) <= chunk_rows
         flat = [row for chunk in chunks for row in chunk]

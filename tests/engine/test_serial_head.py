@@ -77,9 +77,7 @@ def head_and_tail(pipeline, chunk_rows, pool):
     )
     codec = ColumnarCodec(pipeline.intern_table)
     buffers = list(
-        run_branches(
-            pipeline, workers=2, pool=pool, chunk_rows=chunk_rows, encoded=True
-        )
+        run_branches(pipeline, workers=2, pool=pool, chunk_rows=chunk_rows)
     )
     wire = [row for buf in buffers for row in codec.decode(buf)]
     return rows, wire, stats
@@ -152,7 +150,7 @@ def test_closing_inside_the_head_submits_nothing(example, pool, submits):
     )
     assert list(islice(rows, 64)) == serial[:64]
     rows.close()
-    chunks = run_branches(pipeline, workers=2, pool=pool, chunk_rows=64, encoded=True)
+    chunks = run_branches(pipeline, workers=2, pool=pool, chunk_rows=64)
     next(chunks)
     chunks.close()
     assert submits == []

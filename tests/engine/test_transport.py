@@ -13,17 +13,18 @@ import pickle
 
 import pytest
 
+from repro.engine import executor
 from repro.engine.transport import (
     ColumnarCodec,
     InternTable,
     TransferStats,
-    encode_answers,
     estimate_encoded_bytes,
     width_for,
 )
 from repro.errors import EngineError
 from repro.session import Database
 from repro.structures import Signature, Structure
+from repro.structures.random_gen import random_colored_graph
 
 # Chunk sizes the differential sweep exercises: degenerate (1), prime &
 # misaligned with every answer count (7), and the cost-model default.
@@ -99,18 +100,6 @@ class TestColumnarCodec:
         codec = self._codec()
         with pytest.raises(EngineError):
             codec.decode(b"\x07junk")
-
-    def test_encode_answers_bounds_chunks(self):
-        codec = self._codec()
-        rows = [(i, i, i) for i in range(25)]
-        chunks = encode_answers(iter(rows), codec, chunk_rows=7)
-        assert len(chunks) == 4  # 7 + 7 + 7 + 4
-        decoded = [answer for chunk in chunks for answer in codec.decode(chunk)]
-        assert decoded == rows
-
-    def test_encode_answers_rejects_bad_chunk_rows(self):
-        with pytest.raises(EngineError):
-            encode_answers(iter([]), self._codec(), chunk_rows=0)
 
     def test_estimate_encoded_bytes_monotone(self):
         small = estimate_encoded_bytes(10, 2, 1, 100)
@@ -239,6 +228,21 @@ class TestExplainReportsTransport:
             text = plan.describe()
             assert "transport: columnar" in text
             assert f"chunk_rows: {plan.chunk_rows}" in text
+
+    def test_transfer_costs_are_the_ones_the_decision_weighed(self, monkeypatch):
+        weighed = []
+        choose = executor.choose_execution_mode
+
+        def recording(works, workers, **kwargs):
+            weighed.append(kwargs["transfer_work"])
+            return choose(works, workers, **kwargs)
+
+        monkeypatch.setattr(executor, "choose_execution_mode", recording)
+        structure = random_colored_graph(2000, max_degree=4, seed=1)
+        with Database(structure, workers=2) as db:
+            plan = db.query("B(x) & R(y) & ~E(x,y)").explain()
+        assert plan.backend == "process"
+        assert weighed and sum(plan.transfer_costs) == weighed[-1]
 
     def test_in_process_plan_reports_zero_copy(self, small_colored):
         with Database(small_colored, workers=2) as db:

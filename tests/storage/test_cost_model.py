@@ -100,47 +100,21 @@ class TestTransferTerm:
                 == "serial"
             )
 
-    def test_shard_sizes_overlap_lowers_the_estimate(self):
+    def test_lanes_overlap_lowers_the_estimate(self):
         serialized = estimate_transfer_work([1000, 100], 2, 4)
-        overlapped = estimate_transfer_work(
-            [1000, 100], 2, 4, shard_sizes=[1, 1, 1, 1]
-        )
+        overlapped = estimate_transfer_work([1000, 100], 2, 4, lanes=4)
         assert 0 < overlapped < serialized
 
-    def test_shard_sizes_follow_the_critical_path(self):
-        # rows=1000, shares [500, 250, 250]: the overlapped bound is the
-        # heaviest shard plus the remainder amortized across the lanes —
-        # 500 + (250 + 250) // 3 = 666 rows of the serialized 1000.
-        serialized = estimate_transfer_work([1000], 1, 8)
-        overlapped = estimate_transfer_work(
-            [1000], 1, 8, shard_sizes=[2, 1, 1]
-        )
-        assert serialized == 1000
-        assert overlapped == 666
+    def test_lanes_follow_the_critical_path(self):
+        # rows=1000 in 4 equal shares of 250: the overlapped bound is one
+        # share plus the other three amortized across the lanes —
+        # 250 + (3 * 250) // 4 = 437 rows of the serialized 1000.
+        assert estimate_transfer_work([1000], 1, 8) == 1000
+        assert estimate_transfer_work([1000], 1, 8, lanes=4) == 437
 
-    def test_skewed_shards_overlap_less_than_balanced_ones(self):
-        balanced = estimate_transfer_work(
-            [1000], 1, 8, shard_sizes=[1, 1, 1, 1]
-        )
-        skewed = estimate_transfer_work(
-            [1000], 1, 8, shard_sizes=[97, 1, 1, 1]
-        )
-        assert balanced < skewed < estimate_transfer_work([1000], 1, 8)
-
-    def test_degenerate_shard_sizes_fall_back_to_serialized(self):
+    def test_one_lane_is_serialized(self):
         serialized = estimate_transfer_work([1000], 2, 4)
-        assert (
-            estimate_transfer_work([1000], 2, 4, shard_sizes=[])
-            == serialized
-        )
-        assert (
-            estimate_transfer_work([1000], 2, 4, shard_sizes=[0, 0])
-            == serialized
-        )
-        assert (
-            estimate_transfer_work([1000], 2, 4, shard_sizes=[5])
-            == serialized
-        )
+        assert estimate_transfer_work([1000], 2, 4, lanes=1) == serialized
 
 
 class TestDefaultChunkRows:
