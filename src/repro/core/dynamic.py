@@ -7,20 +7,27 @@ recomputing everything from scratch"), solved later by Vigny
 [arXiv:2010.02982] with ``O(n^eps)`` update time.  This module provides a
 *local-recomputation* maintainer in that spirit:
 
-* a fact touching elements ``S`` can only affect colored-graph nodes,
-  colors, and edges within a radius-``rho`` ball around ``S``, where
-  ``rho = k * (2r+1) + 2r + 2`` depends only on the query — because node
-  existence (cluster connectivity), node colors (r-local unit formulas),
-  and edges (linking distance) are all neighborhood-determined;
-* the update procedure *diffs* that ball: it re-enumerates the cluster
-  keys meeting it against the *new* structure, removes the nodes whose
-  key is gone, adds the new keys, installs the region's new link-radius
-  balls (the graph stores no edges, only balls and one degree per node),
-  moves each degree an appeared or vanished edge touches, and moves a
-  node between branch lists only when its colour changed.  A surviving
-  node keeps its id; a commit that leaves the Gaifman graph as it was (a
-  colour flip) skips the keys, balls and degrees altogether.  Everything
-  else is untouched.
+* a fact touching elements ``S`` can only affect the colored-graph data
+  near ``S``, with one radius per kind of data.  A node's colours are
+  the truth values of its plan units, ``c``-local formulas
+  (``c`` = the largest :func:`repro.fo.syntax.locality_radius` of the
+  units, which is the localization radius ``r`` on every query seen so
+  far), so they can change only if ``S`` lies within ``c`` of one of the
+  node's components, in the Gaifman graph before or after the commit.
+  A node's existence (cluster connectivity) and its edges are read off
+  link-radius balls (``L = 2r+1``), and the ball of an element ``e``
+  changes only if ``e`` is within ``L - 1`` of ``S``; so the keys,
+  balls and degrees are diffed over the radius-``L`` ball around ``S``;
+* the update procedure *diffs* those balls: it re-enumerates the cluster
+  keys meeting the radius-``L`` ball against the *new* structure,
+  removes the nodes whose key is gone, adds the new keys, installs the
+  ball's new link-radius balls (the graph stores no edges, only balls
+  and one degree per node), moves each degree an appeared or vanished
+  edge touches, re-evaluates the colours of the nodes within ``c`` and
+  of the new ones, and moves a node between branch lists only when its
+  colour changed.  A surviving node keeps its id; a commit that leaves
+  the Gaifman graph as it was (a colour flip) skips the keys, balls and
+  degrees altogether.  Everything else is untouched.
 
 Cost per update: ``O(d^{h(|q|)})`` — independent of ``n`` up to the list
 splicing (kept sorted with bisect), versus full re-preprocessing at
@@ -49,21 +56,21 @@ pipeline in place and is what :class:`repro.session.Database` (and
 :class:`repro.shard.ShardedDatabase`) attaches to every eligible cached
 plan.  :func:`maintain` is the one batch-commit pass every commit path
 runs: each maintainer's reach before the mutation, the mutation once,
-then one :meth:`PipelineMaintainer.refresh` per maintainer over the
-union of the reach before and after.  Updates go through the session
+then one :meth:`PipelineMaintainer.refresh` per maintainer over its
+reach.  Updates go through the session
 (``Database.insert_fact`` / ``remove_fact`` / ``apply``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Hashable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.colored_graph import NO_COLORS, cluster_keys
 from repro.core.pipeline import Pipeline
 from repro.errors import UnsupportedQueryError
-from repro.fo.syntax import CountCmp, subformulas
-from repro.structures.gaifman_graph import ball_of_set
+from repro.fo.syntax import CountCmp, locality_radius, subformulas
+from repro.structures.gaifman_graph import ball_of_set, distances_from_set
 from repro.structures.structure import Structure
 
 Element = Hashable
@@ -181,14 +188,17 @@ def maintain(
 
     ``effective`` are the commit's net fact changes (:func:`net_effects`)
     and ``mutate`` applies them — once — to the structure every
-    maintainer reads.  Each maintainer's refresh region is the union of
-    the touched elements' reach *before* and *after* the mutation: an
-    inserted edge extends reach, a deleted one used to provide it.  One
-    pass per maintainer covers the whole batch because maintenance only
-    reconciles the initial and final structures (intermediate states
-    are unobservable), and every node whose neighborhood-determined data
-    differs between them lies within the query radius of a changed fact
-    in one of the two Gaifman graphs.
+    maintainer reads.  Each maintainer's :meth:`~PipelineMaintainer.reach`
+    is taken before the mutation, so a failing one leaves nothing to
+    undo, and serves the Gaifman graph after it too: an edge the commit
+    adds or removes joins two touched elements, and a shortest path to
+    the touched set stops at the first touched element it meets, so it
+    never crosses such an edge and every distance to the set is the same
+    before and after the mutation.  One pass per maintainer covers the
+    whole batch because maintenance only reconciles the initial and final
+    structures (intermediate states are unobservable), and every node
+    whose neighbourhood-determined data differs between them lies within
+    the radius of that data of a changed fact.
 
     When the touched elements' Gaifman neighbourhoods are the same after
     the mutation as before (a colour flip, or an edge parallel to an
@@ -212,7 +222,7 @@ def maintain(
     mutate()
     rewire = before != [structure.neighbors(element) for element in touched]
     return [
-        maintainer.refresh(touched, region | maintainer.reach(touched), rewire)
+        maintainer.refresh(touched, region, rewire)
         for maintainer, region in zip(maintainers, regions)
     ]
 
@@ -222,8 +232,8 @@ class PipelineMaintainer:
 
     The maintainer does not own the mutation: commits that coordinate
     several pipelines over one structure run :func:`maintain`, which
-    takes :meth:`reach` before *and* after the mutation and then calls
-    :meth:`refresh`, so the structure is mutated exactly once.
+    takes :meth:`reach` before the mutation, mutates the structure
+    exactly once and then calls :meth:`refresh`.
     """
 
     def __init__(self, pipeline: Pipeline):
@@ -236,49 +246,59 @@ class PipelineMaintainer:
         self.pipeline = pipeline
         self.structure: Structure = pipeline.structure
         self.updates_applied = 0
-
-    def reach(self, touched: Sequence[Element]) -> Set[Element]:
-        """Every element an update to ``touched`` can affect (one side)."""
-        return set(
-            ball_of_set(self.structure, set(touched), self.refresh_radius)
+        # Colours are the plan units' truth values, each determined by
+        # the induced substructure on the unit's locality ball.
+        self.color_radius = max(
+            (locality_radius(unit) for plan in pipeline.plans for unit in plan.units),
+            default=0,
         )
+
+    def reach(self, touched: Sequence[Element]) -> Dict[Element, int]:
+        """Each element within :attr:`refresh_radius` of ``touched``,
+        mapped to its distance from them (one breadth-first search)."""
+        return distances_from_set(self.structure, touched, self.refresh_radius)
 
     @property
     def refresh_radius(self) -> int:
-        """How far an update can reach (query-dependent, n-independent).
+        """How far a refresh reads around the touched elements
+        (query-dependent, n-independent): the larger of its two radii.
 
-        Every quantity attached to a node — existence (pairwise component
-        distances <= 2r+1 for cluster connectivity), colors (r-local unit
-        evaluations around components, including distance atoms whose
-        paths may route through a changed edge), and its edges (component
-        distances <= 2r+1) — changes only if some *component* lies within
-        the linking radius ``2r+1`` of a touched element: any changed
-        distance or visible fact is anchored at a component with a path of
-        length at most ``r + bound <= 2r+1`` to the touched elements.  One
-        extra unit of slack is kept for safety.
+        A node's colours change only if a touched element lies within
+        :attr:`color_radius` of one of its components.  Its existence
+        (pairwise component distances <= ``L = 2r+1`` for cluster
+        connectivity) and its edges (component distances <= ``L``) change
+        only if a component's link-radius ball changes, and the ball of
+        ``e`` changes only if a changed edge has an end within ``L - 1``
+        of ``e``, i.e. if ``e`` is within ``L - 1`` of a touched element.
+        The keys, balls and degrees are diffed over the radius-``L`` ball,
+        which holds every such component.
         """
-        return self.pipeline.link_radius + 1
+        return max(self.color_radius, self.pipeline.link_radius)
 
     # ------------------------------------------------------------------
     # Local recomputation
     # ------------------------------------------------------------------
 
     def refresh(
-        self, touched: Sequence[Element], region: Set[Element], rewire: bool
+        self, touched: Sequence[Element], region: Mapping[Element, int], rewire: bool
     ) -> bool:
-        """Bring every node with a component in ``region`` up to date,
+        """Bring every node the commit can have changed up to date,
         writing only what differs.
 
-        ``region`` must be the union of :meth:`reach` computed before and
-        after the structure mutation was applied.  ``rewire=False``
-        promises that the Gaifman graph did not change (a colour flip):
-        then no node appears or disappears and no ball or degree moves,
-        so only colours are re-evaluated and the evaluator keeps its
-        balls.  With ``rewire=True``, :meth:`_rekey` diffs the region's
-        keys and balls: each node that was added, removed or has a
-        component whose ball changed gets its degree from its new
-        neighbour set, and every other node moves by one per edge to
-        such a node that appeared or vanished.
+        ``region`` is :meth:`reach` of ``touched``: each element within
+        :attr:`refresh_radius` of them, mapped to its distance from them,
+        which is the same in the Gaifman graph before and after the
+        mutation (see :func:`maintain`).  ``rewire=False`` promises that
+        the Gaifman graph did not change (a colour flip): then no node
+        appears or disappears and no ball or degree moves, so only colours
+        are re-evaluated and the evaluator keeps its balls.  With
+        ``rewire=True``, :meth:`_rekey` diffs the keys and balls of the
+        elements within the link radius: each node that was added, removed
+        or has a component whose ball changed gets its degree from its new
+        neighbour set, and every other node moves by one per edge to such
+        a node that appeared or vanished.  Colours are then re-evaluated
+        for the surviving nodes with a component within
+        :attr:`color_radius` and for every node :meth:`_rekey` added.
 
         Returns whether the pipeline's *durable* plan state changed — a
         node removed or added, an edge (a degree) or a colour rewritten
@@ -303,15 +323,20 @@ class PipelineMaintainer:
             return False
         graph = pipeline.graph
         assert graph is not None
-        live = {
-            node_id
-            for element in region
-            for node_id in graph.nodes_containing(element)
-        }
         changed = False
+        recolor: Set[int] = set()
         if rewire:
-            live, changed = self._rekey(live, region)
-        for node_id in sorted(live):
+            linked = {
+                element
+                for element, distance in region.items()
+                if distance <= pipeline.link_radius
+            }
+            born, changed = self._rekey(linked)
+            recolor.update(born)
+        for element, distance in region.items():
+            if distance <= self.color_radius:
+                recolor.update(graph.nodes_containing(element))
+        for node_id in sorted(recolor):
             node = graph.node(node_id)
             colors = pipeline.node_colors(node)
             if colors != node.unit_values:
@@ -320,18 +345,18 @@ class PipelineMaintainer:
                 changed = True
         return changed
 
-    def _rekey(self, live: Set[int], region: Set[Element]) -> Tuple[Set[int], bool]:
-        """Diff the region's node keys against the new structure (Step 3
+    def _rekey(self, region: Set[Element]) -> Tuple[List[int], bool]:
+        """Diff the node keys meeting ``region`` (the elements within the
+        link radius of the touched ones) against the new structure (Step 3
         of Prop 3.4, restricted to tuples meeting the region): remove the
         nodes whose key is gone, add the new keys, and rewire the graph
         (the balls that changed, and every degree they move).  Returns
-        the region's live ids and whether a node or an edge changed.
+        the added ids and whether a node or an edge changed.
 
-        ``live`` holds the nodes with a component in the region.  Only
-        the removed ones and those with a component whose ball changed
-        can lose or gain an edge to a surviving node; their neighbour
-        sets before the change are read first, off the balls the graph
-        still holds from before the mutation."""
+        Only the removed nodes and those with a component whose ball
+        changed can lose or gain an edge to a surviving node; their
+        neighbour sets before the change are read first, off the balls
+        the graph still holds from before the mutation."""
         pipeline = self.pipeline
         graph = pipeline.graph
         assert graph is not None
@@ -351,6 +376,11 @@ class PipelineMaintainer:
                 region,
             )
         )
+        live = {
+            node_id
+            for element in region
+            for node_id in graph.nodes_containing(element)
+        }
         dead = set()
         for node_id in live:
             node = graph.node(node_id)
@@ -370,12 +400,11 @@ class PipelineMaintainer:
             )
         )
         graph.remove_nodes(dead)
-        survivors = live - dead
         born = [
             graph.add_node(*key) for key in keys if graph.node_id(*key) is None
         ]
         moved = graph.rewire(before, balls, born)
-        return survivors.union(born), bool(dead) or bool(born) or moved
+        return born, bool(dead) or bool(born) or moved
 
     def _move_buckets(self, node, colors) -> None:
         """Move ``node`` between ``(plan, block, vector)`` buckets (the

@@ -741,8 +741,6 @@ def run_branches(
             buf = codec.encode(chunk)
             if transfer_stats is not None:
                 transfer_stats.record(len(buf), 0)
-            if pool is not None:
-                pool.record_transfer(len(buf))
             yield buf
 
     def pooled(start, unit_workers):

@@ -87,8 +87,16 @@ def ball_of_set(structure: Structure, centers: Iterable[Element], radius: int) -
 
 def distances_from(structure: Structure, source: Element, bound: int) -> Dict[Element, int]:
     """Map every element within ``bound`` of ``source`` to its distance."""
-    distances = {source: 0}
-    queue = deque([source])
+    return distances_from_set(structure, (source,), bound)
+
+
+def distances_from_set(
+    structure: Structure, centers: Iterable[Element], bound: int
+) -> Dict[Element, int]:
+    """Map every element within ``bound`` of some center to its distance
+    from the nearest one (one multi-source BFS)."""
+    distances = dict.fromkeys(centers, 0)
+    queue = deque(distances)
     while queue:
         element = queue.popleft()
         depth = distances[element]

@@ -234,9 +234,18 @@ class TestSupportGuard:
         assert dyn.insert("R", red).changed
         assert sorted(dyn.answers()) == dyn.oracle()
 
-    def test_refresh_radius_is_query_dependent(self, dyn):
-        maintainer = dyn.maintainer
-        assert maintainer.refresh_radius >= maintainer.pipeline.link_radius
+    def test_refresh_radius_is_query_dependent(self, small_colored, maintained):
+        for text, color_radius, link_radius in (
+            (EXAMPLE, 0, 1),
+            ("B(x) & exists z. (R(z) & E(x,z))", 1, 3),
+            ("B(x) & R(y) & dist(x,y) > 2", 2, 5),
+        ):
+            formula = parse(text)
+            dyn = maintained(small_colored.copy(), formula, sorted(formula.free))
+            maintainer = dyn.maintainer
+            assert maintainer.color_radius == color_radius == maintainer.pipeline.radius
+            assert maintainer.pipeline.link_radius == link_radius
+            assert maintainer.refresh_radius == link_radius
 
 
 class TestBatchMaintenance:

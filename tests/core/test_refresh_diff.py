@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic import PipelineMaintainer, apply_ops
+from repro.core.dynamic import PipelineMaintainer, apply_ops, net_effects
 from repro.core.pipeline import Pipeline
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
 from repro.session import Database
+from repro.structures.gaifman_graph import ball_of_set, distances_from_set
 from repro.structures.random_gen import random_colored_graph
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
@@ -167,9 +169,9 @@ def test_colour_flip_writes_no_edge_and_allocates_no_id(monkeypatch):
         rekeys = []
         original = PipelineMaintainer._rekey
 
-        def counting(maintainer, live, region):
+        def counting(maintainer, region):
             rekeys.append(region)
-            return original(maintainer, live, region)
+            return original(maintainer, region)
 
         monkeypatch.setattr(PipelineMaintainer, "_rekey", counting)
         element = next(e for e in db.structure.domain if db.structure.neighbors(e))
@@ -223,26 +225,156 @@ def path_structure(n):
     return structure
 
 
-def test_a_local_flip_recolours_the_same_nodes_at_any_n(monkeypatch):
-    """The first commit row of the operation-count contract: the same
-    colour flip re-evaluates the same number of node colours at n=500
-    and n=2000."""
-    calls = []
-    original = Pipeline.node_colors
+def keys_of(graph):
+    return {
+        (graph.node(node_id).elements, graph.node(node_id).positions)
+        for node_id in live_ids(graph)
+    }
 
-    def counting(pipeline, node):
-        calls.append(node)
-        return original(pipeline, node)
 
-    recoloured = []
+def near(structure, graph, centers, radius):
+    """Keys of the live nodes with a component within ``radius`` of
+    ``centers``."""
+    return {
+        (graph.node(node_id).elements, graph.node(node_id).positions)
+        for element in ball_of_set(structure, centers, radius)
+        for node_id in graph.nodes_containing(element)
+    }
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every ``node_colors`` call and every region ``_rekey`` receives,
+    keyed by pipeline."""
+    colours, rekeys = {}, {}
+    node_colors, rekey = Pipeline.node_colors, PipelineMaintainer._rekey
+
+    def counting_colours(pipeline, node):
+        colours.setdefault(id(pipeline), []).append((node.elements, node.positions))
+        return node_colors(pipeline, node)
+
+    def counting_rekeys(maintainer, region):
+        rekeys.setdefault(id(maintainer.pipeline), []).append(set(region))
+        return rekey(maintainer, region)
+
+    monkeypatch.setattr(Pipeline, "node_colors", counting_colours)
+    monkeypatch.setattr(PipelineMaintainer, "_rekey", counting_rekeys)
+    return colours, rekeys
+
+
+def test_a_local_flip_recolours_the_same_nodes_at_any_n(recorded):
+    """The first commit row of the operation-count contract: a colour
+    flip re-evaluates exactly the nodes with a component within the
+    colour radius c of the flipped element, the same nodes at n=500 and
+    n=2000, and it re-keys nothing.  For the dense query (c = 0) that is
+    only the nodes containing the element."""
+    colours, rekeys = recorded
     for n in (500, 2000):
         with Database(path_structure(n)) as db:
-            for text in QUERIES:
-                db.query(text, backend="serial").count()
-            monkeypatch.setattr(Pipeline, "node_colors", counting)
-            calls.clear()
+            pipelines = [db.query(text, backend="serial").pipeline for text in QUERIES]
+            colours.clear()
             db.apply([(False, "B", (240,))])
-            monkeypatch.undo()
-            recoloured.append(len(calls))
-    assert recoloured[0] > 0
-    assert recoloured[0] == recoloured[1]
+            counts = []
+            for text, pipeline in zip(QUERIES, pipelines):
+                radius = PipelineMaintainer(pipeline).color_radius
+                evaluated = colours[id(pipeline)]
+                assert len(evaluated) == len(set(evaluated)), "each node once"
+                want = near(db.structure, pipeline.graph, {240}, radius)
+                assert set(evaluated) == want, text
+                counts.append(len(evaluated))
+            assert rekeys == {}
+        # The 7 nodes of each two-block query that contain 240 (two
+        # single-element nodes, the pair (240, 240) and four pairs with a
+        # path neighbour), and the exists query's 3 single-element nodes
+        # within 1 of it.
+        assert counts == [7, 7, 3]
+
+
+@pytest.mark.parametrize("n", (500, 2000))
+def test_an_edge_insert_rekeys_the_link_radius_ball(n, recorded):
+    """The second row: an E insert hands ``_rekey`` exactly the
+    link-radius ball around its ends (the same before and after the
+    commit), and recolours exactly the surviving nodes within the colour
+    radius plus every node it created."""
+    colours, rekeys = recorded
+    ends = {240, 245}
+    with Database(path_structure(n)) as db:
+        pipelines = [db.query(text, backend="serial").pipeline for text in QUERIES]
+        keys_before = [keys_of(pipeline.graph) for pipeline in pipelines]
+        colours.clear()
+        db.apply([(True, "E", (240, 245))])
+        for text, pipeline, before in zip(QUERIES, pipelines, keys_before):
+            link = pipeline.link_radius
+            assert rekeys[id(pipeline)] == [ball_of_set(db.structure, ends, link)], text
+            radius = PipelineMaintainer(pipeline).color_radius
+            graph = pipeline.graph
+            born = keys_of(graph) - before
+            recolour = near(db.structure, graph, ends, radius) | born
+            evaluated = colours[id(pipeline)]
+            assert len(evaluated) == len(set(evaluated)), "each node once"
+            assert set(evaluated) == recolour, text
+
+
+@given(
+    seed=st.integers(0, 40),
+    update_seed=st.integers(0, 10_000),
+    size=st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_commit_keeps_every_distance_to_the_touched_elements(seed, update_seed, size):
+    """Why one search serves both Gaifman graphs: every edge a commit
+    changes joins two touched elements, which a shortest path to the
+    touched set never crosses."""
+    rng = random.Random(update_seed)
+    structure = colored(30, seed, max_degree=2)
+    after = structure.copy()
+    ops = []
+    for _ in range(size):
+        op = random_change(after, rng)
+        apply_ops(after, [op])
+        ops.append(op)
+    touched = {
+        element for _, _, elements in net_effects(structure, ops) for element in elements
+    }
+    before = distances_from_set(structure, touched, 6)
+    assert before == distances_from_set(after, touched, 6)
+
+
+WIDE = (
+    "dist(x,y) <= 2 & B(x)",
+    "B(x) & R(y) & dist(x,y) > 2",
+    "B(x) & forall z. (E(x,z) -> R(z))",
+    "exists z in N1(x). (R(z) & exists w in N1(z). G(w))",
+)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_wide_radius_plans_equal_a_cold_build(seed):
+    """The differential on queries whose localization radius r, colour
+    radius c and link radius L = 2r+1 differ (r = 2, 2, 1, 2): seeded
+    single and batched commits, in place and under an open snapshot,
+    leave every maintained graph equal to a cold build."""
+    rng = random.Random(seed)
+    with Database(colored(18, seed, max_degree=2)) as db:
+        for text in WIDE:
+            db.query(text, backend="serial").count()
+        for step in range(8):
+            scratch = db.structure.copy()
+            ops = []
+            for _ in range(1 if step % 2 == 0 else 3):
+                op = random_change(scratch, rng)
+                apply_ops(scratch, [op])
+                ops.append(op)
+            if not net_effects(db.structure, ops):
+                continue
+            pinned = step % 4 >= 2
+            snapshot = db.snapshot() if pinned else None
+            try:
+                result = db.apply(ops)
+            finally:
+                if snapshot is not None:
+                    snapshot.close()
+            assert result.changed and result.forked == pinned
+            assert result.maintained_plans == len(WIDE)
+            for text in WIDE:
+                assert_matches_cold(db, text)

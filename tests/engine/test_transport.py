@@ -216,6 +216,17 @@ class TestTransportDifferential:
             assert db.pool.bytes_received > 0
             assert db.stats()["pool_bytes_received"] == db.pool.bytes_received
 
+    def test_serial_wire_chunks_are_not_pool_bytes(self):
+        # A serial encoded drain encodes every chunk in this process:
+        # nothing comes off the pool, so nothing is counted as received.
+        structure = random_colored_graph(60, max_degree=3, seed=2)
+        with Database(structure, workers=2) as db:
+            encoded = db.query("B(x) & R(y)", backend="serial").answers_encoded()
+            chunks = list(encoded.chunks())
+            assert chunks and encoded.transport_stats.bytes_received > 0
+            assert db.pool.bytes_received == 0
+            assert db.stats()["pool_bytes_received"] == 0
+
 
 class TestExplainReportsTransport:
     def test_process_plan_reports_columnar(self, small_colored):
