@@ -1,30 +1,13 @@
-"""E14 — the serve tier: query throughput and wire fidelity over HTTP.
+"""E14 — the serve tier: query throughput over HTTP.
 
-Claim: the asyncio service tier (``repro.serve``) adds a transport, not
-a semantics: every result that crosses the wire — JSON pages over HTTP,
-row events over WebSocket, encoded columnar chunks decoded client-side —
-is byte-identical to in-process enumeration, snapshot-pinned cursors
-keep streaming their version while writers commit, and the pins drain
-when the cursors do.
+Drives 1/8/32 concurrent clients against an in-process server and
+reports queries/sec with p50/p99 latency per concurrency level
+(``python benchmarks/bench_e14_serve.py``), written to
+``BENCH_serve.json``.
 
-Two entry points:
-
-* a standalone harness (``python benchmarks/bench_e14_serve.py``) that
-  drives 1/8/32 concurrent clients against an in-process server and
-  reports queries/sec with p50/p99 latency per concurrency level;
-* ``--smoke`` (the CI gate) runs a tiny workload and enforces the
-  equality contracts only:
-
-  1. HTTP query results == in-process ``Answers.all()``;
-  2. WebSocket row streaming == in-process enumeration;
-  3. WebSocket *columnar* streaming decodes client-side to the same
-     rows while the server decodes zero enumeration rows itself;
-  4. an apply through the wire bumps the version and is visible to the
-     next query;
-  5. every cursor pin drains once the cursors close.
-
-Both modes emit ``BENCH_serve.json`` so future PRs can track the
-latency trajectory.
+The wire-fidelity gates (HTTP, WebSocket and columnar results equal to
+in-process enumeration, a wire apply visible to the next query, pins
+drained at close) are tier-1 tests in ``tests/serve/test_wire_gates.py``.
 """
 
 from __future__ import annotations
@@ -57,62 +40,6 @@ DEFAULT_JSON = "BENCH_serve.json"
 
 def build_database(n: int, seed: int = 17) -> Database:
     return Database(random_colored_graph(n, max_degree=4, seed=seed).copy())
-
-
-def wait_for_pins(db, want: int = 0, timeout: float = 10.0) -> int:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        pinned = db.stats()["pinned_versions"]
-        if pinned == want:
-            return pinned
-        time.sleep(0.01)
-    return db.stats()["pinned_versions"]
-
-
-def check_wire_fidelity(db, port) -> list:
-    """The smoke gates; returns a list of failure strings."""
-    failures = []
-    expected = db.query(EXAMPLE).answers().all()
-    client = ServeClient("127.0.0.1", port)
-
-    # Gate 1: HTTP rows and count match in-process enumeration.
-    if client.rows("main", EXAMPLE) != expected:
-        failures.append("HTTP rows diverge from in-process enumeration")
-    if client.count("main", EXAMPLE) != len(expected):
-        failures.append("HTTP count diverges from in-process count")
-
-    # Gate 2: WebSocket row streaming matches.
-    with client.stream("main") as ws:
-        ws.open(EXAMPLE, page_size=64)
-        if ws.rows() != expected:
-            failures.append("WebSocket rows diverge from enumeration")
-
-    # Gate 3: columnar chunks decode client-side to the same rows.
-    with client.stream("main") as ws:
-        ack = ws.open(EXAMPLE, wire="columnar", chunk_rows=512)
-        if ack.get("wire") != "columnar":
-            failures.append(f"columnar negotiation failed: {ack}")
-        elif ws.rows(ack=ack) != expected:
-            failures.append("columnar decode diverges from enumeration")
-
-    # Gate 4: a wire apply bumps the version and is immediately visible.
-    version = db.version
-    result = client.apply(
-        "main",
-        '{"op":"insert","relation":"B","elements":[0]}\n'
-        '{"op":"insert","relation":"R","elements":[1]}\n',
-    )
-    if result["ops_effective"] > 0 and result["version_after"] <= version:
-        failures.append("apply did not advance the version")
-    if client.count("main", EXAMPLE) != db.query(EXAMPLE).count():
-        failures.append("post-apply HTTP count diverges from head")
-
-    # Gate 5: no pins survive once every cursor is closed.
-    client.close()
-    leftover = wait_for_pins(db, 0)
-    if leftover != 0:
-        failures.append(f"{leftover} version pins leaked after close")
-    return failures
 
 
 def drive_clients(port, clients: int, requests_per_client: int, limit: int):
@@ -164,7 +91,6 @@ def run_harness(
     client_counts,
     requests_per_client: int,
     limit: int,
-    smoke: bool,
     json_path: str,
 ) -> int:
     db = build_database(n)
@@ -173,7 +99,6 @@ def run_harness(
     handle = serve_in_thread(registry, cursor_timeout=None)
     report = {
         "n": db.structure.cardinality,
-        "smoke": smoke,
         "query": EXAMPLE,
         "levels": [],
     }
@@ -183,36 +108,33 @@ def run_harness(
             f"workload: n={db.structure.cardinality}, "
             f"degree={db.structure.degree}, port={handle.port}"
         )
-        failures.extend(check_wire_fidelity(db, handle.port))
-
-        if not smoke:
-            for clients in client_counts:
-                latencies, elapsed, errors = drive_clients(
-                    handle.port, clients, requests_per_client, limit
-                )
-                failures.extend(errors)
-                total = len(latencies)
-                qps = total / elapsed if elapsed > 0 else 0.0
-                p50 = percentile(latencies, 0.50)
-                p99 = percentile(latencies, 0.99)
-                mean = statistics.fmean(latencies) if latencies else 0.0
-                print(
-                    f"{clients:>3} clients: {total:>5} requests in "
-                    f"{elapsed:.3f}s  {qps:,.0f} q/s  "
-                    f"mean {mean * 1e3:.2f}ms  p50 {p50 * 1e3:.2f}ms  "
-                    f"p99 {p99 * 1e3:.2f}ms"
-                )
-                report["levels"].append(
-                    {
-                        "clients": clients,
-                        "requests": total,
-                        "seconds": elapsed,
-                        "queries_per_second": qps,
-                        "mean_ms": mean * 1e3,
-                        "p50_ms": p50 * 1e3,
-                        "p99_ms": p99 * 1e3,
-                    }
-                )
+        for clients in client_counts:
+            latencies, elapsed, errors = drive_clients(
+                handle.port, clients, requests_per_client, limit
+            )
+            failures.extend(errors)
+            total = len(latencies)
+            qps = total / elapsed if elapsed > 0 else 0.0
+            p50 = percentile(latencies, 0.50)
+            p99 = percentile(latencies, 0.99)
+            mean = statistics.fmean(latencies) if latencies else 0.0
+            print(
+                f"{clients:>3} clients: {total:>5} requests in "
+                f"{elapsed:.3f}s  {qps:,.0f} q/s  "
+                f"mean {mean * 1e3:.2f}ms  p50 {p50 * 1e3:.2f}ms  "
+                f"p99 {p99 * 1e3:.2f}ms"
+            )
+            report["levels"].append(
+                {
+                    "clients": clients,
+                    "requests": total,
+                    "seconds": elapsed,
+                    "queries_per_second": qps,
+                    "mean_ms": mean * 1e3,
+                    "p50_ms": p50 * 1e3,
+                    "p99_ms": p99 * 1e3,
+                }
+            )
     finally:
         handle.stop()
         db.close()
@@ -226,21 +148,12 @@ def run_harness(
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print(
-        "ok: HTTP, WebSocket, and columnar wires are byte-identical to "
-        "in-process enumeration and every cursor pin drained"
-    )
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload; enforce the wire-fidelity gates only",
-    )
-    parser.add_argument("-n", type=int, default=None, help="structure size")
+    parser.add_argument("-n", type=int, default=300, help="structure size")
     parser.add_argument(
         "--requests", type=int, default=40, help="requests per client"
     )
@@ -249,11 +162,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", default=DEFAULT_JSON, help="report path")
     args = parser.parse_args(argv)
-    n = args.n if args.n is not None else (64 if args.smoke else 300)
-    client_counts = () if args.smoke else (1, 8, 32)
-    return run_harness(
-        n, client_counts, args.requests, args.limit, args.smoke, args.json
-    )
+    return run_harness(args.n, (1, 8, 32), args.requests, args.limit, args.json)
 
 
 if __name__ == "__main__":

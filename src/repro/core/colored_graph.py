@@ -52,6 +52,7 @@ within the largest live graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import (
     AbstractSet,
@@ -351,25 +352,49 @@ class ColoredGraph:
         return sum(self.degrees) // 2
 
 
+@lru_cache(maxsize=None)
+def _position_sets(k: int) -> Dict[int, Tuple[PositionSet, ...]]:
+    """Every set of ``size`` query positions out of ``k``, by size."""
+    return {size: tuple(combinations(range(k), size)) for size in range(1, k + 1)}
+
+
+def member_keys(
+    ordered_members: Tuple[Element, ...], seeds: Iterable[Element], k: int
+) -> Iterator[Tuple[Tuple[Element, ...], PositionSet]]:
+    """Step 3's keys over one connected member set: every tuple of
+    length ``|members|..k`` that uses all of ``ordered_members`` (sorted
+    by the domain order) and starts at one of ``seeds``, in their order,
+    with every position set of its length."""
+    size = len(ordered_members)
+    position_sets = _position_sets(k)
+    for seed in seeds:
+        for length in range(size, k + 1):
+            for rest in product(ordered_members, repeat=length - 1):
+                if len({seed, *rest}) != size:
+                    continue
+                elements = (seed,) + rest
+                for positions in position_sets[length]:
+                    yield elements, positions
+
+
 def cluster_keys(
     structure: Structure,
     evaluator: LocalEvaluator,
     k: int,
     link_radius: int,
     seeds: Iterable[Element],
-    region: AbstractSet[Element] | None = None,
 ) -> Iterator[Tuple[Tuple[Element, ...], PositionSet]]:
     """Step 3 of Proposition 3.4: the key ``(b-bar, S)`` of every node
-    seeded at ``seeds``, in their order (only clusters meeting
-    ``region``, when given).
+    seeded at ``seeds``, in their order.
 
     For every seed ``a`` we enumerate the connected vertex sets of the
     "distance <= link_radius" graph that contain ``a`` and have at most
-    ``k >= 1`` members, then every tuple over such a set that uses all
-    its members and starts at ``a``, then every position set of the
-    right size.  Every iteration over set-typed intermediates is sorted
-    by the domain order, so the key order depends only on the
-    structure's content — never on the process's hash seed.
+    ``k >= 1`` members, then (:func:`member_keys`) every tuple over such
+    a set that uses all its members and starts at ``a``, then every
+    position set of the right size.  Every iteration over set-typed
+    intermediates is sorted by the domain order, so the key order
+    depends only on the structure's content — never on the process's
+    hash seed.
     """
     rank = structure.order.rank
     sorted_ball: Dict[Element, Tuple[Element, ...]] = {}
@@ -383,23 +408,9 @@ def cluster_keys(
             )
         return cached
 
-    position_sets: Dict[int, List[PositionSet]] = {
-        size: list(combinations(range(k), size)) for size in range(1, k + 1)
-    }
     for seed in seeds:
         for members in connected_subsets(seed, link_neighbors, k):
-            if region is not None and not (members & region):
-                continue
-            ordered_members = tuple(sorted(members, key=rank))
-            # Tuples of every length >= |members| that use all members and
-            # start at the seed.
-            for length in range(len(members), k + 1):
-                for rest in product(ordered_members, repeat=length - 1):
-                    if set(rest) | {seed} != members:
-                        continue
-                    elements = (seed,) + rest
-                    for positions in position_sets[length]:
-                        yield elements, positions
+            yield from member_keys(tuple(sorted(members, key=rank)), (seed,), k)
 
 
 def build_colored_graph(

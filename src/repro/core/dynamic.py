@@ -15,19 +15,25 @@ recomputing everything from scratch"), solved later by Vigny
   far), so they can change only if ``S`` lies within ``c`` of one of the
   node's components, in the Gaifman graph before or after the commit.
   A node's existence (cluster connectivity) and its edges are read off
-  link-radius balls (``L = 2r+1``), and the ball of an element ``e``
-  changes only if ``e`` is within ``L - 1`` of ``S``; so the keys,
-  balls and degrees are diffed over the radius-``L`` ball around ``S``;
-* the update procedure *diffs* those balls: it re-enumerates the cluster
-  keys meeting the radius-``L`` ball against the *new* structure,
-  removes the nodes whose key is gone, adds the new keys, installs the
-  ball's new link-radius balls (the graph stores no edges, only balls
-  and one degree per node), moves each degree an appeared or vanished
-  edge touches, re-evaluates the colours of the nodes within ``c`` and
-  of the new ones, and moves a node between branch lists only when its
-  colour changed.  A surviving node keeps its id; a commit that leaves
-  the Gaifman graph as it was (a colour flip) skips the keys, balls and
-  degrees altogether.  Everything else is untouched.
+  the links ``dist <= L`` (``L = 2r+1``), which each element's
+  link-radius ball lists; the ball of an element ``e`` changes only if
+  ``e`` is within ``L - 1`` of ``S``, and then both ends of every link
+  that appeared or vanished lie there too;
+* the update procedure *diffs* from the links: it recomputes the balls
+  within ``L - 1`` of ``S``, reads the changed links off their symmetric
+  differences with the stored balls, and enumerates only the member
+  sets (at most ``k`` elements) that hold a changed link and are
+  connected by links on one side of the commit but not the other.  It
+  removes the nodes over the sets that came apart, adds the keys over
+  the sets that came together, installs the new balls (the graph stores
+  no edges, only balls and one degree per node), moves each degree an
+  appeared or vanished edge touches, re-evaluates the colours of the
+  nodes within ``c`` and of the new ones, and moves a node between
+  branch lists only when its colour changed.  A surviving node keeps
+  its id; a commit that leaves the Gaifman graph as it was (a colour
+  flip) skips the keys, balls and degrees altogether, and one that
+  changes no unary relation keeps the evaluator's unary sets.
+  Everything else is untouched.
 
 Cost per update: ``O(d^{h(|q|)})`` — independent of ``n`` up to the list
 splicing (kept sorted with bisect), versus full re-preprocessing at
@@ -66,12 +72,13 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Set, Tuple
 
-from repro.core.colored_graph import NO_COLORS, cluster_keys
+from repro.core.colored_graph import NO_COLORS, member_keys
 from repro.core.pipeline import Pipeline
 from repro.errors import UnsupportedQueryError
 from repro.fo.syntax import CountCmp, locality_radius, subformulas
-from repro.structures.gaifman_graph import ball_of_set, distances_from_set
+from repro.structures.gaifman_graph import distances_from_set
 from repro.structures.structure import Structure
+from repro.util.itertools2 import connected_subsets
 
 Element = Hashable
 
@@ -206,6 +213,8 @@ def maintain(
     refresh only recolours.  Otherwise a refresh needs the region's
     neighbour sets from before the mutation; it reads them off the
     balls its graph still holds from then, so nothing is taken here.
+    After the mutation, each maintainer's evaluator drops its cached set
+    of every unary relation the commit changed, and keeps the others.
 
     Exceptions propagate unchanged: :func:`maintain_in_place` undoes an
     in-place commit, and the forked commit falls back to a cold head.
@@ -220,6 +229,10 @@ def maintain(
     before = [frozenset(structure.neighbors(element)) for element in touched]
     regions = [maintainer.reach(touched) for maintainer in maintainers]
     mutate()
+    unary = {relation for _, relation, elements in effective if len(elements) == 1}
+    for maintainer in maintainers:
+        for relation in unary:
+            maintainer.pipeline.evaluator.invalidate_unary(relation)
     rewire = before != [structure.neighbors(element) for element in touched]
     return [
         maintainer.refresh(touched, region, rewire)
@@ -265,15 +278,15 @@ class PipelineMaintainer:
 
         A node's colours change only if a touched element lies within
         :attr:`color_radius` of one of its components.  Its existence
-        (pairwise component distances <= ``L = 2r+1`` for cluster
-        connectivity) and its edges (component distances <= ``L``) change
-        only if a component's link-radius ball changes, and the ball of
-        ``e`` changes only if a changed edge has an end within ``L - 1``
-        of ``e``, i.e. if ``e`` is within ``L - 1`` of a touched element.
-        The keys, balls and degrees are diffed over the radius-``L`` ball,
-        which holds every such component.
+        (its components connected by links ``dist <= L``, ``L = 2r+1``)
+        and its edges (some component distance <= ``L``) change only if
+        a link changes, and a link ``{a, b}`` changes only if a changed
+        Gaifman edge lies on a path of length ``<= L`` between them, so
+        both ``a`` and ``b`` are within ``L - 1`` of a touched element.
+        The balls are recomputed, and the changed links read off, within
+        ``L - 1``.
         """
-        return max(self.color_radius, self.pipeline.link_radius)
+        return max(self.color_radius, self.pipeline.link_radius - 1)
 
     # ------------------------------------------------------------------
     # Local recomputation
@@ -292,13 +305,17 @@ class PipelineMaintainer:
         the Gaifman graph did not change (a colour flip): then no node
         appears or disappears and no ball or degree moves, so only colours
         are re-evaluated and the evaluator keeps its balls.  With
-        ``rewire=True``, :meth:`_rekey` diffs the keys and balls of the
-        elements within the link radius: each node that was added, removed
-        or has a component whose ball changed gets its degree from its new
-        neighbour set, and every other node moves by one per edge to such
-        a node that appeared or vanished.  Colours are then re-evaluated
-        for the surviving nodes with a component within
+        ``rewire=True``, :meth:`_rekey` gets the elements within
+        ``L - 1``, whose balls are the only ones that can change: it
+        diffs their balls, adds and removes the nodes over the member
+        sets a changed link joined or split, gives each node that was
+        added, removed or has a component whose ball changed its degree
+        from its new neighbour set, and moves every other node by one per
+        edge to such a node that appeared or vanished.  Colours are then
+        re-evaluated for the surviving nodes with a component within
         :attr:`color_radius` and for every node :meth:`_rekey` added.
+        The evaluator's unary sets are :func:`maintain`'s to drop, since
+        it sees which relations the commit changed.
 
         Returns whether the pipeline's *durable* plan state changed — a
         node removed or added, an edge (a degree) or a colour rewritten
@@ -310,12 +327,11 @@ class PipelineMaintainer:
         pipeline = self.pipeline
         evaluator = pipeline.evaluator
         # Stale caches: memoized local evaluations may cross the modified
-        # facts, unary sets change on unary-fact updates, and balls change
-        # with the Gaifman graph.
+        # facts, and balls change with the Gaifman graph.  (:func:`maintain`
+        # has dropped the unary sets the commit changed.)
         if rewire:
             evaluator._ball_cache.clear()
         evaluator._memo.clear()
-        evaluator._unary_cache.clear()
         # Armed enumerators hold skip/reach memos over the old graph.
         if hasattr(pipeline, "_armed_branches"):
             del pipeline._armed_branches
@@ -329,7 +345,7 @@ class PipelineMaintainer:
             linked = {
                 element
                 for element, distance in region.items()
-                if distance <= pipeline.link_radius
+                if distance < pipeline.link_radius
             }
             born, changed = self._rekey(linked)
             recolor.update(born)
@@ -346,12 +362,24 @@ class PipelineMaintainer:
         return changed
 
     def _rekey(self, region: Set[Element]) -> Tuple[List[int], bool]:
-        """Diff the node keys meeting ``region`` (the elements within the
-        link radius of the touched ones) against the new structure (Step 3
-        of Prop 3.4, restricted to tuples meeting the region): remove the
-        nodes whose key is gone, add the new keys, and rewire the graph
-        (the balls that changed, and every degree they move).  Returns
-        the added ids and whether a node or an edge changed.
+        """Diff the node keys against the new structure from the links
+        the commit changed (Step 3 of Prop 3.4), remove the nodes whose
+        key is gone, add the new keys, and rewire the graph (the balls
+        that changed, and every degree they move).  Returns the added
+        ids and whether a node or an edge changed.
+
+        ``region`` holds the elements within ``L - 1`` of the touched
+        ones, which are the only elements whose link-radius ball can
+        change.  Each element of a changed ball's symmetric difference
+        with the old one is a link ``{a, b}`` (``dist <= L``) that
+        appeared or vanished.  A key's node exists iff its member set is
+        connected by links, so a key can appear or vanish only with a
+        member set of at most ``k`` elements that holds both ends of a
+        changed link and is connected in the old link graph or in the
+        new one, not both.  Those member sets are enumerated from the
+        changed links, on the graph's balls (old) and on the new balls
+        (new).  For ``k = 1`` there is no such set, and only balls and
+        degrees move.
 
         Only the removed nodes and those with a component whose ball
         changed can lose or gain an edge to a surviving node; their
@@ -361,37 +389,45 @@ class PipelineMaintainer:
         graph = pipeline.graph
         assert graph is not None
         evaluator = pipeline.evaluator
-        # Tuples meeting the region have their first component within
-        # (k-1)*link of it.
-        seeds = ball_of_set(
-            self.structure, region, (pipeline.arity - 1) * pipeline.link_radius
-        )
-        keys = dict.fromkeys(
-            cluster_keys(
-                self.structure,
-                evaluator,
-                pipeline.arity,
-                pipeline.link_radius,
-                sorted(seeds, key=self.structure.order.rank),
-                region,
-            )
-        )
-        live = {
-            node_id
-            for element in region
-            for node_id in graph.nodes_containing(element)
-        }
-        dead = set()
-        for node_id in live:
-            node = graph.node(node_id)
-            if (node.elements, node.positions) not in keys:
-                dead.add(node_id)
-                self._move_buckets(node, NO_COLORS)
+        k = pipeline.arity
+        rank = self.structure.order.rank
+        old = graph.balls
         balls = {}
         for element in region:
             ball = evaluator.ball(element, pipeline.link_radius)
-            if ball != graph.balls[element]:
+            if ball != old[element]:
                 balls[element] = ball
+
+        def new_links(element: Element):
+            ball = balls.get(element)
+            return old[element] if ball is None else ball
+
+        connected_before: Set[frozenset] = set()
+        connected_after: Set[frozenset] = set()
+        for a, ball in balls.items():
+            for b in ball.symmetric_difference(old[a]):
+                if rank(a) > rank(b):
+                    continue  # the same link, seen from ``b``
+                for found, links in (
+                    (connected_before, old.__getitem__),
+                    (connected_after, new_links),
+                ):
+                    found.update(
+                        members
+                        for members in connected_subsets(a, links, k)
+                        if b in members
+                    )
+
+        def keys(member_sets):
+            for members in sorted(
+                (tuple(sorted(members, key=rank)) for members in member_sets),
+                key=lambda ordered: [rank(element) for element in ordered],
+            ):
+                yield from member_keys(members, members, k)
+
+        dead = {graph.node_id(*key) for key in keys(connected_before - connected_after)}
+        for node_id in dead:
+            self._move_buckets(graph.node(node_id), NO_COLORS)
         before = graph.neighbor_sets(
             dead.union(
                 node_id
@@ -400,9 +436,7 @@ class PipelineMaintainer:
             )
         )
         graph.remove_nodes(dead)
-        born = [
-            graph.add_node(*key) for key in keys if graph.node_id(*key) is None
-        ]
+        born = [graph.add_node(*key) for key in keys(connected_after - connected_before)]
         moved = graph.rewire(before, balls, born)
         return born, bool(dead) or bool(born) or moved
 

@@ -245,7 +245,7 @@ class TestSupportGuard:
             maintainer = dyn.maintainer
             assert maintainer.color_radius == color_radius == maintainer.pipeline.radius
             assert maintainer.pipeline.link_radius == link_radius
-            assert maintainer.refresh_radius == link_radius
+            assert maintainer.refresh_radius == max(color_radius, link_radius - 1)
 
 
 class TestBatchMaintenance:

@@ -12,14 +12,17 @@ neighbour-set sizes.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import dynamic
 from repro.core.dynamic import PipelineMaintainer, apply_ops, net_effects
 from repro.core.pipeline import Pipeline
+from repro.fo.localize import LocalEvaluator
 from repro.fo.parser import parse
 from repro.fo.semantics import naive_answers
 from repro.session import Database
@@ -293,9 +296,10 @@ def test_a_local_flip_recolours_the_same_nodes_at_any_n(recorded):
 @pytest.mark.parametrize("n", (500, 2000))
 def test_an_edge_insert_rekeys_the_link_radius_ball(n, recorded):
     """The second row: an E insert hands ``_rekey`` exactly the
-    link-radius ball around its ends (the same before and after the
-    commit), and recolours exactly the surviving nodes within the colour
-    radius plus every node it created."""
+    elements within ``L - 1`` of its ends (the same before and after the
+    commit), the only ones whose link-radius ball can change, and
+    recolours exactly the surviving nodes within the colour radius plus
+    every node it created."""
     colours, rekeys = recorded
     ends = {240, 245}
     with Database(path_structure(n)) as db:
@@ -304,8 +308,8 @@ def test_an_edge_insert_rekeys_the_link_radius_ball(n, recorded):
         colours.clear()
         db.apply([(True, "E", (240, 245))])
         for text, pipeline, before in zip(QUERIES, pipelines, keys_before):
-            link = pipeline.link_radius
-            assert rekeys[id(pipeline)] == [ball_of_set(db.structure, ends, link)], text
+            inner = pipeline.link_radius - 1
+            assert rekeys[id(pipeline)] == [ball_of_set(db.structure, ends, inner)], text
             radius = PipelineMaintainer(pipeline).color_radius
             graph = pipeline.graph
             born = keys_of(graph) - before
@@ -313,6 +317,134 @@ def test_an_edge_insert_rekeys_the_link_radius_ball(n, recorded):
             evaluated = colours[id(pipeline)]
             assert len(evaluated) == len(set(evaluated)), "each node once"
             assert set(evaluated) == recolour, text
+            if n == 500:  # the naive oracle is quadratic in n
+                assert_matches_cold(db, text)
+
+
+@pytest.fixture
+def rekey_work(monkeypatch):
+    """Per evaluator, the link-radius balls computed (cache misses), and
+    every key ``_rekey`` expanded from a candidate member set."""
+    balls, keys = {}, []
+    ball, expand = LocalEvaluator.ball, dynamic.member_keys
+
+    def counting_ball(evaluator, element, radius):
+        if (element, radius) not in evaluator._ball_cache:
+            balls.setdefault(id(evaluator), []).append((element, radius))
+        return ball(evaluator, element, radius)
+
+    def counting_keys(ordered_members, seeds, k):
+        for key in expand(ordered_members, seeds, k):
+            keys.append(key)
+            yield key
+
+    monkeypatch.setattr(LocalEvaluator, "ball", counting_ball)
+    monkeypatch.setattr(dynamic, "member_keys", counting_keys)
+    return balls, keys
+
+
+def test_a_local_edge_insert_does_the_same_rekey_work_at_any_n(rekey_work):
+    """The third row: the same local E insert computes the same link-radius
+    balls (those within ``L - 1`` of its ends, one each) and expands the
+    same candidate keys at n=500 and n=2000.  The two-block queries
+    (k = 2, L = 1) expand the two keys over the new link ``{240, 245}``;
+    the exists query (k = 1) has no candidate set, so none."""
+    balls, keys = rekey_work
+    work = []
+    for n in (500, 2000):
+        with Database(path_structure(n)) as db:
+            pipelines = [db.query(text, backend="serial").pipeline for text in QUERIES]
+            balls.clear()
+            keys.clear()
+            db.apply([(True, "E", (240, 245))])
+            computed = []
+            for pipeline in pipelines:
+                link = pipeline.link_radius
+                linked = [
+                    element
+                    for element, radius in balls[id(pipeline.evaluator)]
+                    if radius == link
+                ]
+                assert sorted(linked) == sorted(
+                    ball_of_set(db.structure, {240, 245}, link - 1)
+                )
+                computed.append(len(linked))
+            work.append((computed, sorted(keys)))
+            if n == 500:
+                for text in QUERIES:
+                    assert_matches_cold(db, text)
+    assert work[0] == work[1]
+    assert work[0][0] == [2, 2, 10]
+    assert work[0][1] == sorted(2 * [((240, 245), (0, 1)), ((245, 240), (0, 1))])
+
+
+def test_an_edge_commit_rebuilds_no_unary_set(monkeypatch):
+    """The fourth row: an E commit re-reads no unary relation at n=500 or
+    n=2000, and a B flip re-reads B alone."""
+    misses = []
+    unary_set = LocalEvaluator.unary_set
+
+    def counting(evaluator, name):
+        if name not in evaluator._unary_cache:
+            misses.append(name)
+        return unary_set(evaluator, name)
+
+    monkeypatch.setattr(LocalEvaluator, "unary_set", counting)
+    for n in (500, 2000):
+        with Database(path_structure(n)) as db:
+            for text in QUERIES:
+                db.query(text, backend="serial").count()
+            misses.clear()
+            db.apply([(True, "E", (240, 245))])
+            db.apply([(False, "E", (240, 241))])
+            assert misses == []
+            db.apply([(False, "B", (240,))])
+            assert set(misses) == {"B"}
+            if n == 500:
+                for text in QUERIES:
+                    assert_matches_cold(db, text)
+
+
+def keys_over(members, k):
+    """Every key over the member set: each tuple of length ``|members|..k``
+    that uses all members, with each position set of its length."""
+    return {
+        (elements, positions)
+        for length in range(len(members), k + 1)
+        for elements in itertools.product(sorted(members), repeat=length)
+        if set(elements) == set(members)
+        for positions in itertools.combinations(range(k), length)
+    }
+
+
+def test_a_triangle_keeps_its_three_member_set():
+    """The k = 3 differential on a path (L = 1, so links are edges).
+    Closing the triangle 20-21-22 with E(20,22) adds exactly the keys over
+    the sets the new link connects, and opening it again removes exactly
+    those: {20, 21, 22} is connected on both sides, so its nodes keep
+    their ids.  Deleting E(20,21) then removes exactly the keys over the
+    sets that come apart, {20, 21, 22} among them."""
+    with Database(path_structure(24)) as db:
+        graph = db.query(THREE_BLOCKS, backend="serial").pipeline.graph
+        triangle = {key: graph.node_id(*key) for key in keys_over({20, 21, 22}, 3)}
+        joined = (
+            keys_over({20, 22}, 3) | keys_over({19, 20, 22}, 3) | keys_over({20, 22, 23}, 3)
+        )
+        split = (
+            keys_over({20, 21}, 3) | keys_over({19, 20, 21}, 3) | keys_over({20, 21, 22}, 3)
+        )
+        for op, added, removed in (
+            ((True, "E", (20, 22)), joined, set()),
+            ((False, "E", (20, 22)), set(), joined),
+            ((False, "E", (20, 21)), set(), split),
+        ):
+            before = keys_of(graph)
+            assert db.apply([op]).maintained_plans == 1
+            after = keys_of(graph)
+            assert (after - before, before - after) == (added, removed), op
+            if triangle.keys() <= after:
+                assert {key: graph.node_id(*key) for key in triangle} == triangle
+            assert_matches_cold(db, THREE_BLOCKS)
 
 
 @given(
