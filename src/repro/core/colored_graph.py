@@ -19,21 +19,25 @@ of each other — so the quantifier-free condition "no two distinct answer
 positions are E-adjacent in G" (``psi_1``) holds exactly when the clusters
 of the original tuple are pairwise far apart (``delta_P``).  Step 4
 *defines* that relation, so the graph does not store it: it keeps every
-element's link-radius ball, reads adjacency and neighbour sets off the
-balls on demand, and stores one exact degree per node.  Stored size is
-O(nodes + sum of ball sizes), never O(edges).
+element's link-radius ball and reads adjacency, neighbour sets and
+degrees off the balls on demand.  Stored size is O(nodes + sum of ball
+sizes), never O(edges).  The small/big block split of
+:mod:`repro.core.enumeration` needs only an upper bound on degrees,
+:meth:`ColoredGraph.degree_bound`, which it reads when it arms a
+branch.  Only :attr:`ColoredGraph.max_degree` is memoised, until the
+next surgery.
 
 The per-node color data (evaluations of the per-cluster formulas
 ``theta_{P,j,t}``) is attached by :mod:`repro.core.pipeline`.
 
-**Copy-on-write.**  Node existence, ids, balls and degrees depend only
+**Copy-on-write.**  Node existence, ids and balls depend only
 on ``(structure, k, 2r+1)``, so one graph is shared by every query of
 the same shape and by both sides of a warm fork.  One rule makes that
 safe: a published :class:`VNode` never changes (a colour change
 replaces the node through :meth:`ColoredGraph.set_colors`), and a ball
 is an immutable ``frozenset`` that a rewire replaces, never edits.
 :meth:`ColoredGraph.clone` therefore copies containers only — the node
-list, key map, containment lists, degrees and ball table; there is no
+list, key map, containment lists and ball table; there is no
 adjacency to copy.  This is the path-copying discipline of Driscoll,
 Sarnak, Sleator and Tarjan ("Making data structures persistent", JCSS
 1989), and the per-node analogue of
@@ -41,12 +45,9 @@ Sarnak, Sleator and Tarjan ("Making data structures persistent", JCSS
 
 **Surgery.**  :mod:`repro.core.dynamic` edits a graph by difference: a
 node whose key survives a commit keeps its id, and
-:meth:`ColoredGraph.rewire` installs the balls that changed, sets the
-degree of each node that was added or has a component whose ball
-changed from its new neighbour set, and moves every other node's degree
-by one per edge that appeared or vanished.  A removed node's id goes on
-a free list and the next new key reuses it, so the id space stays
-within the largest live graph.
+:meth:`ColoredGraph.rewire` installs the balls that changed.  A
+removed node's id goes on a free list and the next new key reuses it,
+so the id space stays within the largest live graph.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -80,7 +82,6 @@ BOTTOM = 0
 
 Colors = Mapping[int, Tuple[bool, ...]]
 NO_COLORS: Colors = {}  # shared by colourless nodes, never mutated
-_NO_IDS: AbstractSet[int] = frozenset()
 _NO_ELEMENTS: AbstractSet[Element] = frozenset()
 
 
@@ -104,15 +105,14 @@ class VNode:
 
 
 class ColoredGraph:
-    """The graph ``G``: its nodes, the encoder-lookup table, and one
-    exact degree per node.
+    """The graph ``G``: its nodes and the encoder-lookup table.
 
     ``E`` is not stored.  ``balls`` maps every element to its
     ``link_radius`` ball, as the structure was when the graph was built
-    or last rewired, and :meth:`adjacent` / :meth:`neighbors` read the
-    edges off it and ``_containing`` (Step 4's definition).
-    ``degrees[i]`` is node ``i``'s degree (0 for a tombstone); the
-    small/big block split of :mod:`repro.core.enumeration` reads it.
+    or last rewired, and :meth:`adjacent` / :meth:`neighbors` /
+    :meth:`degree` read the edges off it and ``_containing`` (Step 4's
+    definition).  ``_max_degree`` memoises :attr:`max_degree`; every
+    surgery drops it.
     """
 
     def __init__(self, structure: Structure, link_radius: int, k: int):
@@ -125,25 +125,24 @@ class ColoredGraph:
         }
         self._containing: Dict[Element, List[int]] = {}
         self._free: List[int] = []  # ids of removed nodes, reused first
-        self.degrees: List[int] = [0]
+        self._max_degree: Optional[int] = None
         self.balls: Dict[Element, FrozenSet[Element]] = {}
 
     # -- construction ---------------------------------------------------
 
     def add_node(self, elements: Tuple[Element, ...], positions: PositionSet) -> int:
-        """Add (or look up) a node.  A fresh id's degree starts at 0; a
-        reused id keeps its old one until :meth:`rewire` settles it."""
+        """Add (or look up) a node."""
         key = (elements, positions)
         existing = self._by_key.get(key)
         if existing is not None:
             return existing
+        self._max_degree = None
         if self._free:
             node_id = self._free.pop()
             self.nodes[node_id] = VNode(node_id, elements, positions, NO_COLORS)
         else:
             node_id = len(self.nodes)
             self.nodes.append(VNode(node_id, elements, positions, NO_COLORS))
-            self.degrees.append(0)
         self._by_key[key] = node_id
         for element in set(elements):
             self._containing.setdefault(element, []).append(node_id)
@@ -154,24 +153,11 @@ class ColoredGraph:
         node = self.nodes[node_id]
         self.nodes[node_id] = VNode(node_id, node.elements, node.positions, unit_values)
 
-    def _count_degrees(self) -> None:
-        """Set every node's degree, from one transient neighbour set per
-        distinct component set: the nodes over one set of elements all
-        have the same neighbours, themselves included."""
-        sizes: Dict[FrozenSet[Element], int] = {}
-        for node in self.nodes[1:]:
-            members = frozenset(node.elements)
-            size = sizes.get(members)
-            if size is None:
-                around = self._around(node.node_id, self._containing)
-                size = sizes[members] = len(around)
-            self.degrees[node.node_id] = size - 1
-
     def clone(self) -> "ColoredGraph":
         """A copy-on-write twin sharing every node and ball.
 
         Copies containers only: the node list, the key map, the
-        containment lists, the degrees and the ball table.  Colours are
+        containment lists and the ball table.  Colours are
         shared too: template clones start colourless, warm forks keep
         theirs.
         """
@@ -180,7 +166,7 @@ class ColoredGraph:
         twin._by_key = dict(self._by_key)
         twin._containing = {element: list(ids) for element, ids in self._containing.items()}
         twin._free = list(self._free)
-        twin.degrees = list(self.degrees)
+        twin._max_degree = self._max_degree
         twin.balls = dict(self.balls)
         return twin
 
@@ -191,8 +177,9 @@ class ColoredGraph:
 
         Each id stays a colourless tombstone in ``nodes`` until
         :meth:`add_node` reuses it; callers must have removed the ids
-        from their own lists, and :meth:`rewire` settles the degrees.
+        from their own lists.
         """
+        self._max_degree = None
         for node_id in node_ids:
             node = self.nodes[node_id]
             self._by_key.pop((node.elements, node.positions), None)
@@ -203,62 +190,14 @@ class ColoredGraph:
             self.set_colors(node_id, NO_COLORS)
         self._free.extend(sorted(node_ids, reverse=True))
 
-    def neighbor_sets(self, node_ids: Iterable[int]) -> Dict[int, Set[int]]:
-        """Each node's current neighbour set (the input of :meth:`rewire`);
-        nodes over one set of elements share one computation."""
-        shared: Dict[FrozenSet[Element], Set[int]] = {}
-        sets: Dict[int, Set[int]] = {}
-        for node_id in node_ids:
-            members = frozenset(self.nodes[node_id].elements)
-            around = shared.get(members)
-            if around is None:
-                around = shared[members] = self._around(node_id, self._containing)
-            sets[node_id] = around - {node_id}
-        return sets
-
-    def rewire(
-        self,
-        before: Mapping[int, AbstractSet[int]],
-        balls: Mapping[Element, FrozenSet[Element]],
-        born: Iterable[int],
-    ) -> bool:
-        """Install changed balls and settle every degree a change moved.
-
-        ``balls`` are the new balls of the elements whose ball changed,
-        and ``born`` the ids just added.  ``before`` maps each node that
-        was removed or has a component in ``balls`` to its neighbour set
-        before the change, taken before any surgery.  An edge can only
-        appear or vanish at such a node or a born one (adjacency is read
-        off the balls of either end), so each of those that is live now
-        gets its degree from its new neighbour set, each removed one
-        gets 0, and every other node moves by one per edge to them that
-        appeared or vanished.  Returns whether an edge changed.
-        """
+    def rewire(self, balls: Mapping[Element, FrozenSet[Element]]) -> bool:
+        """Install ``balls``, the new balls of the elements whose ball
+        changed; returns whether any did."""
+        if not balls:
+            return False
+        self._max_degree = None
         self.balls.update(balls)
-        after = self.neighbor_sets(
-            {
-                node_id
-                for element in balls
-                for node_id in self._containing.get(element, ())
-            }.union(born)
-        )
-        moved = before.keys() | after.keys()
-        degrees = self.degrees
-        changed = False
-        for node_id in moved:
-            old = before.get(node_id, _NO_IDS)
-            new = after.get(node_id, _NO_IDS)
-            if old == new:
-                continue
-            changed = True
-            degrees[node_id] = len(new)
-            for other in new - old:
-                if other not in moved:
-                    degrees[other] += 1
-            for other in old - new:
-                if other not in moved:
-                    degrees[other] -= 1
-        return changed
+        return True
 
     def nodes_containing(self, element: Element):
         """Ids of live nodes having ``element`` as a component."""
@@ -338,7 +277,30 @@ class ColoredGraph:
         return index
 
     def degree(self, node_id: int) -> int:
-        return self.degrees[node_id]
+        """The live node's degree, computed on demand."""
+        return len(self.neighbors(node_id))
+
+    def degree_bound(self, node_id: int) -> int:
+        """An upper bound on the live node's degree that builds no
+        neighbour set: the ids filed under the elements of its ball
+        union, counted once per element, less the node itself."""
+        containing = self._containing
+        return sum(len(containing.get(element, ())) for element in self.ball_union(node_id)) - 1
+
+    def _degrees(self) -> Iterator[int]:
+        """Every live node's degree.  The nodes over one set of elements
+        all have the same neighbours, themselves included, so each such
+        set costs one neighbour-set computation."""
+        free = set(self._free)
+        sizes: Dict[FrozenSet[Element], int] = {}
+        for node in self.nodes[1:]:
+            if node.node_id in free:
+                continue
+            members = frozenset(node.elements)
+            size = sizes.get(members)
+            if size is None:
+                size = sizes[members] = len(self._around(node.node_id, self._containing))
+            yield size - 1
 
     @property
     def node_count(self) -> int:
@@ -346,10 +308,13 @@ class ColoredGraph:
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees, default=0)
+        """The largest degree, computed on first read after a surgery."""
+        if self._max_degree is None:
+            self._max_degree = max(self._degrees(), default=0)
+        return self._max_degree
 
     def edge_count(self) -> int:
-        return sum(self.degrees) // 2
+        return sum(self._degrees()) // 2
 
 
 @lru_cache(maxsize=None)
@@ -421,8 +386,8 @@ def build_colored_graph(
     max_nodes: int = 5_000_000,
 ) -> ColoredGraph:
     """Steps 3-4 of Proposition 3.4: enumerate cluster tuples (seeded in
-    domain order, :func:`cluster_keys`), keep every element's
-    link-radius ball, and count each node's degree.  Total cost
+    domain order, :func:`cluster_keys`) and keep every element's
+    link-radius ball.  Total cost
     ``O(n * d^{h(k, r)})`` as in the paper; no edge is stored.
 
     Node ids depend only on the structure's content.  The engine's
@@ -445,5 +410,4 @@ def build_colored_graph(
             element: evaluator.ball(element, link_radius)
             for element in structure.domain
         }
-        graph._count_degrees()
     return graph

@@ -26,12 +26,11 @@ recomputing everything from scratch"), solved later by Vigny
   connected by links on one side of the commit but not the other.  It
   removes the nodes over the sets that came apart, adds the keys over
   the sets that came together, installs the new balls (the graph stores
-  no edges, only balls and one degree per node), moves each degree an
-  appeared or vanished edge touches, re-evaluates the colours of the
+  no edges and no degrees, only balls), re-evaluates the colours of the
   nodes within ``c`` and of the new ones, and moves a node between
   branch lists only when its colour changed.  A surviving node keeps
   its id; a commit that leaves the Gaifman graph as it was (a colour
-  flip) skips the keys, balls and degrees altogether, and one that
+  flip) skips the keys and balls altogether, and one that
   changes no unary relation keeps the evaluator's unary sets.
   Everything else is untouched.
 
@@ -44,8 +43,8 @@ clone of a session template or a fork of a pinned head's graph, and
 :class:`repro.core.colored_graph.ColoredGraph` is copy-on-write: removed
 nodes become colourless tombstones whose ids the next new keys reuse, a
 recoloured node is replaced through ``set_colors``, and a rewire
-replaces balls (immutable ``frozenset``s) and writes degrees in the
-maintained graph's own lists, which :meth:`ColoredGraph.clone` copied.
+replaces balls (immutable ``frozenset``s) in the maintained graph's own
+ball table, which :meth:`ColoredGraph.clone` copied.
 So a maintainer needs no private copy of the graph up front, and the
 template, the pinned head and every sibling clone stay as they were.
 
@@ -303,22 +302,20 @@ class PipelineMaintainer:
         which is the same in the Gaifman graph before and after the
         mutation (see :func:`maintain`).  ``rewire=False`` promises that
         the Gaifman graph did not change (a colour flip): then no node
-        appears or disappears and no ball or degree moves, so only colours
+        appears or disappears and no ball moves, so only colours
         are re-evaluated and the evaluator keeps its balls.  With
         ``rewire=True``, :meth:`_rekey` gets the elements within
         ``L - 1``, whose balls are the only ones that can change: it
         diffs their balls, adds and removes the nodes over the member
-        sets a changed link joined or split, gives each node that was
-        added, removed or has a component whose ball changed its degree
-        from its new neighbour set, and moves every other node by one per
-        edge to such a node that appeared or vanished.  Colours are then
+        sets a changed link joined or split, and installs the changed
+        balls, which is every edge the commit moved.  Colours are then
         re-evaluated for the surviving nodes with a component within
         :attr:`color_radius` and for every node :meth:`_rekey` added.
         The evaluator's unary sets are :func:`maintain`'s to drop, since
         it sees which relations the commit changed.
 
         Returns whether the pipeline's *durable* plan state changed — a
-        node removed or added, an edge (a degree) or a colour rewritten
+        node removed or added, a ball (an edge) or a colour rewritten
         (cleared memo caches rebuild on demand and do not count).  The
         session uses this as the dirty flag for incremental checkpoint
         spills.
@@ -364,9 +361,9 @@ class PipelineMaintainer:
     def _rekey(self, region: Set[Element]) -> Tuple[List[int], bool]:
         """Diff the node keys against the new structure from the links
         the commit changed (Step 3 of Prop 3.4), remove the nodes whose
-        key is gone, add the new keys, and rewire the graph (the balls
-        that changed, and every degree they move).  Returns the added
-        ids and whether a node or an edge changed.
+        key is gone, add the new keys, and install the balls that
+        changed.  Returns the added ids and whether a node or a ball
+        changed.
 
         ``region`` holds the elements within ``L - 1`` of the touched
         ones, which are the only elements whose link-radius ball can
@@ -378,13 +375,8 @@ class PipelineMaintainer:
         changed link and is connected in the old link graph or in the
         new one, not both.  Those member sets are enumerated from the
         changed links, on the graph's balls (old) and on the new balls
-        (new).  For ``k = 1`` there is no such set, and only balls and
-        degrees move.
-
-        Only the removed nodes and those with a component whose ball
-        changed can lose or gain an edge to a surviving node; their
-        neighbour sets before the change are read first, off the balls
-        the graph still holds from before the mutation."""
+        (new).  For ``k = 1`` there is no such set, and only balls
+        move."""
         pipeline = self.pipeline
         graph = pipeline.graph
         assert graph is not None
@@ -428,16 +420,9 @@ class PipelineMaintainer:
         dead = {graph.node_id(*key) for key in keys(connected_before - connected_after)}
         for node_id in dead:
             self._move_buckets(graph.node(node_id), NO_COLORS)
-        before = graph.neighbor_sets(
-            dead.union(
-                node_id
-                for element in balls
-                for node_id in graph.nodes_containing(element)
-            )
-        )
         graph.remove_nodes(dead)
         born = [graph.add_node(*key) for key in keys(connected_after - connected_before)]
-        moved = graph.rewire(before, balls, born)
+        moved = graph.rewire(balls)
         return born, bool(dead) or bool(born) or moved
 
     def _move_buckets(self, node, colors) -> None:

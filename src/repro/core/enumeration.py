@@ -15,11 +15,15 @@ follows the paper's two key devices:
 
 * **The big/small block dichotomy** (the paper's intro: components close
   to each other admit few answers which can be precomputed; far components
-  are handled by skipping).  Blocks whose list is short (at most
-  ``(l-1) * max_degree(G)``) are ground to an explicit table of jointly
-  compatible assignments during preprocessing; the remaining *big* lists
-  can never be exhausted by at most ``l-1`` placed blockers, so every
-  prefix extends to a full answer and the nested iteration never stalls.
+  are handled by skipping).  Blocks whose list is short (at most the
+  other blocks' summed degree bounds, each at most a function of ``d``
+  and the query, like ``max_degree(G)``) are ground to an explicit table
+  of jointly compatible assignments during preprocessing.  The bound
+  (:meth:`ColoredGraph.degree_bound`) is read when a branch is armed;
+  an over-estimate only moves a block to the small side.  The remaining
+  *big* lists can never be exhausted by at most ``l-1`` placed
+  blockers, so every prefix extends to a full answer and the nested
+  iteration never stalls.
   This replaces the paper's re-invocation of the full quantifier
   elimination on the prefix query ``theta'`` (their induction on arity)
   with an equivalent extendability guarantee.
@@ -194,11 +198,17 @@ class BranchEnumerator:
         self.block_count = len(branch.lists)
         # A block can be starved only by nodes placed for *other* blocks;
         # each placed node excludes at most its own degree of candidates.
-        degrees = self.graph.degrees
-        max_degree_of = [
-            max((degrees[node] for node in node_list), default=0)
-            for node_list in branch.lists
-        ]
+        # An upper bound on that degree suffices: over-estimating it only
+        # moves a block to the small side.  A one-block branch has no
+        # other block, so it reads no bound.
+        if self.block_count > 1:
+            bound = self.graph.degree_bound
+            max_degree_of = [
+                max((bound(node) for node in node_list), default=0)
+                for node_list in branch.lists
+            ]
+        else:
+            max_degree_of = [0] * self.block_count
         total_degree = sum(max_degree_of)
         self.small_blocks = [
             j
@@ -232,9 +242,9 @@ class BranchEnumerator:
     ) -> Iterator[Optional[Tuple[int, ...]]]:
         """Jointly compatible assignments of the small blocks, by DFS.
 
-        Every small list has at most ``sum of other blocks' max degrees``
-        entries, so the DFS subtree between two valid leaves has size
-        bounded by ``(k * d-hat)^k`` — a constant of the same order as the
+        Every small list has at most ``sum of other blocks' max degree
+        bounds`` entries, so the DFS subtree between two valid leaves has
+        size bounded by ``(k * d-hat)^k`` — a constant of the same order as the
         paper's skip-table, independent of ``n``.  Lazy enumeration keeps
         memory bounded (the eager table can reach the budget on 3-ary
         branches).

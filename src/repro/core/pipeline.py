@@ -96,9 +96,6 @@ class Branch:
     signs: SignVector
     lists: List[List[int]]
 
-    def is_empty(self) -> bool:
-        return any(not node_list for node_list in self.lists)
-
 
 def supports_query(
     structure: Structure,
@@ -427,7 +424,7 @@ class Pipeline:
         Shares everything immutable (plans, partition index, intern
         table, the localized formula) and the colored graph itself
         through :meth:`ColoredGraph.clone`, which copies containers only
-        — node list, key map, containment lists, degrees and ball table,
+        — node list, key map, containment lists and ball table,
         no adjacency, since the graph stores none: nodes and balls stay
         shared until maintenance on either side replaces them.  The
         block-vector index buckets and the branch objects are copied,
@@ -520,11 +517,10 @@ class Pipeline:
         ``Pipeline(structure, ...)`` build would create — per-seed node
         blocks are contiguous and internally deterministic, and a seed
         lives in exactly one shard, so the key never ties across shards.
-        Degrees are carried over per node and the shards' balls are
-        joined (balls never leave a component, so no edge crosses
-        shards and a shard degree is the global one); colors are copied
-        (unit formulas are r-local, hence shard-computable), and the
-        branch lists are rebuilt over the renumbered ids.  The result is
+        The shards' balls are joined (balls never leave a component, so
+        no edge crosses shards); colors are copied (unit formulas are
+        r-local, hence shard-computable), and the branch lists are
+        rebuilt over the renumbered ids.  The result is
         indistinguishable from the cold global build — same node ids,
         same branch lists, same enumeration byte order — at the cost of a
         merge instead of a global graph construction.
@@ -537,26 +533,15 @@ class Pipeline:
         rank = structure.order.rank
         graph = ColoredGraph(structure, self.link_radius, self.arity)
 
-        def source(shard_index: int, shard: "Pipeline"):
-            # A helper (not an inline genexp) so shard_index/shard bind
-            # per shard instead of to the comprehension's last iteration.
-            return (
-                (rank(node.elements[0]), shard_index, node)
-                for node in shard.graph.nodes[1:]
-            )
+        def source(shard: "Pipeline"):
+            # A helper (not an inline genexp) so ``shard`` binds per shard
+            # instead of to the comprehension's last iteration.
+            return ((rank(node.elements[0]), node) for node in shard.graph.nodes[1:])
 
-        sources = [source(i, shard) for i, shard in enumerate(shards)]
-        origins: List[Tuple[int, int]] = []  # (shard_index, old_id) per new node
-        for _, shard_index, node in heap_merge(
-            *sources, key=lambda entry: entry[0]
-        ):
+        sources = [source(shard) for shard in shards]
+        for _, node in heap_merge(*sources, key=lambda entry: entry[0]):
             new_id = graph.add_node(node.elements, node.positions)
             graph.set_colors(new_id, node.unit_values)
-            origins.append((shard_index, node.node_id))
-        graph.degrees = [0] + [
-            shards[shard_index].graph.degrees[old_id]
-            for shard_index, old_id in origins
-        ]
         for shard in shards:
             graph.balls.update(shard.graph.balls)
         merged.graph = graph

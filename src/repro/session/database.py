@@ -918,10 +918,6 @@ class Database:
             self._refresh_locked()
             return self._fingerprint
 
-    def _refresh(self) -> None:
-        with self._state_lock:
-            self._refresh_locked()
-
     def _refresh_locked(self) -> None:
         """Detect *external* mutations and invalidate every derived cache.
 

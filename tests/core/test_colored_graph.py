@@ -126,15 +126,42 @@ class TestEdges:
                 assert (right.node_id in graph.neighbors(left.node_id)) == expected
 
     def test_degrees_count_neighbours(self, path):
-        # Edges are not stored; each node keeps only its degree.
+        # Neither edges nor degrees are stored; both are read off the balls.
         graph = build(path, 2)
-        assert not hasattr(graph, "adjacency")
-        for node in graph.nodes:
-            assert graph.degree(node.node_id) == len(graph.neighbors(node.node_id))
-        assert graph.max_degree == max(graph.degrees)
+        assert not hasattr(graph, "adjacency") and not hasattr(graph, "degrees")
+        sizes = [len(graph.neighbors(node.node_id)) for node in graph.nodes]
+        for node, size in zip(graph.nodes, sizes):
+            assert graph.degree(node.node_id) == size
+        for node, size in zip(graph.nodes[1:], sizes[1:]):
+            assert graph.degree_bound(node.node_id) >= size
+        assert graph.max_degree == max(sizes)
 
     def test_stats(self, path):
         graph = build(path, 2)
-        assert graph.max_degree > 0
-        assert graph.edge_count() == sum(graph.degrees) // 2 > 0
+        sizes = [len(graph.neighbors(node.node_id)) for node in graph.nodes]
+        assert graph.max_degree == max(sizes) > 0
+        assert graph.edge_count() == sum(sizes) // 2 > 0
         assert graph.node_count == len(graph.nodes)
+
+    def test_max_degree_is_dropped_by_every_surgery(self, path):
+        graph = build(path, 2)
+
+        def exact():
+            return max(graph.degree(node_id) for node_id in graph._by_key.values())
+
+        assert graph.max_degree == exact()
+        assert graph.clone().max_degree == graph.max_degree
+        top = max(graph.nodes[1:], key=lambda node: graph.degree(node.node_id))
+        element = top.elements[0]
+        for surgery in (
+            lambda: graph.remove_nodes({top.node_id}),
+            lambda: graph.add_node(top.elements, top.positions),
+            lambda: graph.rewire({element: frozenset(graph.structure.domain)}),
+        ):
+            surgery()
+            assert graph._max_degree is None
+            assert graph.max_degree == exact()
+        # The whole domain in one ball: its nodes neighbour every live node.
+        assert graph.max_degree == len(graph._by_key) - 2
+        assert not graph.rewire({})
+        assert graph._max_degree is not None

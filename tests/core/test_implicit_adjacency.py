@@ -1,11 +1,13 @@
-"""Implicit adjacency: the colored graph stores nodes, balls and degrees,
-never edges.
+"""Implicit adjacency: the colored graph stores nodes and balls, never
+edges or degrees.
 
 ``ColoredGraph.adjacent`` / ``neighbors`` / ``degree`` must equal the
 explicit edge relation of Step 4 (``graph_oracle.finalize_edges``) on
-every generated (structure, query) pair, and the small/big block split
-read off the stored degrees must equal the split the explicit degrees
-give — so the enumeration order does not move.  The size row of the
+every generated (structure, query) pair, and ``degree_bound`` must bound
+the explicit degree from above.  The small/big block split reads that
+bound, so every block the explicit degrees make small stays small (an
+over-estimate may only move a block to the small side), and the rows
+must still equal the naive answers.  The size row of the
 operation-count contract: what the graph stores is linear in its nodes
 plus its elements' balls, while its edges are not.
 """
@@ -15,10 +17,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.enumeration import arm_enumerators
+from repro.core.enumeration import arm_enumerators, enumerate_answers
 from repro.core.pipeline import Pipeline
 from repro.fo.localize import LocalEvaluator
 from repro.fo.parser import parse
+from repro.fo.semantics import naive_answers
 from repro.structures.random_gen import random_colored_graph
 
 from graph_oracle import finalize_edges, live_ids, small_blocks
@@ -36,13 +39,18 @@ def assert_matches_explicit(pipeline):
         neighbours = graph.neighbors(node_id)
         assert neighbours == explicit[node_id]
         assert graph.degree(node_id) == len(explicit[node_id])
+        assert graph.degree_bound(node_id) >= len(explicit[node_id])
         assert all(graph.adjacent(node_id, other) for other in neighbours)
         strangers = sorted(live - neighbours - {node_id})[:20]
         assert not any(graph.adjacent(node_id, other) for other in strangers)
         assert not graph.adjacent(node_id, node_id)
     assert graph.edge_count() == sum(len(entry) for entry in explicit) // 2
+    assert graph.max_degree == max(len(entry) for entry in explicit)
     for enumerator in arm_enumerators(pipeline):
-        assert enumerator.small_blocks == small_blocks(enumerator.branch, explicit)
+        assert set(small_blocks(enumerator.branch, explicit)) <= set(enumerator.small_blocks)
+    rows = list(enumerate_answers(pipeline, validate=True))
+    want = naive_answers(pipeline.query, pipeline.structure, order=pipeline.variables)
+    assert sorted(rows) == sorted(want)
 
 
 def built(pair):
@@ -97,8 +105,8 @@ def ternary_pipeline(n: int) -> Pipeline:
     return Pipeline(structure, parse(TERNARY))
 
 
-# Nodes, key map, degrees, containment keys and lists (at most k=3 per
-# node), and the ball table: a fixed multiple of nodes + ball entries.
+# Nodes, key map, containment keys and lists (at most k=3 per node),
+# and the ball table: a fixed multiple of nodes + ball entries.
 SIZE_FACTOR = 8
 
 
@@ -118,4 +126,6 @@ def test_stored_size_is_linear_in_nodes_and_balls(n):
         # Storing the edges could not fit under that bound.
         assert graph.edge_count() > bound
     else:
-        assert graph.degrees == [len(entry) for entry in finalize_edges(graph)]
+        explicit = finalize_edges(graph)
+        assert graph.max_degree == max(len(entry) for entry in explicit)
+        assert graph.edge_count() == sum(len(entry) for entry in explicit) // 2

@@ -1,13 +1,13 @@
 """The diffing refresh: a commit rewrites only the colored-graph nodes,
-colours, balls and degrees it changes.
+colours and balls it changes.
 
 ``PipelineMaintainer.refresh`` compares the refresh region's old and new
 state.  A node whose key survives keeps its id, a colour flip touches no
-ball or degree, and a removed node's id is reused by the next new key.
-The differential check: after every commit the maintained graph equals a
-cold ``build_colored_graph`` up to id renaming — nodes, colours, the
-neighbour sets over keys, and the stored degrees, which must equal the
-neighbour-set sizes.
+ball, and a removed node's id is reused by the next new key.  The
+differential check: after every commit the maintained graph equals a
+cold ``build_colored_graph`` up to id renaming — nodes, colours and the
+neighbour sets over keys — and each live node's degree bound, read off
+the maintained containment lists, is at least its degree.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import dynamic
+from repro.core.colored_graph import ColoredGraph
 from repro.core.dynamic import PipelineMaintainer, apply_ops, net_effects
 from repro.core.pipeline import Pipeline
 from repro.fo.localize import LocalEvaluator
@@ -56,9 +57,8 @@ def canonical(pipeline):
     live = live_ids(graph)
     key = {node_id: (graph.node(node_id).elements, graph.node(node_id).positions) for node_id in live}
     for node_id in range(1, graph.node_count):
-        if node_id not in live:  # a tombstone: no colours, no edges
+        if node_id not in live:  # a tombstone: no colours
             assert not graph.node(node_id).unit_values
-            assert graph.degree(node_id) == 0
     assert all(graph.node(node_id).node_id == node_id for node_id in live)
     colours = {key[node_id]: dict(graph.node(node_id).unit_values) for node_id in live}
     explicit = finalize_edges(graph)
@@ -66,7 +66,7 @@ def canonical(pipeline):
     for node_id in live:
         neighbours = graph.neighbors(node_id)
         assert neighbours == explicit[node_id]
-        assert graph.degree(node_id) == len(neighbours)
+        assert graph.degree_bound(node_id) >= len(neighbours)
         for other in neighbours:
             edges.add((key[node_id], key[other]))
     buckets = {}
@@ -147,7 +147,7 @@ THREE_BLOCKS = "B(x) & R(y) & G(z) & ~E(x,y) & ~E(y,z)"
 @settings(max_examples=6, deadline=None)
 def test_three_position_graph_equals_a_cold_build(seed, update_seed, pins):
     """The same differential on a three-position graph, whose nodes
-    carry up to three components: its degrees stay exact too."""
+    carry up to three components: its neighbour sets stay exact too."""
     rng = random.Random(update_seed)
     with Database(colored(10, seed)) as db:
         db.query(THREE_BLOCKS, backend="serial").count()
@@ -167,7 +167,7 @@ def test_colour_flip_writes_no_edge_and_allocates_no_id(monkeypatch):
     with Database(colored(120, 3)) as db:
         pipelines = [db.query(text, backend="serial").pipeline for text in QUERIES]
         sizes = [len(pipeline.graph.nodes) for pipeline in pipelines]
-        degrees = [list(pipeline.graph.degrees) for pipeline in pipelines]
+        max_degrees = [pipeline.graph.max_degree for pipeline in pipelines]
         balls = [dict(pipeline.graph.balls) for pipeline in pipelines]
         rekeys = []
         original = PipelineMaintainer._rekey
@@ -180,9 +180,10 @@ def test_colour_flip_writes_no_edge_and_allocates_no_id(monkeypatch):
         element = next(e for e in db.structure.domain if db.structure.neighbors(e))
         result = db.apply([(not db.structure.has_fact("B", element), "B", (element,))])
         assert result.maintained_plans == len(QUERIES)
-        # No rekey, so no ball and no degree is written.
+        # No rekey, so no ball is written and the memoised maximum
+        # degree survives.
         assert rekeys == []
-        assert [list(pipeline.graph.degrees) for pipeline in pipelines] == degrees
+        assert [pipeline.graph._max_degree for pipeline in pipelines] == max_degrees
         for pipeline, before in zip(pipelines, balls):
             assert all(pipeline.graph.balls[e] is ball for e, ball in before.items())
         assert [len(pipeline.graph.nodes) for pipeline in pipelines] == sizes
@@ -403,6 +404,29 @@ def test_an_edge_commit_rebuilds_no_unary_set(monkeypatch):
             if n == 500:
                 for text in QUERIES:
                     assert_matches_cold(db, text)
+
+
+def test_an_edge_commit_builds_no_neighbour_set(monkeypatch):
+    """The fifth row: with the three plans warm, an E insert and an E
+    delete read no node's neighbour set (``ColoredGraph._around``): the
+    graph keeps no degree to settle, so a commit only installs balls."""
+    around = []
+    original = ColoredGraph._around
+
+    def counting(graph, node_id, index):
+        around.append(node_id)
+        return original(graph, node_id, index)
+
+    with Database(path_structure(500)) as db:
+        for text in QUERIES:
+            db.query(text, backend="serial").count()
+        monkeypatch.setattr(ColoredGraph, "_around", counting)
+        for op in ((True, "E", (240, 245)), (False, "E", (240, 241))):
+            result = db.apply([op])
+            assert result.changed and result.maintained_plans == len(QUERIES)
+            assert around == [], op
+        for text in QUERIES:
+            assert_matches_cold(db, text)
 
 
 def keys_over(members, k):

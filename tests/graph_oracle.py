@@ -1,12 +1,12 @@
 """The explicit-edge oracle for the colored graph.
 
-``repro.core.colored_graph.ColoredGraph`` stores no edges: it reads them
-off its link-radius balls and keeps one degree per node.  This module
+``repro.core.colored_graph.ColoredGraph`` stores no edges and no
+degrees: it reads both off its link-radius balls.  This module
 computes the edges the way the graph once stored them — Step 4 of
 Proposition 3.4: two nodes are linked iff some of their components lie
 within the linking radius — from a fresh evaluator over the structure,
-so tests can hold ``adjacent`` / ``neighbors`` / ``degree`` and the
-small/big block split to it.
+so tests can hold ``adjacent`` / ``neighbors`` / ``degree`` /
+``degree_bound`` and the small/big block split to it.
 """
 
 from __future__ import annotations

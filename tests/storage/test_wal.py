@@ -29,6 +29,8 @@ from repro.storage.wal import (
     WAL_NAME,
     DurableStore,
     WalRecord,
+    _dumps_with_head,
+    _loads_with_head,
     segment_name,
 )
 from repro.structures.random_gen import random_colored_graph
@@ -236,6 +238,46 @@ class TestDurableStore:
                     naive_answers(formula, db.structure, order=sorted(formula.free))
                 )
                 assert sorted(query.answers().all()) == want
+
+
+    def test_a_format_6_spill_with_stored_degrees_is_ignored(self, tmp_path):
+        """Format 6 pickled one degree per node and no memo slot for the
+        maximum degree; a graph restored from it would carry a stale
+        layout, so the reopen ignores the spill and builds cold."""
+        import pickle
+        import warnings
+
+        path = tmp_path / "db"
+        with Database.open(path, structure=small_structure()) as db:
+            db.query(EXAMPLE)
+            result = db.checkpoint()
+            assert result.warm_entries >= 1
+        warm = path / f"warm-{result.version}.pickle"
+        bundle = pickle.loads(warm.read_bytes())
+        head = pickle.loads(bundle["structure"])
+        entries = []
+        for normalized, order_names, blob in bundle["entries"]:
+            pipeline = _loads_with_head(blob, head)
+            graph = pipeline.graph
+            del graph._max_degree
+            graph.degrees = [0] * graph.node_count
+            entries.append([normalized, order_names, _dumps_with_head(pipeline, head)])
+        bundle.update(format=6, entries=entries)
+        warm.write_bytes(pickle.dumps(bundle))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Database.open(path) as db:
+                query = db.query(EXAMPLE)
+                assert db.stats()["misses"] == 1, "plans rebuild cold"
+                graph = query.pipeline.graph
+                assert not hasattr(graph, "degrees")
+                assert graph.max_degree > 0
+                rows = query.answers().all()
+                with Database(db.structure.copy()) as cold:
+                    assert rows == cold.query(EXAMPLE).answers().all()
+                formula = parse(EXAMPLE)
+                want = naive_answers(formula, db.structure, order=sorted(formula.free))
+                assert sorted(rows) == sorted(want)
 
 
 class TestWalSegments:
