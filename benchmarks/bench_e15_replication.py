@@ -1,28 +1,13 @@
-"""E15 — WAL-shipped replication: convergence, lag honesty, warm replay.
+"""E15 — WAL-shipped replication: replay throughput and freshness.
 
-Claim: a follower tailing a leader's write-ahead log — over a shared
-directory or through the serve tier — converges to the leader's exact
-fingerprint, reports its staleness truthfully while behind, replays
-through the maintained-commit path (so a repeated follower query is a
-cache hit, not a rebuild), and converges again after every crash point
-and wire fault the harness can throw at the link.
+Replays shipped records through a cold follower (records/sec) and
+measures commit-to-visible latency under background tailing
+(``python benchmarks/bench_e15_replication.py``), written to
+``BENCH_replication.json``.
 
-Two entry points:
-
-* a standalone harness (``python benchmarks/bench_e15_replication.py``)
-  that measures replay throughput (records/sec), catch-up latency, and
-  commit-to-visible freshness under background tailing;
-* ``--smoke`` (the CI chaos gate) runs a tiny workload and enforces the
-  replication contracts only:
-
-  1. directory and serve followers converge to the leader fingerprint;
-  2. a clipped batch shows positive lag, a full catch-up drains it to 0;
-  3. the first repeated query after a warm catch-up is a cache *hit*;
-  4. for every named crash point: crash → restart → converge;
-  5. wire faults (cut connections, truncated responses) surface as the
-     retry taxonomy and the follower converges once the link heals.
-
-Both modes emit ``BENCH_replication.json`` for trend tracking.
+The replication gates (both topologies converge, lag is honest, warm
+replay is a cache hit, every crash point and cut wire heals) are tier-1
+tests in ``tests/replication/test_replication_gates.py``.
 """
 
 from __future__ import annotations
@@ -40,27 +25,11 @@ REPO_SRC = os.path.join(
 if REPO_SRC not in sys.path:
     sys.path.insert(0, REPO_SRC)
 
-from repro.errors import ServeConnectionError  # noqa: E402
-from repro.replication import (  # noqa: E402
-    CRASH_POINTS,
-    DirectorySource,
-    FlakyProxy,
-    FollowerDatabase,
-    ServeSource,
-    inject,
-)
-from repro.serve import (  # noqa: E402
-    DatabaseRegistry,
-    ServeClient,
-    serve_in_thread,
-)
+from repro.replication import DirectorySource, FollowerDatabase  # noqa: E402
 from repro.session import Database  # noqa: E402
 from repro.structures.random_gen import random_colored_graph  # noqa: E402
-from repro.util.retry import RetryPolicy  # noqa: E402
 
-EXAMPLE = "B(x) & ~R(x)"
 DEFAULT_JSON = "BENCH_replication.json"
-FAST_RETRY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05, jitter=0)
 
 
 def build_leader(path, n: int, seed: int = 17) -> Database:
@@ -82,188 +51,6 @@ def percentile(values, fraction: float) -> float:
     ordered = sorted(values)
     index = min(len(ordered) - 1, int(fraction * (len(ordered) - 1)))
     return ordered[index]
-
-
-# -- smoke gates --------------------------------------------------------
-
-
-def gate_convergence(base, n: int) -> list:
-    """Gate 1: both topologies land on the leader's fingerprint."""
-    failures = []
-    leader = build_leader(base / "g1", n)
-    try:
-        for element in range(8):
-            flip(leader, element)
-        with FollowerDatabase(DirectorySource(leader.path)) as follower:
-            follower.catch_up()
-            if follower.structure_fingerprint != leader.structure_fingerprint:
-                failures.append("directory follower diverged from the leader")
-            if follower.version != leader.version:
-                failures.append("directory follower stopped short of head")
-
-        registry = DatabaseRegistry()
-        registry.add("lead", leader, close_on_shutdown=False)
-        with serve_in_thread(registry) as server:
-            source = ServeSource(ServeClient("127.0.0.1", server.port), "lead")
-            with FollowerDatabase(source) as follower:
-                follower.catch_up()
-                flip(leader, 9)
-                follower.catch_up()
-                if (
-                    follower.structure_fingerprint
-                    != leader.structure_fingerprint
-                ):
-                    failures.append("serve follower diverged from the leader")
-    finally:
-        leader.close()
-    return failures
-
-
-def gate_lag_accounting(base, n: int) -> list:
-    """Gate 2: clipped catch-up shows real lag; full catch-up drains it."""
-    failures = []
-    leader = build_leader(base / "g2", n)
-    try:
-        registry = DatabaseRegistry()
-        registry.add("lead", leader, close_on_shutdown=False)
-        with serve_in_thread(registry) as server:
-            source = ServeSource(ServeClient("127.0.0.1", server.port), "lead")
-            with FollowerDatabase(source, batch_limit=1) as follower:
-                follower.catch_up()
-                for element in range(4):
-                    flip(leader, element)
-                follower.catch_up(max_batches=1)
-                if follower.lag != 3:
-                    failures.append(
-                        f"after 1 of 4 records, lag reads {follower.lag} "
-                        "(want 3)"
-                    )
-                plan = follower.query(EXAMPLE).explain()
-                if getattr(plan, "role", None) != "follower":
-                    failures.append("explain() does not stamp the role")
-                if getattr(plan, "lag", None) != 3:
-                    failures.append("explain() does not carry the lag")
-                follower.catch_up()
-                if follower.lag != 0:
-                    failures.append(
-                        f"lag did not drain to 0 (reads {follower.lag})"
-                    )
-    finally:
-        leader.close()
-    return failures
-
-
-def gate_warm_replay(base, n: int) -> list:
-    """Gate 3: the first query after a warm catch-up is a cache hit."""
-    failures = []
-    leader = build_leader(base / "g3", n)
-    try:
-        with FollowerDatabase(DirectorySource(leader.path)) as follower:
-            follower.catch_up()
-            follower.count(EXAMPLE)  # warm the plan (a miss)
-            misses = follower.stats()["misses"]
-            hits = follower.stats()["hits"]
-            flip(leader, 0)
-            follower.catch_up()
-            count = follower.count(EXAMPLE)
-            stats = follower.stats()
-            if stats["misses"] != misses:
-                failures.append(
-                    "post-catch-up query rebuilt its pipeline "
-                    f"(misses {misses} -> {stats['misses']})"
-                )
-            if stats["hits"] <= hits:
-                failures.append("post-catch-up query was not a cache hit")
-            if count != leader.query(EXAMPLE).count():
-                failures.append("maintained follower count diverged")
-    finally:
-        leader.close()
-    return failures
-
-
-def gate_crash_matrix(base, n: int) -> list:
-    """Gate 4: crash at every named point, restart, converge."""
-    from repro.replication import InjectedCrash
-
-    failures = []
-    for point in CRASH_POINTS:
-        path = base / f"g4-{point.replace('.', '-')}"
-        leader = build_leader(path, n)
-        stale = []
-        follower = FollowerDatabase(DirectorySource(leader.path))
-        try:
-            follower.catch_up()
-            with inject({point: 1}):
-                try:
-                    flip(leader, 0)
-                    flip(leader, 1)
-                    leader.checkpoint()
-                    flip(leader, 2)
-                    follower.catch_up()
-                except Exception:  # noqa: BLE001 - the simulated death
-                    pass
-            if not point.startswith("follower.") and point != "ship.batch":
-                stale.append(leader)
-                leader = Database.open(path, sync=False)
-            flip(leader, 3)
-            follower.catch_up()
-            if follower.structure_fingerprint != leader.structure_fingerprint:
-                failures.append(f"no convergence after crash at {point!r}")
-        finally:
-            follower.close()
-            leader.close()
-            for db in stale:
-                db.close()
-    return failures
-
-
-def gate_wire_faults(base, n: int) -> list:
-    """Gate 5: cut wires surface as the taxonomy; healing converges."""
-    failures = []
-    leader = build_leader(base / "g5", n)
-    try:
-        registry = DatabaseRegistry()
-        registry.add("lead", leader, close_on_shutdown=False)
-        with serve_in_thread(registry) as server:
-            with FlakyProxy("127.0.0.1", server.port) as proxy:
-                client = ServeClient(
-                    "127.0.0.1", proxy.port, timeout=5.0, retry=FAST_RETRY
-                )
-                with FollowerDatabase(
-                    ServeSource(client, "lead"), retry=FAST_RETRY
-                ) as follower:
-                    follower.catch_up()
-                    for element in range(4):
-                        flip(leader, element)
-                    proxy.drop_after_bytes = 40
-                    proxy.kill_connections()
-                    try:
-                        follower.catch_up()
-                        failures.append(
-                            "a 40-byte wire budget did not surface an error"
-                        )
-                    except ServeConnectionError:
-                        pass  # the taxonomy, after retries
-                    except Exception as error:  # noqa: BLE001
-                        failures.append(
-                            f"wire fault leaked {type(error).__name__} "
-                            "instead of ServeConnectionError"
-                        )
-                    proxy.drop_after_bytes = None  # heal
-                    follower.catch_up()
-                    if (
-                        follower.structure_fingerprint
-                        != leader.structure_fingerprint
-                    ):
-                        failures.append("no convergence after the wire healed")
-                    if proxy.dropped < 1:
-                        failures.append("the proxy never dropped a connection")
-    finally:
-        leader.close()
-    return failures
-
-
-# -- the measuring harness ---------------------------------------------
 
 
 def measure_replay_throughput(base, n: int, commits: int) -> dict:
@@ -313,73 +100,43 @@ def measure_freshness(base, n: int, commits: int) -> dict:
         leader.close()
 
 
-def run_harness(n: int, commits: int, smoke: bool, json_path: str) -> int:
+def run_harness(n: int, commits: int, json_path: str) -> int:
     import tempfile
     from pathlib import Path
 
-    report = {"n": n, "smoke": smoke, "query": EXAMPLE}
-    failures = []
+    report = {"n": n}
     with tempfile.TemporaryDirectory(prefix="bench-e15-") as tmp:
         base = Path(tmp)
-        for gate in (
-            gate_convergence,
-            gate_lag_accounting,
-            gate_warm_replay,
-            gate_crash_matrix,
-            gate_wire_faults,
-        ):
-            found = gate(base, n)
-            status = "ok" if not found else "FAIL"
-            print(f"{gate.__name__:<22} {status}")
-            failures.extend(found)
+        replay = measure_replay_throughput(base, n, commits)
+        print(
+            f"replay: {replay['commits']} records in "
+            f"{replay['seconds']:.3f}s  "
+            f"{replay['records_per_second']:,.0f} records/s"
+        )
+        report["replay"] = replay
+        freshness = measure_freshness(base, n, min(commits, 200))
+        print(
+            f"freshness (tailing): mean {freshness['mean_ms']:.2f}ms  "
+            f"p50 {freshness['p50_ms']:.2f}ms  "
+            f"p99 {freshness['p99_ms']:.2f}ms"
+        )
+        report["freshness"] = freshness
 
-        if not smoke:
-            replay = measure_replay_throughput(base, n, commits)
-            print(
-                f"replay: {replay['commits']} records in "
-                f"{replay['seconds']:.3f}s  "
-                f"{replay['records_per_second']:,.0f} records/s"
-            )
-            report["replay"] = replay
-            freshness = measure_freshness(base, n, min(commits, 200))
-            print(
-                f"freshness (tailing): mean {freshness['mean_ms']:.2f}ms  "
-                f"p50 {freshness['p50_ms']:.2f}ms  "
-                f"p99 {freshness['p99_ms']:.2f}ms"
-            )
-            report["freshness"] = freshness
-
-    report["failures"] = failures
     with open(json_path, "w", encoding="utf-8") as out:
         json.dump(report, out, indent=2)
     print(f"report written to {json_path}")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        "ok: followers converge on both topologies, lag is honest, replay "
-        "stays warm, and every crash point and wire fault heals"
-    )
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload; enforce the replication gates only",
-    )
-    parser.add_argument("-n", type=int, default=None, help="structure size")
+    parser.add_argument("-n", type=int, default=200, help="structure size")
     parser.add_argument(
         "--commits", type=int, default=500, help="commits for throughput runs"
     )
     parser.add_argument("--json", default=DEFAULT_JSON, help="report path")
     args = parser.parse_args(argv)
-    n = args.n if args.n is not None else (24 if args.smoke else 200)
-    return run_harness(n, args.commits, args.smoke, args.json)
+    return run_harness(args.n, args.commits, args.json)
 
 
 if __name__ == "__main__":

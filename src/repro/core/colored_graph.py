@@ -37,8 +37,10 @@ safe: a published :class:`VNode` never changes (a colour change
 replaces the node through :meth:`ColoredGraph.set_colors`), and a ball
 is an immutable ``frozenset`` that a rewire replaces, never edits.
 :meth:`ColoredGraph.clone` therefore copies containers only — the node
-list, key map, containment lists and ball table; there is no
-adjacency to copy.  This is the path-copying discipline of Driscoll,
+list, key map, ball table and the outer containment dict; there is no
+adjacency to copy.  The containment lists themselves stay shared: each
+side copies an element's list the first time it writes to it.  This is
+the path-copying discipline of Driscoll,
 Sarnak, Sleator and Tarjan ("Making data structures persistent", JCSS
 1989), and the per-node analogue of
 :meth:`repro.structures.structure.Structure.fork`.
@@ -112,7 +114,9 @@ class ColoredGraph:
     or last rewired, and :meth:`adjacent` / :meth:`neighbors` /
     :meth:`degree` read the edges off it and ``_containing`` (Step 4's
     definition).  ``_max_degree`` memoises :attr:`max_degree`; every
-    surgery drops it.
+    surgery drops it.  ``_owned`` names the elements whose containment
+    list this graph may edit in place (None: every list, as in a graph
+    never cloned); the others are shared with a clone.
     """
 
     def __init__(self, structure: Structure, link_radius: int, k: int):
@@ -124,6 +128,7 @@ class ColoredGraph:
             ((), ()): BOTTOM
         }
         self._containing: Dict[Element, List[int]] = {}
+        self._owned: Optional[Set[Element]] = None
         self._free: List[int] = []  # ids of removed nodes, reused first
         self._max_degree: Optional[int] = None
         self.balls: Dict[Element, FrozenSet[Element]] = {}
@@ -145,8 +150,20 @@ class ColoredGraph:
             self.nodes.append(VNode(node_id, elements, positions, NO_COLORS))
         self._by_key[key] = node_id
         for element in set(elements):
-            self._containing.setdefault(element, []).append(node_id)
+            self._writable_bucket(element).append(node_id)
         return node_id
+
+    def _writable_bucket(self, element: Element) -> List[int]:
+        """``element``'s containment list, copied first (or created) if
+        this graph does not own it yet."""
+        owned = self._owned
+        bucket = self._containing.get(element)
+        if bucket is not None and (owned is None or element in owned):
+            return bucket
+        if owned is not None:
+            owned.add(element)
+        bucket = self._containing[element] = list(bucket or ())
+        return bucket
 
     def set_colors(self, node_id: int, unit_values: Colors) -> None:
         """Attach colours by replacing the node (nodes are shared)."""
@@ -154,17 +171,21 @@ class ColoredGraph:
         self.nodes[node_id] = VNode(node_id, node.elements, node.positions, unit_values)
 
     def clone(self) -> "ColoredGraph":
-        """A copy-on-write twin sharing every node and ball.
+        """A copy-on-write twin sharing every node, ball and containment
+        list.
 
-        Copies containers only: the node list, the key map, the
-        containment lists and the ball table.  Colours are
+        Copies containers only: the node list, the key map, the ball
+        table and the outer containment dict.  Both sides then own no
+        containment list, so :meth:`add_node` and :meth:`remove_nodes`
+        copy a list on either side's first write to it.  Colours are
         shared too: template clones start colourless, warm forks keep
         theirs.
         """
         twin = ColoredGraph(self.structure, self.link_radius, self.k)
         twin.nodes = list(self.nodes)
         twin._by_key = dict(self._by_key)
-        twin._containing = {element: list(ids) for element, ids in self._containing.items()}
+        twin._containing = dict(self._containing)
+        self._owned, twin._owned = set(), set()
         twin._free = list(self._free)
         twin._max_degree = self._max_degree
         twin.balls = dict(self.balls)
@@ -186,7 +207,7 @@ class ColoredGraph:
             for element in set(node.elements):
                 bucket = self._containing.get(element)
                 if bucket is not None and node_id in bucket:
-                    bucket.remove(node_id)
+                    self._writable_bucket(element).remove(node_id)
             self.set_colors(node_id, NO_COLORS)
         self._free.extend(sorted(node_ids, reverse=True))
 

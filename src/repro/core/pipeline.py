@@ -424,18 +424,23 @@ class Pipeline:
         Shares everything immutable (plans, partition index, intern
         table, the localized formula) and the colored graph itself
         through :meth:`ColoredGraph.clone`, which copies containers only
-        — node list, key map, containment lists and ball table,
-        no adjacency, since the graph stores none: nodes and balls stay
-        shared until maintenance on either side replaces them.  The
+        — node list, key map, ball table and the outer containment dict,
+        no adjacency, since the graph stores none: nodes, balls and
+        containment lists stay shared until maintenance on either side
+        replaces or copies them.  The
         block-vector index buckets and the branch objects are copied,
         preserving the invariant that branch lists ARE the index buckets,
         so :class:`repro.core.dynamic.PipelineMaintainer` can patch both
         sides independently.  A fresh evaluator binds to the fork so
-        ball/unary caches never read the old head.  The session layer
+        ball caches never read the old head; it starts with this
+        pipeline's unary sets, immutable frozensets over content that is
+        identical at fork time (:func:`repro.core.dynamic.maintain`
+        drops the ones a commit changes).  The session layer
         uses this so a commit that overlaps a live pin keeps both heads'
         plans warm instead of rebuilding the new head cold.
         """
         twin = self._derive_header(structure, self._intern)
+        twin.evaluator._unary_cache.update(self.evaluator._unary_cache)
         if self.graph is not None:
             twin.graph = self.graph.clone()
             twin.graph.structure = structure

@@ -31,12 +31,14 @@ snapshot-plus-write-ahead-log design:
     a reopened database answers its first query without re-running
     Proposition 3.4.  Strictly an accelerator: it is validated against
     the manifest lineage and silently ignored when stale, unreadable or
-    of another format (``WARM_FORMAT``; format 7 keys each pipeline by
+    of another format (``WARM_FORMAT``; format 8 keys each pipeline by
     ``(normalized formula, order)`` and pickles the immutable
     colored-graph nodes, the graph's free-id list, its link-radius
-    balls and its memoised maximum degree — no adjacency, which format
-    5 still carried, and no per-node degree, which format 6 still
-    carried).  The spill is
+    balls, its memoised maximum degree and the copy-on-write ownership
+    of its containment lists and of the structure's Gaifman index —
+    no adjacency, which format 5 still carried, no per-node degree,
+    which format 6 still carried, and no ownership, which format 7
+    lacked).  The spill is
     *incremental*: each cached pipeline is pickled into its own blob
     (with the head structure factored out via a pickle persistent id),
     and a checkpoint re-pickles only the plans whose durable state
@@ -86,7 +88,7 @@ UpdateOp = Tuple[bool, str, Tuple[Element, ...]]
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "wal.jsonl"  # pre-segmentation log, still read for old stores
 FORMAT_VERSION = 1
-WARM_FORMAT = 7
+WARM_FORMAT = 8
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 _SEGMENT_RE = re.compile(r"^wal\.(\d{5,})\.jsonl$")

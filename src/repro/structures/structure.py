@@ -3,7 +3,8 @@
 A :class:`Structure` owns a domain with a fixed linear order (the RAM model
 of Section 2.2 assumes one), a signature, and one set of tuples per relation
 symbol.  The Gaifman graph, degree, and per-element adjacency are computed
-lazily and cached; any mutation invalidates the caches.
+lazily, cached, and maintained fact by fact once built; a fork shares
+them with its parent copy-on-write (:meth:`Structure.fork`).
 
 Size conventions follow the paper:
 
@@ -105,6 +106,11 @@ class Structure:
         # How many facts witness each Gaifman edge (keyed by the unordered
         # element pair); lets mutations update adjacency incrementally.
         self._edge_support: Dict[FrozenSet[Element], int] = {}
+        # Copy-on-write state of the two maps above (see fork()): whether
+        # they are shared with another structure, and, once they are not,
+        # which elements' neighbour sets this side owns (None: all).
+        self._gaifman_shared = False
+        self._owned_neighbors: Optional[Set[Element]] = None
         self._order: Optional[DomainOrder] = None
         if relations:
             for name, facts in relations.items():
@@ -175,10 +181,20 @@ class Structure:
                 self._support_fact(fact, -1)
 
     def _support_fact(self, fact: Fact, delta: int) -> None:
-        """Incrementally maintain the Gaifman adjacency for one fact."""
+        """Incrementally maintain the Gaifman adjacency for one fact.
+
+        Copy-on-write: the first write after a fork takes private outer
+        dicts (pointer copies), and each neighbour set is copied before
+        this side first edits it.
+        """
         distinct = set(fact)
         if len(distinct) < 2:
             return
+        if self._gaifman_shared:
+            self._adjacency = dict(self._adjacency)
+            self._edge_support = dict(self._edge_support)
+            self._gaifman_shared = False
+            self._owned_neighbors = set()
         ordered = list(distinct)
         for i, left in enumerate(ordered):
             for right in ordered[i + 1 :]:
@@ -186,13 +202,23 @@ class Structure:
                 support = self._edge_support.get(key, 0) + delta
                 if support <= 0:
                     self._edge_support.pop(key, None)
-                    self._adjacency[left].discard(right)
-                    self._adjacency[right].discard(left)
+                    self._writable_neighbors(left).discard(right)
+                    self._writable_neighbors(right).discard(left)
                 else:
                     self._edge_support[key] = support
                     if delta > 0 and support == 1:
-                        self._adjacency[left].add(right)
-                        self._adjacency[right].add(left)
+                        self._writable_neighbors(left).add(right)
+                        self._writable_neighbors(right).add(left)
+
+    def _writable_neighbors(self, element: Element) -> Set[Element]:
+        """``element``'s neighbour set, copied first if another side
+        may read it."""
+        owned = self._owned_neighbors
+        if owned is None or element in owned:
+            return self._adjacency[element]
+        owned.add(element)
+        private = self._adjacency[element] = set(self._adjacency[element])
+        return private
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -285,7 +311,13 @@ class Structure:
         later update.  The fork continues this structure's version
         lineage — its counter starts where the parent's stands, so every
         post-fork mutation yields a version the parent never had.
-        Derived caches (Gaifman adjacency) rebuild lazily on the fork.
+
+        A built Gaifman index (adjacency and edge support) is shared the
+        same way: both sides mark it shared, the first write on either
+        side takes shallow copies of the two outer dicts (pointer copies,
+        no scan over the facts), and each neighbour set is copied before
+        that side first edits it (Driscoll, Sarnak, Sleator and Tarjan's
+        path copying).  An index not yet built stays unbuilt on both.
         """
         clone = Structure.__new__(Structure)
         clone.signature = self.signature
@@ -294,18 +326,24 @@ class Structure:
         clone._relations = dict(self._relations)
         shared = set(self._relations)
         self._cow_shared |= shared
-        clone._cow_shared = set(shared)
+        clone._cow_shared = shared
         clone._version = self._version
         clone._generation = self._generation + 1
-        clone._caches_dirty = True
         clone._frozen = False
         # The fork starts unguarded — the session that forked it applies
         # the commit's ops before reinstating the guard on the new head.
         clone._write_guard = None
         clone._fp_header = self._fp_header
         clone._fp_acc = self._fp_acc
-        clone._adjacency = {}
-        clone._edge_support = {}
+        clone._caches_dirty = self._caches_dirty
+        clone._owned_neighbors = None
+        if self._caches_dirty:
+            clone._adjacency, clone._edge_support = {}, {}
+            clone._gaifman_shared = False
+        else:
+            clone._adjacency = self._adjacency
+            clone._edge_support = self._edge_support
+            self._gaifman_shared = clone._gaifman_shared = True
         clone._order = self._order
         return clone
 
@@ -392,6 +430,8 @@ class Structure:
     def _rebuild_adjacency(self) -> None:
         self._adjacency = {element: set() for element in self._domain}
         self._edge_support = {}
+        self._gaifman_shared = False
+        self._owned_neighbors = None
         self._caches_dirty = False
         for facts in self._relations.values():
             for fact in facts:

@@ -62,6 +62,11 @@ def capture(graph):
     )
 
 
+def containment(graph):
+    """Every element's containment list, by value."""
+    return {e: graph.nodes_containing(e) for e in graph.structure.domain}
+
+
 class TestGraphPrimitives:
     def test_nodes_are_immutable(self):
         structure = sparse_structure()
@@ -85,13 +90,28 @@ class TestGraphPrimitives:
         structure = sparse_structure()
         graph = build_colored_graph(structure, LocalEvaluator(structure, {}), 2, 1)
         before = capture(graph)
+        lists = containment(graph)
         twin = graph.clone()
+        sibling = graph.clone()
         victim = next(i for i in range(1, twin.node_count) if twin.degree(i))
         elements = twin.nodes[victim].elements
         region = set(elements)
         twin.set_colors(1, {0: (True,)})
         twin.remove_nodes({victim})
         fresh = twin.add_node(elements, twin.nodes[victim].positions)
+        # A key over elements the twin has not written to yet: its first
+        # write to their lists must copy them.
+        far = next(
+            (a, b)
+            for a in structure.domain
+            for b in structure.domain
+            if not region & {a, b} and twin.node_id((a, b), (0, 1)) is None
+        )
+        stray = twin.add_node(far, (0, 1))
+        assert all(stray in twin.nodes_containing(e) for e in far)
+        assert containment(graph) == lists
+        assert containment(sibling) == lists
+        twin.remove_nodes({stray})
         # Equal balls from a fresh evaluator: new objects, the same edges.
         evaluator = LocalEvaluator(structure, {})
         balls = {e: evaluator.ball(e, 1) for e in region}
@@ -104,10 +124,14 @@ class TestGraphPrimitives:
         assert all(graph.balls[e] is not balls[e] for e in region)
         # A second clone of the twin has its own containment lists:
         # detaching a node there leaves the twin as it was.
+        twin_lists = containment(twin)
         second = twin.clone()
         second.remove_nodes({fresh})
         assert twin.neighbors(fresh) == before[1][victim]
         assert twin.degree(fresh) == len(before[1][victim])
+        assert containment(twin) == twin_lists
+        assert containment(graph) == lists
+        assert containment(sibling) == lists
 
 
 class TestPinnedCommitSharing:
@@ -177,12 +201,27 @@ def test_template_clones_stay_isolated_when_one_is_maintained():
     (template,) = templates.values()
     template_before = capture(template)
     bystander_before = capture(bystander.graph)
+    lists = containment(template)
+    assert containment(maintained.graph) == containment(bystander.graph) == lists
     bystander_answers = list(enumerate_answers(bystander))
 
-    edge = next(iter(structure.facts("E")))
+    # The edge commits move Gaifman edges (both directions go), so the
+    # surgery detaches and adds nodes over their ends.
+    edge = min(structure.facts("E"))
+    far = next(
+        (a, b)
+        for a in structure.domain
+        for b in structure.domain
+        if a != b and b not in structure.neighbors(a)
+    )
     effective = net_effects(
         structure,
-        [(True, "B", (missing_unary(structure),)), (False, "E", edge)],
+        [
+            (True, "B", (missing_unary(structure),)),
+            (False, "E", edge),
+            (False, "E", edge[::-1]),
+            (True, "E", far),
+        ],
     )
     maintain(
         [PipelineMaintainer(maintained)],
@@ -195,3 +234,5 @@ def test_template_clones_stay_isolated_when_one_is_maintained():
     assert all(node.unit_values is NO_COLORS for node in template.nodes)
     assert capture(bystander.graph) == bystander_before
     assert list(enumerate_answers(bystander)) == bystander_answers
+    assert containment(template) == lists
+    assert containment(bystander.graph) == lists

@@ -429,6 +429,57 @@ def test_an_edge_commit_builds_no_neighbour_set(monkeypatch):
             assert_matches_cold(db, text)
 
 
+def test_a_pinned_commit_copies_only_what_it_writes(monkeypatch):
+    """The sixth row: with the three plans warm and a snapshot open, an
+    E insert and a B flip fork the head without rebuilding its Gaifman
+    index, and copy the same neighbour sets and containment lists at
+    n=500 and n=2000.  The fork shares both copy-on-write, so the E
+    insert copies the two neighbour sets it edits and, in each
+    two-block plan, the lists of the two ends its new nodes join; the
+    flip copies nothing."""
+    rebuilds = []
+    rebuild = Structure._rebuild_adjacency
+
+    def counting(structure):
+        rebuilds.append(structure)
+        return rebuild(structure)
+
+    monkeypatch.setattr(Structure, "_rebuild_adjacency", counting)
+
+    def graphs(db):
+        return [db.query(text, backend="serial").pipeline.graph for text in QUERIES]
+
+    copies = []
+    for n in (500, 2000):
+        with Database(path_structure(n)) as db:
+            for text in QUERIES:
+                db.query(text, backend="serial").count()
+            row = []
+            for op in ((True, "E", (240, 245)), (False, "B", (240,))):
+                pinned = db.structure
+                pinned_graphs = graphs(db)
+                rebuilds.clear()
+                with db.snapshot():
+                    result = db.apply([op])
+                assert result.forked and result.maintained_plans == len(QUERIES)
+                assert rebuilds == [], op
+                head = db.structure
+                neighbour_sets = [
+                    e for e in head.domain if head.neighbors(e) is not pinned.neighbors(e)
+                ]
+                lists = [
+                    sum(1 for e, ids in graph._containing.items() if ids is not old._containing.get(e))
+                    for graph, old in zip(graphs(db), pinned_graphs)
+                ]
+                row.append((len(neighbour_sets), lists))
+            copies.append(row)
+            if n == 500:
+                for text in QUERIES:
+                    assert_matches_cold(db, text)
+    assert copies[0] == copies[1]
+    assert copies[0] == [(2, [2, 2, 0]), (0, [0, 0, 0])]
+
+
 def keys_over(members, k):
     """Every key over the member set: each tuple of length ``|members|..k``
     that uses all members, with each position set of its length."""

@@ -205,7 +205,7 @@ class TestDurableStore:
         assert restored.warm_entries == ()
         assert restored.structure.content_fingerprint() == result.fingerprint
 
-    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("old_format", [1, 2, 3, 4, 5, 7])
     def test_other_format_spill_is_ignored_like_a_stale_one(
         self, tmp_path, old_format
     ):
@@ -222,7 +222,8 @@ class TestDurableStore:
         bundle["format"] = old_format
         if 2 <= old_format <= 4:
             # Formats 2-4 keyed each blob by (normalized, order, eps);
-            # format 5 had today's keys but pickled adjacency sets.
+            # formats 5 and 7 had today's keys, but format 5 pickled
+            # adjacency sets and format 7 no copy-on-write ownership.
             bundle["entries"] = [
                 [normalized, order_names, 0.5, blob]
                 for normalized, order_names, blob in bundle["entries"]

@@ -125,34 +125,64 @@ class TestFork:
         assert not base.has_fact("B", element)
 
 
+def random_op(structure, rng):
+    """An insert or a removal (of a present fact, so it takes effect) of
+    an E edge or a colour."""
+    domain = list(structure.domain)
+    relation = rng.choice(["E", "B", "R"])
+    present = sorted(structure.facts(relation))
+    if present and rng.random() < 0.5:
+        return False, relation, rng.choice(present)
+    if relation == "E":
+        return True, relation, (rng.choice(domain), rng.choice(domain))
+    return True, relation, (rng.choice(domain),)
+
+
+def apply(structure, op):
+    insert, relation, fact = op
+    if insert:
+        structure.add_fact(relation, *fact)
+    else:
+        structure.remove_fact(relation, *fact)
+
+
+def neighbour_map(structure):
+    return {e: set(structure.neighbors(e)) for e in structure.domain}
+
+
 @given(seed=st.integers(0, 50), flips=st.integers(1, 12))
 @settings(max_examples=25, deadline=None)
 def test_fork_differential_vs_copy(seed, flips):
-    """A COW fork mutated arbitrarily must equal a deep copy mutated the
-    same way — fact sets, fingerprints, and Gaifman adjacency."""
+    """COW forks mutated arbitrarily must equal deep copies mutated the
+    same way — fact sets, fingerprints, and Gaifman adjacency.
+
+    The root's Gaifman index is built before it is forked, so a parent,
+    its fork and a fork of the fork (taken after both wrote) all start
+    from one shared index; each side writes to its own neighbour sets
+    only, and the frozen root's sets never move."""
     import random
 
-    base = random_colored_graph(14, max_degree=3, seed=seed)
-    fingerprint(base)
-    fork = base.fork()
-    deep = base.copy()
+    root = random_colored_graph(14, max_degree=3, seed=seed)
+    fingerprint(root)
+    root.adjacency()  # built, so every fork below shares it
+    root_before = neighbour_map(root)
+    root.freeze()
+    parent = root.fork()
+    fork = parent.fork()
+    sides = [(parent, parent.copy()), (fork, fork.copy())]
     rng = random.Random(seed)
-    domain = list(base.domain)
-    for _ in range(flips):
-        relation = rng.choice(["E", "B", "R"])
-        if relation == "E":
-            fact = (rng.choice(domain), rng.choice(domain))
-        else:
-            fact = (rng.choice(domain),)
-        if rng.random() < 0.5:
-            fork.add_fact(relation, *fact)
-            deep.add_fact(relation, *fact)
-        else:
-            fork.remove_fact(relation, *fact)
-            deep.remove_fact(relation, *fact)
-    for name in base.relation_names():
-        assert fork.facts(name) == deep.facts(name)
-    assert fingerprint(fork) == fingerprint_full(deep)
-    assert {
-        e: set(fork.neighbors(e)) for e in domain
-    } == {e: set(deep.neighbors(e)) for e in domain}
+    for phase in range(2):
+        for _ in range(flips):
+            side, twin = rng.choice(sides)
+            op = random_op(side, rng)
+            apply(side, op)
+            apply(twin, op)
+        if phase == 0:
+            grandchild = fork.fork()
+            sides.append((grandchild, sides[1][1].copy()))
+    for side, twin in sides:
+        for name in root.relation_names():
+            assert side.facts(name) == twin.facts(name)
+        assert fingerprint(side) == fingerprint_full(twin)
+        assert neighbour_map(side) == neighbour_map(twin)
+    assert neighbour_map(root) == root_before
